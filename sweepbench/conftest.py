@@ -1,0 +1,8 @@
+"""Puts the repository's ``src/`` on the import path for the harness tests."""
+
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
