@@ -17,18 +17,24 @@ differs from libm ``pow`` (hence from CPython's ``**``) by one ulp on
 ~5% of inputs (observed on numpy 2.4.6), so the EWMA decay factors go
 through :func:`_libm_pow`, an element-wise libm ``pow``.
 
-The profile kernels do not re-derive the cyclic bin walk at all: they
-run the scalar generator (:func:`repro.energy.predictor
-.profile_segments`) once per participating lane.  The walk is a handful
-of segments per lane and the participating lane sets are small (the
-lanes deciding or moving in one step), so per-lane Python floats beat
-masked small-array numpy by a wide margin — and sharing the scalar
-generator makes bit-equality true by construction rather than by
-argument.
+The profile kernels run the cyclic bin walk of
+:func:`repro.energy.predictor.profile_segments` for all participating
+lanes at once, as one padded (lanes x ladder steps) array
+(:func:`_profile_walk`).  Each step's edge is the scalar walk's float
+expression, and the walk's running coverage is checked per step to
+telescope exactly, with a column-by-column replay of the scalar
+recurrence for lanes where it does not.  The scalar generator stays the
+parity twin (``tests/energy/test_vectorized_predictors.py`` compares the
+two bit for bit).  Per-lane Python was the slower choice here: the batch
+loop is bound by per-call dispatch, and a Python walk costs one
+generator step per segment for each of the ~100 lanes deciding or
+moving in one step.
 
-All kernels take *dense* arrays: the caller extracts the lanes that
-participate (e.g. only lanes whose elapsed segment exceeds ``EPSILON``
-get an observe, matching the scalar gate) and scatters results back.
+All kernels take *dense* per-lane arrays: the caller extracts the lanes
+that participate (e.g. only lanes whose elapsed segment exceeds
+``EPSILON`` get an observe, matching the scalar gate).  The profile
+kernels index the caller's bin-state matrices through ``rows``, so the
+state is read and updated in place rather than copied out and back.
 """
 
 # repro: float-doctrine -- the RPR4xx bit-exactness rules apply here.
@@ -40,7 +46,6 @@ import math
 import numpy as np
 import numpy.typing as npt
 
-from repro.energy.predictor import profile_segments
 from repro.timeutils import EPSILON
 
 __all__ = [
@@ -61,11 +66,15 @@ def _libm_pow(base: FloatArray, expo: FloatArray) -> FloatArray:
 
     numpy's vectorized ``np.power`` is *not* (one-ulp SIMD deviations),
     which would leak into the EWMA state and break the doctrine — so the
-    decay factors pay for a per-element libm call instead.  Observe
-    batches are small (one entry per moving lane per step), so this is
-    off the hot path.
+    decay factors pay for a per-element libm call instead.  This is on
+    the hot path: a profile sweep makes one observe call per lockstep
+    step, with about a hundred moving lanes each, so the calls go
+    through ``map`` and ``np.fromiter`` (no per-element tuple unpacking
+    or intermediate list).
     """
-    return np.array([math.pow(b, e) for b, e in zip(base.tolist(), expo.tolist())])
+    return np.fromiter(
+        map(math.pow, base.tolist(), expo.tolist()), np.float64, base.shape[0]
+    )
 
 
 def batch_span_predict(estimate: FloatArray, t0: FloatArray, t1: FloatArray) -> FloatArray:
@@ -120,23 +129,106 @@ def _batch_snap_tail(covered: FloatArray, span: FloatArray) -> FloatArray:
     return d
 
 
-def _first_bin_edge(
+def _profile_walk(
     t0: FloatArray,
+    t1: FloatArray,
     period: FloatArray,
     bin_width: FloatArray,
     n_bins: IntArray,
-) -> tuple[IntArray, FloatArray, FloatArray]:
-    """Each lane's starting bin, first ladder edge, and cycle position.
+) -> tuple[IntArray, FloatArray]:
+    """:func:`repro.energy.predictor.profile_segments` for many lanes.
 
-    The same floats the scalar walk computes at its first step
-    (``j = 0``): ``np.mod`` matches ``%``, truncation matches ``int()``
-    and int64→float64 conversion is exact at these magnitudes — all
-    pinned by ``TestNumpyAccumulationContract``.
+    Returns ``(index, duration)``, both ``(lanes, steps)``: column ``j``
+    of a row is step ``j`` of that lane's walk, holding the bin it lies
+    in and the duration the scalar generator yields there, or ``0.0``
+    where it yields nothing (a skipped clamped first step, or padding
+    past the lane's last step).  Callers pre-filter to
+    ``t1 - t0 > EPSILON``.
+
+    The ladder is one 2-D expression over the floats the scalar walk
+    computes: ``np.mod`` matches ``%``, truncation matches ``int()`` and
+    int64->float64 conversion is exact at these magnitudes (all pinned
+    by ``TestNumpyAccumulationContract``).  The scalar's running
+    ``covered`` telescopes to the previous positive edge wherever
+    ``fl(c + fl(e - c)) == e``; that is checked per step at runtime, and
+    lanes where it fails replay the scalar recurrence column by column
+    (:func:`_ladder_durations`, :func:`_exact_walk`).
     """
+    span = t1 - t0
     position = np.mod(t0, period)
     first = np.minimum((position / bin_width).astype(np.int64), n_bins - 1)
-    edge = (first + 1).astype(np.float64) * bin_width - position
-    return first, edge, position
+    # In exact arithmetic every walk ends by step floor(span / width) + 1;
+    # rounding or a clamped first bin can push it further, which the
+    # check below catches by widening the ladder.
+    n_steps = int((span / bin_width).max()) + 2
+    while True:
+        rank = first[:, None] + np.arange(n_steps + 1, dtype=np.int64)
+        # ladder[:, k] is the coverage once step k - 1 is walked: that
+        # step's edge (first + k) * bin_width - position, clamped at 0.0
+        # (a clamped first bin can start with a non-positive edge, which
+        # the scalar walk skips); column 0 is the empty start.
+        ladder = np.maximum(
+            rank.astype(np.float64) * bin_width[:, None] - position[:, None],
+            0.0,
+        )
+        ladder[:, 0] = 0.0
+        ends = ladder[:, 1:] >= span[:, None]
+        if ends[:, -1].all():
+            break
+        if not (np.isfinite(span).all() and np.isfinite(position).all()):
+            raise ValueError("profile window bounds must be finite")
+        n_steps += 2
+    # The ladder never decreases, so each row of ``ends`` is False up to
+    # the last step (the first edge reaching the span) and True after.
+    last = ends.argmax(axis=1)
+    if not last.any():
+        # Every window ends inside its first bin: the walk yields the
+        # snapped span there, which is the span itself (0.0 + span).
+        return first[:, None], span[:, None]
+    index: IntArray = np.mod(rank[:, :-1], n_bins[:, None])
+    return index, _ladder_durations(ladder, ends, last, span)
+
+
+def _ladder_durations(
+    ladder: FloatArray, ends: BoolArray, last: IntArray, span: FloatArray
+) -> FloatArray:
+    """Segment durations of a walk ladder (see :func:`_profile_walk`).
+
+    ``ends[:, j]`` is ``ladder[:, j + 1] >= span`` and ``last`` its first
+    True column.  Steps before ``last`` yield the ladder difference,
+    which is the scalar ``edge - covered`` while coverage telescopes
+    (checked on every column: a false alarm past a lane's last step only
+    sends that lane down the exact replay); the last step yields the
+    snapped tail, which is > 0 because that step starts below the span.
+    """
+    lanes = np.arange(span.shape[0])
+    done = ladder[lanes, last]
+    step = ladder[:, 1:] - ladder[:, :-1]
+    broken = ladder[:, :-1] + step != ladder[:, 1:]
+    if broken.any():
+        rows = broken.any(axis=1).nonzero()[0]
+        step[rows], done[rows] = _exact_walk(ladder[rows, 1:], last[rows])
+    duration = np.where(ends, 0.0, step)
+    duration[lanes, last] = _batch_snap_tail(done, span)
+    return duration
+
+
+def _exact_walk(edge: FloatArray, last: IntArray) -> tuple[FloatArray, FloatArray]:
+    """The scalar walk's ``covered`` recurrence, one ladder column at a time.
+
+    ``edge`` holds each step's (clamped) edge.  Returns the durations of
+    the steps before each lane's last (``0.0`` where the walk yields
+    nothing) and the coverage the last step starts from, for the rare
+    lanes whose coverage does not telescope.
+    """
+    duration = np.zeros(edge.shape)
+    covered = np.zeros(edge.shape[0])
+    for j in range(edge.shape[1]):
+        taken = (last > j) & (edge[:, j] > covered)
+        d = edge[:, j] - covered
+        duration[:, j] = np.where(taken, d, 0.0)
+        covered = np.where(taken, covered + d, covered)
+    return duration, covered
 
 
 def batch_profile_predict(
@@ -146,59 +238,33 @@ def batch_profile_predict(
     bin_width: FloatArray,
     n_bins: IntArray,
     estimates: FloatArray,
+    rows: IntArray | None = None,
 ) -> FloatArray:
     """Element-wise :meth:`ProfilePredictor.predict_energy`.
 
-    ``estimates`` is ``(lanes, max_bins)``.  Windows that fit inside one
-    bin (the scalar walk terminates at its first step, and the tail snap
-    is the identity because nothing is covered yet) take a fully
-    vectorized path: ``estimate[first] * span``, the same single product
-    the scalar sum performs.  Windows crossing a bin edge run the scalar
-    segment walk per lane and accumulate contributions left to right —
-    the exact float sum the scalar predictor computes.
+    ``estimates`` is ``(lanes, max_bins)``; lane ``i`` reads row
+    ``rows[i]`` (default: row ``i``).  The segment products
+    ``estimate[index] * duration`` of the padded walk accumulate with a
+    row-wise ``np.cumsum``, which adds strictly left to right and so
+    rounds once per segment in walk order, like the scalar sum; the
+    walk's empty cells add ``0.0``, which never perturbs the total.
     """
     span = t1 - t0
     total = np.zeros(t0.shape[0])
-    live = span > EPSILON
-    if not live.any():
+    live = (span > EPSILON).nonzero()[0]
+    if live.size == 0:
         return total
-    first, edge, position = _first_bin_edge(t0, period, bin_width, n_bins)
-    single = live & (edge >= span)
-    rows = np.flatnonzero(single)
-    if rows.size:
-        total[rows] = estimates[rows, first[rows]] * span[rows]
-    # Two-segment windows (crossing exactly one bin edge) stay
-    # vectorized: the scalar walk yields (first, edge) then the snapped
-    # tail in the next bin, and its left-to-right sum is the same two
-    # products and one addition performed element-wise here.  The
-    # ``edge > 0`` guard mirrors the walk's ``edge > covered`` mid-step
-    # condition (a clamped first bin can start with a non-positive
-    # ladder edge, which the scalar walk skips without yielding).
-    edge2 = (first + 2).astype(np.float64) * bin_width - position
-    double = live & ~single & (edge > 0.0) & (edge2 >= span)
-    rows = np.flatnonzero(double)
-    if rows.size:
-        tail = _batch_snap_tail(edge[rows], span[rows])
-        second = np.mod(first[rows] + 1, n_bins[rows])
-        total[rows] = (
-            estimates[rows, first[rows]] * edge[rows]
-            + estimates[rows, second] * tail
+    if rows is None:
+        rows = np.arange(t0.shape[0])
+    if live.size < t0.shape[0]:
+        t0, t1, period, bin_width, n_bins, rows = (
+            t0[live], t1[live], period[live], bin_width[live], n_bins[live],
+            rows[live],
         )
-    multi = np.flatnonzero(live & ~single & ~double)
-    if multi.size:
-        t0s = t0.tolist()
-        t1s = t1.tolist()
-        periods = period.tolist()
-        widths = bin_width.tolist()
-        bins = n_bins.tolist()
-        for i in multi.tolist():
-            row = estimates[i]
-            acc = 0.0
-            for index, d in profile_segments(
-                t0s[i], t1s[i], periods[i], widths[i], bins[i]
-            ):
-                acc += float(row[index]) * d
-            total[i] = acc
+    index, duration = _profile_walk(t0, t1, period, bin_width, n_bins)
+    cells = (rows * estimates.shape[1])[:, None] + index
+    contribution = np.take(estimates, cells) * duration
+    total[live] = np.cumsum(contribution, axis=1)[:, -1]
     return total
 
 
@@ -212,55 +278,35 @@ def batch_profile_observe(
     energy: FloatArray,
     estimates: FloatArray,
     seen: BoolArray,
+    rows: IntArray | None = None,
 ) -> None:
     """Element-wise :meth:`ProfilePredictor.observe` (mutates in place).
 
-    ``estimates``/``seen`` are ``(lanes, max_bins)`` and are updated for
-    the given lanes.  Callers must pre-filter to ``t1 - t0 > EPSILON``
-    (the scalar gate).  Single-bin windows (the overwhelming case: one
-    simulation segment is usually far shorter than a profile bin) take
-    the vectorized path — for them the scalar walk terminates at its
-    first step with the full span as the (snap-exact) tail, so the
-    update is one EWMA step per lane with a libm decay factor.  Windows
-    crossing a bin edge run the scalar segment walk per lane, so
-    repeated visits to the same bin within one window (spans longer
-    than the period) apply their EWMA updates in walk order, exactly
-    like the scalar loop — including the scalar's ``**`` for the decay
-    factor.
+    ``estimates``/``seen`` are ``(lanes, max_bins)``; lane ``i`` updates
+    row ``rows[i]`` (default: row ``i``; rows must be distinct) in
+    place.  Callers must pre-filter to ``t1 - t0 > EPSILON`` (the scalar
+    gate).  The EWMA updates of all walk segments apply together, in
+    waves of ``min(n_bins)`` walk steps: within a wave a lane's steps
+    lie in distinct bins, so no cell is written twice, and the waves
+    run in walk order, so repeated visits to one bin (spans longer than
+    the period) compound in the scalar loop's order.
     """
-    duration = t1 - t0
-    mean_power = np.maximum(0.0, energy / duration)
-    first, edge, _ = _first_bin_edge(t0, period, bin_width, n_bins)
-    single = edge >= duration
-    rows = np.flatnonzero(single)
-    if rows.size:
-        idx = first[rows]
-        keep = _libm_pow(1.0 - alpha[rows], duration[rows] / bin_width[rows])
-        prior = estimates[rows, idx]
-        ewma = keep * prior + (1.0 - keep) * mean_power[rows]
-        estimates[rows, idx] = np.where(seen[rows, idx], ewma, mean_power[rows])
-        seen[rows, idx] = True
-    multi = np.flatnonzero(~single)
-    if multi.size:
-        t0s = t0.tolist()
-        t1s = t1.tolist()
-        periods = period.tolist()
-        widths = bin_width.tolist()
-        bins = n_bins.tolist()
-        alphas = alpha.tolist()
-        powers = mean_power.tolist()
-        for i in multi.tolist():
-            power = powers[i]
-            keep_base = 1.0 - alphas[i]
-            width = widths[i]
-            row = estimates[i]
-            seen_row = seen[i]
-            for index, d in profile_segments(
-                t0s[i], t1s[i], periods[i], width, bins[i]
-            ):
-                if seen_row[index]:
-                    keep = keep_base ** (d / width)
-                    row[index] = keep * float(row[index]) + (1.0 - keep) * power
-                else:
-                    row[index] = power
-                seen_row[index] = True
+    if t0.shape[0] == 0:
+        return
+    mean_power = np.maximum(0.0, energy / (t1 - t0))
+    index, duration = _profile_walk(t0, t1, period, bin_width, n_bins)
+    if rows is None:
+        rows = np.arange(t0.shape[0])
+    keep_base = 1.0 - alpha
+    wave = int(n_bins.min())
+    for start in range(0, duration.shape[1], wave):
+        block = duration[:, start : start + wave]
+        lanes, step = block.nonzero()  # durations are > 0.0 or 0.0 (none)
+        d = block[lanes, step]
+        row = rows[lanes]
+        bins = index[lanes, step + start]
+        power = mean_power[lanes]
+        keep = _libm_pow(keep_base[lanes], d / bin_width[lanes])
+        ewma = keep * estimates[row, bins] + (1.0 - keep) * power
+        estimates[row, bins] = np.where(seen[row, bins], ewma, power)
+        seen[row, bins] = True

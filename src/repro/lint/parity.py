@@ -143,6 +143,11 @@ PAIRS: tuple[ParityPair, ...] = (
         ),
     ),
     ParityPair(
+        name="profile-walk",
+        scalar=FunctionRef("repro/energy/predictor.py", "profile_segments"),
+        batch=FunctionRef("repro/energy/vectorized.py", "_profile_walk"),
+    ),
+    ParityPair(
         name="profile-predict",
         scalar=FunctionRef(
             "repro/energy/predictor.py", "ProfilePredictor.predict_energy"
@@ -392,14 +397,12 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'le',
         ),
         'batch': (
-            'neg',
-            'ge',
-            'sub',
-            'neg',
-            'neg',
             'div',
             'add',
             'le',
+            'ge',
+            'neg',
+            'select',
         ),
     },
     'scheduler-decide': {
@@ -417,10 +420,10 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'add',
             'gt',
             'eq',
+            'eq',
+            'lt',
             'add',
             'gt',
-            'isnan',
-            'eq',
             'isinf',
             'div',
             'sub',
@@ -513,6 +516,48 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'select',
         ),
     },
+    'profile-walk': {
+        'scalar': (
+            'sub',
+            'le',
+            'mod',
+            'div',
+            'sub',
+            'min',
+            'add',
+            'add',
+            'mul',
+            'sub',
+            'add',
+            'mod',
+            'ge',
+            'gt',
+            'gt',
+            'sub',
+            'add',
+            'add',
+        ),
+        'batch': (
+            'sub',
+            'div',
+            'sub',
+            'min',
+            'div',
+            'max',
+            'add',
+            'add',
+            'add',
+            'mul',
+            'sub',
+            'max',
+            'ge',
+            'neg',
+            'isfinite',
+            'isfinite',
+            'add',
+            'neg',
+        ),
+    },
     'profile-predict': {
         'scalar': (
             'sub',
@@ -522,19 +567,13 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
         'batch': (
             'sub',
             'gt',
-            'ge',
+            'eq',
+            'lt',
             'mul',
             'add',
             'mul',
-            'sub',
-            'gt',
-            'ge',
-            'add',
-            'mul',
-            'mul',
-            'add',
-            'mul',
-            'add',
+            'cumsum',
+            'neg',
         ),
     },
     'profile-observe': {
@@ -552,11 +591,14 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'add',
         ),
         'batch': (
+            'eq',
             'sub',
             'div',
             'max',
-            'ge',
             'sub',
+            'min',
+            'add',
+            'add',
             'div',
             'pow',
             'mul',
@@ -564,13 +606,6 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'mul',
             'add',
             'select',
-            'sub',
-            'div',
-            'pow',
-            'mul',
-            'sub',
-            'mul',
-            'add',
         ),
     },
 }

@@ -89,14 +89,13 @@ def batch_min_feasible_level(
     ``work`` must be non-negative (the scalar method raises; callers
     guarantee it here).
     """
-    n_lanes, n_levels = speeds.shape
-    index = np.full(n_lanes, -1, dtype=np.int64)
+    # One (lanes, levels) comparison; argmax picks the first feasible
+    # column, i.e. the slowest feasible level, like the scalar scan.
+    fits = work[:, None] / speeds <= (window + EPSILON)[:, None]
     window_ok = window >= 0.0  # repro-lint: disable=RPR101 -- exact sign gate, mirrors the scalar raise
-    # Descending iteration: the last (slowest) feasible write wins, which
-    # matches the scalar ascending first-feasible scan.
-    for level in range(n_levels - 1, -1, -1):
-        feasible = window_ok & (work / speeds[:, level] <= window + EPSILON)
-        index[feasible] = level
+    index: IntArray = np.where(
+        window_ok & fits.any(axis=1), fits.argmax(axis=1), -1
+    )
     return index
 
 
@@ -205,52 +204,68 @@ def batch_decide(
     level = np.full(n_lanes, max_index, dtype=np.int64)
     switch_at = np.full(n_lanes, np.nan)
     reconsider_at = np.full(n_lanes, np.inf)
-    power_max = powers[:, max_index]
-    plan = batch_compute_plan(
-        now, deadline, remaining_work, available_energy, speeds, powers
-    )
 
-    def _idle(mask: BoolArray, at: FloatArray) -> None:
-        run[mask] = False
-        level[mask] = -1
-        reconsider_at[mask] = at[mask]
+    def _idle(rows: IntArray, at: FloatArray) -> None:
+        run[rows] = False
+        level[rows] = -1
+        reconsider_at[rows] = at
 
     # -- lsa: wait until the max-speed start instant --------------------
     lsa = kind == SCHED_LSA
     if lsa.any():
         # isinf(available) yields start == now here, matching the scalar
         # early return to run-at-max.
-        start = np.maximum(now, deadline - available_energy / power_max)
-        _idle(lsa & (start > now + EPSILON), start)
-
-    # -- ea-dvfs (with the slowdown phase) ------------------------------
-    ea = kind == SCHED_EA_DVFS
-    if ea.any():
-        # Full storage fast path and unreachable deadlines both run at
-        # max speed — the preset default.
-        pending = ea & ~storage_full & plan.deadline_reachable
-        idle = pending & (plan.start_at > now + EPSILON)
-        _idle(idle, plan.start_at)
-        pending &= ~idle
-        single = pending & np.isnan(plan.switch_at)
-        level[single] = plan.level[single]
-        pending &= ~single
-        # Degenerate switch instant (reached within the scalar 1e-6
-        # guard): run at max immediately — the preset default.
-        pending &= ~batch_time_le(plan.switch_at, now, eps=1e-6)
-        level[pending] = plan.level[pending]
-        switch_at[pending] = plan.switch_at[pending]
-
-    # -- ea-dvfs without slowdown: delayed max-speed start --------------
-    noslow = kind == SCHED_EA_DVFS_NOSLOWDOWN
-    if noslow.any():
-        fallback = np.where(
-            np.isinf(available_energy),
-            now,
-            np.maximum(now, deadline - available_energy / power_max),
+        start = np.maximum(
+            now, deadline - available_energy / powers[:, max_index]
         )
-        start = np.where(plan.deadline_reachable, plan.s2, fallback)
-        _idle(noslow & (start > now + EPSILON), start)
+        wait = (lsa & (start > now + EPSILON)).nonzero()[0]
+        _idle(wait, start[wait])
+
+    # -- ea-dvfs variants: only their lanes read the slowdown plan ------
+    ea = kind == SCHED_EA_DVFS
+    noslow = kind == SCHED_EA_DVFS_NOSLOWDOWN
+    rows = (ea | noslow).nonzero()[0]
+    if rows.size:
+        if rows.size < n_lanes:
+            now, deadline, remaining_work = (
+                now[rows], deadline[rows], remaining_work[rows]
+            )
+            available_energy, storage_full = (
+                available_energy[rows], storage_full[rows]
+            )
+            speeds, powers = speeds[rows], powers[rows]
+            ea, noslow = ea[rows], noslow[rows]
+        plan = batch_compute_plan(
+            now, deadline, remaining_work, available_energy, speeds, powers
+        )
+        if ea.any():
+            # ea-dvfs (with the slowdown phase).  Full storage fast path
+            # and unreachable deadlines both run at max speed — the
+            # preset default.
+            pending = ea & ~storage_full & plan.deadline_reachable
+            wait = pending & (plan.start_at > now + EPSILON)
+            _idle(rows[wait], plan.start_at[wait])
+            # A single-phase plan (NaN switch_at) runs at its level.  A
+            # degenerate switch instant (reached within the scalar 1e-6
+            # guard) runs at max immediately — the preset default; the
+            # NaN of a single-phase plan never compares as reached.
+            planned = (
+                pending & ~wait & ~batch_time_le(plan.switch_at, now, eps=1e-6)
+            )
+            level[rows[planned]] = plan.level[planned]
+            switch_at[rows[planned]] = plan.switch_at[planned]
+        if noslow.any():
+            # ea-dvfs without slowdown: delayed max-speed start.
+            fallback = np.where(
+                np.isinf(available_energy),
+                now,
+                np.maximum(
+                    now, deadline - available_energy / powers[:, max_index]
+                ),
+            )
+            start = np.where(plan.deadline_reachable, plan.s2, fallback)
+            wait = noslow & (start > now + EPSILON)
+            _idle(rows[wait], start[wait])
 
     # -- edf: always run the earliest deadline at max speed -------------
     # (the preset default: run=True, level=max)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -425,6 +425,24 @@ def _assemble_lane(
 # -- the SoA core ---------------------------------------------------------
 
 
+class _Segment(NamedTuple):
+    """Per-lane state of one lockstep step, read at its start time.
+
+    :meth:`_BatchCore._segment_end` gathers these once;
+    :meth:`_BatchCore._advance_to` and :meth:`_BatchCore._post_segment`
+    reuse them.  Idle lanes carry level 0 / job 0 cells, always masked.
+    """
+
+    harvest: FloatArray  # source power
+    draw: FloatArray  # processor power, 0.0 when idle
+    rate: FloatArray  # harvest - draw
+    running: BoolArray  # a job is dispatched
+    speed: FloatArray  # speed of the current level
+    level_cells: IntArray  # flat (lane, level) index into the level tables
+    job_cells: IntArray  # flat (lane, job) index into the job tables
+    actual: FloatArray  # remaining true work of the running job
+
+
 class _BatchCore:
     """Runs a set of covered lanes in lockstep.
 
@@ -438,6 +456,13 @@ class _BatchCore:
 
     #: Matches SimulationConfig.max_iterations (the scalar bound).
     MAX_ITERATIONS = 50_000_000
+
+    #: Events one drain pass gathers per due lane (see
+    #: :meth:`_process_due_events`).  Implicit deadlines make a job's
+    #: deadline coincide with its successor's release, so most drains
+    #: take two events per task that fires; a lane that fills the whole
+    #: window simply takes another pass.
+    EVENT_WINDOW = 8
 
     def __init__(self, lanes: Sequence[_Lane]) -> None:
         self.lanes = list(lanes)
@@ -465,6 +490,7 @@ class _BatchCore:
             [la.sched_kind for la in self.lanes], dtype=np.int64
         )
         self.capacity = np.asarray([la.capacity for la in self.lanes])
+        self._full_level = self.capacity - EPSILON  # storage.is_full bound
         self.speeds = np.stack([la.speeds for la in self.lanes])
         self.powers = np.stack([la.powers for la in self.lanes])
         self.n_jobs = np.asarray(
@@ -490,9 +516,16 @@ class _BatchCore:
                     (np.arange(k), self.jrelease[i, :k], self.jdeadline[i, :k])
                 )
                 self.jrank[i, order] = np.arange(k, dtype=np.int64)
-        self.ev_time = np.full((n, max_ev + 1), INFINITY)
-        self.ev_is_deadline = np.zeros((n, max_ev + 1), dtype=np.bool_)
-        self.ev_job = np.zeros((n, max_ev + 1), dtype=np.int64)
+        # Padded with EVENT_WINDOW inert events, so a drain window that
+        # starts at any cursor stays inside the row.
+        width = max_ev + self.EVENT_WINDOW
+        self.ev_time = np.full((n, width), INFINITY)
+        self.ev_is_deadline = np.zeros((n, width), dtype=np.bool_)
+        self.ev_job = np.zeros((n, width), dtype=np.int64)
+        self._ev_window = np.arange(self.EVENT_WINDOW, dtype=np.int64)
+        # Row offsets of each lane into the flattened job / level tables.
+        self._job_row = self.idx * max_jobs
+        self._level_row = self.idx * self.n_lev
         for i, lane in enumerate(self.lanes):
             e = lane.ev_time.shape[0]
             self.ev_time[i, :e] = lane.ev_time
@@ -536,6 +569,12 @@ class _BatchCore:
         self._power_base = np.where(
             self.src_kind == _SRC_CONST, self.src_const, 0.0
         )
+        # Quantum-table bounds (never reached by non-quantized lanes) and
+        # each lane's row offset into the flattened table.
+        self._quant_limit = np.where(
+            self._quant_mask, self.src_nq, np.iinfo(np.int64).max
+        )
+        self._quant_row = self.idx * max_q
         # -- predictor tables and state ----------------------------------
         self.pred_kind = np.asarray(
             [la.predictor.kind for la in self.lanes], dtype=np.int64
@@ -574,6 +613,21 @@ class _BatchCore:
             self.kind != SCHED_EDF
         )
         self._has_online = bool(self._observe_mask.any())
+        # Static per-kind lane masks: the per-step predict and observe
+        # dispatch skips the kinds a batch does not hold.
+        self._pred_oracle = self.pred_kind == _PRED_ORACLE
+        self._pred_span = (self.pred_kind == _PRED_MEAN) | (
+            self.pred_kind == _PRED_LAST
+        )
+        self._pred_profile = self.pred_kind == _PRED_PROFILE
+        self._has_oracle = bool(self._pred_oracle.any())
+        self._has_span = bool(self._pred_span.any())
+        self._has_profile = bool(self._pred_profile.any())
+        # EnergyOutlook reads: every scheduler but EDF consults it.
+        self._wants_energy = self.kind != SCHED_EDF
+        # Per-job first-start / completion / energy columns only feed
+        # result(include_jobs=True), which slim lanes cannot serve.
+        self._job_detail = any(lane.jobs is not None for lane in self.lanes)
         # -- dynamic state (one scalar simulator's fields, per lane) -----
         self.t = np.zeros(n)
         self.active = np.ones(n, dtype=np.bool_)
@@ -621,20 +675,28 @@ class _BatchCore:
     # -- ready-queue maintenance (EdfReadyQueue, incremental) -------------
 
     def _ready_push(self, lanes: IntArray, jobs: IntArray) -> None:
-        """ready.push: record the rank and update the per-lane minimum."""
+        """ready.push: record the ranks and update the per-lane minimum.
+
+        A lane may push several jobs at once.  ``np.minimum.at`` folds
+        every pushed rank into the minimum; ranks are distinct within a
+        lane, so the pushed job whose rank now equals the minimum is the
+        new EDF-earliest job.
+        """
         ranks = self.jrank[lanes, jobs]
         self.jready_rank[lanes, jobs] = ranks
-        better = ranks < self.best_rank[lanes]
-        improved = lanes[better]
-        self.best_rank[improved] = ranks[better]
-        self.best_job[improved] = jobs[better]
+        np.minimum.at(self.best_rank, lanes, ranks)
+        won = self.best_rank[lanes] == ranks
+        self.best_job[lanes[won]] = jobs[won]
 
     def _ready_remove(self, lanes: IntArray, jobs: IntArray) -> None:
-        """ready.remove: rescan only the lanes that lost their minimum."""
+        """ready.remove: rescan only the lanes that lost their minimum.
+
+        All removals land before the rescan, so a lane removing several
+        jobs at once is rescanned (once) over its final ready set.
+        """
         self.jready_rank[lanes, jobs] = _NO_JOB
-        was_best = self.best_job[lanes] == jobs
-        rescan = lanes[was_best]
-        if rescan.shape[0]:
+        rescan = lanes[self.best_job[lanes] == jobs]
+        if rescan.size:
             rows = self.jready_rank[rescan]
             nxt = np.argmin(rows, axis=1)
             ranks = rows[np.arange(rescan.shape[0]), nxt]
@@ -657,52 +719,51 @@ class _BatchCore:
         index: IntArray = np.maximum(0, raw.astype(np.int64))
         return index
 
-    def _src_power(self, t: FloatArray) -> FloatArray:
-        out = self._power_base.copy()
-        if self._has_quant:
-            quant = self._quant_mask
-            index = self._quant_index(t)
-            over = quant & self.active & (index >= self.src_nq)
-            if over.any():
-                self._fail(np.flatnonzero(over), "solar power table exceeded")
-                quant = quant & ~over
-            safe = np.minimum(index, self.src_qpowers.shape[1] - 1)
-            out = np.where(quant, self.src_qpowers[self.idx, safe], out)
-        if self._has_day:
-            position = np.mod(t + self.src_phase + EPSILON, self.src_cycle)
-            out = np.where(
-                self._day_mask,
-                np.where(
-                    position < self.src_day_length,
-                    self.src_day_power,
-                    self.src_night_power,
-                ),
-                out,
-            )
-        return out
+    def _src_state(self, t: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """``source.power(t)`` and ``source.next_boundary(t)`` per lane.
 
-    def _src_next_boundary(self, t: FloatArray) -> FloatArray:
-        out = self._inf.copy()
+        Both come from one quantum index / day position per call.  The
+        returned arrays may be shared read-only tables; callers must not
+        write to them.
+        """
+        power = self._power_base
+        boundary = self._inf
         if self._has_quant:
             index = self._quant_index(t)
-            out = np.where(
+            over = (self.active & (index >= self._quant_limit)).nonzero()[0]
+            quant = self._quant_mask
+            if over.size:
+                self._fail(over, "solar power table exceeded")
+                quant = quant.copy()
+                quant[over] = False
+            table = np.take(
+                self.src_qpowers,
+                self._quant_row + np.minimum(index, self.src_qpowers.shape[1] - 1),
+            )
+            power = np.where(quant, table, power)
+            boundary = np.where(
                 self._quant_mask,
                 (index + 1).astype(np.float64) * self.src_quantum,
-                out,
+                boundary,
             )
         if self._has_day:
             position = np.mod(t + self.src_phase + EPSILON, self.src_cycle)
             in_day = position < self.src_day_length
-            out = np.where(
+            power = np.where(
+                self._day_mask,
+                np.where(in_day, self.src_day_power, self.src_night_power),
+                power,
+            )
+            boundary = np.where(
                 self._day_mask,
                 np.where(
                     in_day,
                     t + (self.src_day_length - position),
                     t + (self.src_cycle - position),
                 ),
-                out,
+                boundary,
             )
-        return out
+        return power, boundary
 
     def _src_energy_lanes(
         self, lanes: IntArray, t0: FloatArray, t1: FloatArray
@@ -826,27 +887,29 @@ class _BatchCore:
     def run(self) -> None:
         if self.n == 0:
             return
+        horizon_cut = self.horizon - EPSILON
+        harvest, boundary = self._src_state(self.t)
         iterations = 0
-        while self.active.any():
+        while True:
             iterations += 1
             if iterations > self.MAX_ITERATIONS:  # pragma: no cover - guard
-                self._fail(np.flatnonzero(self.active), "iteration cap")
+                self._fail(self.active.nonzero()[0], "iteration cap")
                 break
             self._process_due_events()
-            done = self.active & (self.t >= self.horizon - EPSILON)
-            if done.any():
-                self.active &= ~done
-                if not self.active.any():
-                    break
+            self.active &= self.t < horizon_cut  # reached the horizon
+            if not self.active.any():
+                break
             self._maybe_decide()
-            end, harvest, draw = self._segment_end()
-            duration = self._advance_to(end, harvest, draw)
-            self._post_segment()
+            end, segment = self._segment_end(harvest, boundary)
+            duration, actual = self._advance_to(end, segment)
+            # The next _segment_end runs at this same t (events and
+            # decisions do not move time), so it reuses this source state.
+            harvest, boundary = self._post_segment(segment, actual)
             advanced = duration > EPSILON
             self.stagnant = np.where(advanced, 0, self.stagnant + 1)
-            stuck = self.active & (self.stagnant > 1000)
-            if stuck.any():
-                self._fail(np.flatnonzero(stuck), "stagnation guard")
+            stuck = (self.active & (self.stagnant > 1000)).nonzero()[0]
+            if stuck.size:
+                self._fail(stuck, "stagnation guard")
         # harvested_energy = source.energy(0, horizon) for every lane that
         # finished cleanly (same walk as the scalar result builder).
         finished = np.flatnonzero(
@@ -858,64 +921,89 @@ class _BatchCore:
         )
 
     def _process_due_events(self) -> None:
-        """Simulator._process_due_events: pop while peek <= t + EPSILON."""
+        """Simulator._process_due_events: pop while peek <= t + EPSILON.
+
+        One pass drains every due event of every lane.  It gathers each
+        due lane's next ``EVENT_WINDOW`` events from its cursor; rows are
+        time-sorted, so the due ones form a prefix, and it applies them
+        all at once: every release, then every deadline.  That is the
+        state the scalar's one-at-a-time pops reach, because coincident
+        events touch different jobs and a job's deadline never comes
+        before its release (the scalar raises on that).  A lane can
+        appear several times in one pass, so the per-lane updates are
+        scatter-safe.  Another pass runs only while some lane filled its
+        whole window.
+        """
+        window = self.EVENT_WINDOW
+        width = self.ev_time.shape[1]
+        now = self.t + EPSILON
         while True:
-            due = self.active & (self.next_ev <= self.t + EPSILON)
-            if not due.any():
+            due_lanes = (self.active & (self.next_ev <= now)).nonzero()[0]
+            if due_lanes.size == 0:
                 return
-            due_lanes = np.flatnonzero(due)
             ptr = self.ev_ptr[due_lanes]
-            job = self.ev_job[due_lanes, ptr]
-            is_dl = self.ev_is_deadline[due_lanes, ptr]
-            lanes = due_lanes[~is_dl]
-            if lanes.shape[0]:
-                jj = job[~is_dl]
-                self.jstate[lanes, jj] = _READY  # mark_released
-                self._ready_push(lanes, jj)
-                self.need_decision[lanes] = True
-            lanes = due_lanes[is_dl]
-            if lanes.shape[0]:
-                jj = job[is_dl]
-                state = self.jstate[lanes, jj]
-                # _on_deadline: skip finished or already-counted jobs
-                judged = (
-                    (state != _COMPLETED)
-                    & (state != _MISSED)
-                    & ~self.jmiss_counted[lanes, jj]
-                )
-                lanes = lanes[judged]
-                jj = jj[judged]
-                self.jmiss_counted[lanes, jj] = True
-                self.missed_count[lanes] += 1
-                drop = self.miss_drop[lanes]
-                dl_lanes = lanes[drop]
-                dl_jobs = jj[drop]
-                self.jstate[dl_lanes, dl_jobs] = _MISSED  # mark_missed
-                self._ready_remove(dl_lanes, dl_jobs)
-                was_running = self.running[dl_lanes] == dl_jobs
-                self._clear_plan(dl_lanes[was_running])
-                self.need_decision[dl_lanes] = True
-                # CONTINUE: only the count changes.
-            moved = ptr + 1
+            row = due_lanes * width
+            cells = (row + ptr)[:, None] + self._ev_window
+            due = np.take(self.ev_time, cells) <= now[due_lanes, None]
+            taken = np.count_nonzero(due, axis=1)
+            lanes = due_lanes[due.nonzero()[0]]
+            cells = cells[due]
+            jobs = np.take(self.ev_job, cells)
+            is_dl = np.take(self.ev_is_deadline, cells)
+            released = ~is_dl
+            rel_lanes = lanes[released]
+            if rel_lanes.size:
+                rel_jobs = jobs[released]
+                self.jstate[rel_lanes, rel_jobs] = _READY  # mark_released
+                self._ready_push(rel_lanes, rel_jobs)
+                self.need_decision[rel_lanes] = True
+            dl_lanes = lanes[is_dl]
+            if dl_lanes.size:
+                self._on_deadlines(dl_lanes, jobs[is_dl])
+            moved = ptr + taken
             self.ev_ptr[due_lanes] = moved
-            self.next_ev[due_lanes] = self.ev_time[due_lanes, moved]
+            self.next_ev[due_lanes] = np.take(self.ev_time, row + moved)
+            if taken.max() < window:
+                return
+
+    def _on_deadlines(self, lanes: IntArray, jobs: IntArray) -> None:
+        """Simulator._on_deadline for many (lane, job) pairs at once.
+
+        Finished jobs are skipped.  Each job has one deadline event, so
+        none of these can have been counted already.
+        """
+        judged = self.jstate[lanes, jobs] <= _READY  # not finished
+        lanes = lanes[judged]
+        if lanes.size == 0:
+            return
+        jobs = jobs[judged]
+        self.jmiss_counted[lanes, jobs] = True
+        np.add.at(self.missed_count, lanes, 1)
+        # CONTINUE lanes: only the count changes.
+        drop = self.miss_drop[lanes]
+        lanes = lanes[drop]
+        jobs = jobs[drop]
+        if lanes.size:
+            self.jstate[lanes, jobs] = _MISSED  # mark_missed
+            self._ready_remove(lanes, jobs)
+            self._clear_plan(lanes[self.running[lanes] == jobs])
+            self.need_decision[lanes] = True
 
     def _maybe_decide(self) -> None:
         """Simulator._maybe_decide + scheduler.decide + _apply_decision."""
-        deciding = self.active & ~self.stalled & self.need_decision
-        if not deciding.any():
+        lanes = (self.active & ~self.stalled & self.need_decision).nonzero()[0]
+        if lanes.size == 0:
             return
-        self.need_decision[deciding] = False
-        lanes = np.flatnonzero(deciding)
+        self.need_decision[lanes] = False
         # EdfReadyQueue.peek: min (deadline, release, counter) == the
         # incrementally maintained per-lane minimum static rank.
         has_job = self.best_rank[lanes] < _NO_JOB
-        # Decision.idle() for empty queues.
         if not has_job.all():
-            self._apply_idle(lanes[~has_job], self._inf)
-        lanes = lanes[has_job]
-        if lanes.shape[0] == 0:
-            return
+            # Decision.idle() for empty queues.
+            self._apply_idle(lanes[~has_job], INFINITY)
+            lanes = lanes[has_job]
+            if lanes.size == 0:
+                return
         job = self.best_job[lanes]
         now = self.t[lanes]
         deadline = self.jdeadline[lanes, job]
@@ -926,37 +1014,35 @@ class _BatchCore:
         # [now, deadline), the online predictors evaluate their live
         # per-lane state through the repro.energy.vectorized kernels.
         deadline_passed = batch_time_le(deadline, now)
-        needs_energy = ~deadline_passed & (self.kind[lanes] != SCHED_EDF)
+        needs_energy = ~deadline_passed & self._wants_energy[lanes]
         predicted = np.zeros(lanes.shape[0])
-        if needs_energy.any():
-            pkind = self.pred_kind[lanes]
-            oracle = needs_energy & (pkind == _PRED_ORACLE)
-            if oracle.any():
-                predicted[oracle] = self._src_energy_lanes(
-                    lanes[oracle], now[oracle], deadline[oracle]
+        if self._has_oracle:
+            rows = (needs_energy & self._pred_oracle[lanes]).nonzero()[0]
+            if rows.size:
+                predicted[rows] = self._src_energy_lanes(
+                    lanes[rows], now[rows], deadline[rows]
                 )
-            span_kind = needs_energy & (
-                (pkind == _PRED_MEAN) | (pkind == _PRED_LAST)
-            )
-            if span_kind.any():
-                predicted[span_kind] = batch_span_predict(
-                    self.pred_estimate[lanes[span_kind]],
-                    now[span_kind],
-                    deadline[span_kind],
+        if self._has_span:
+            rows = (needs_energy & self._pred_span[lanes]).nonzero()[0]
+            if rows.size:
+                predicted[rows] = batch_span_predict(
+                    self.pred_estimate[lanes[rows]], now[rows], deadline[rows]
                 )
-            profile = needs_energy & (pkind == _PRED_PROFILE)
-            if profile.any():
-                pl = lanes[profile]
-                predicted[profile] = batch_profile_predict(
-                    now[profile],
-                    deadline[profile],
+        if self._has_profile:
+            rows = (needs_energy & self._pred_profile[lanes]).nonzero()[0]
+            if rows.size:
+                pl = lanes[rows]
+                predicted[rows] = batch_profile_predict(
+                    now[rows],
+                    deadline[rows],
                     self.pred_period[pl],
                     self.pred_bw[pl],
                     self.pred_nbins[pl],
-                    self.pred_bin_est[pl],
+                    self.pred_bin_est,
+                    rows=pl,
                 )
         available = np.where(deadline_passed, stored, stored + predicted)
-        storage_full = stored >= self.capacity[lanes] - EPSILON  # is_full
+        storage_full = stored >= self._full_level[lanes]  # is_full
         decision = batch_decide(
             self.kind[lanes],
             now,
@@ -969,21 +1055,21 @@ class _BatchCore:
         )
         idle = ~decision.run
         if idle.any():
-            reconsider = np.full(self.n, INFINITY)
-            reconsider[lanes] = decision.reconsider_at
-            self._apply_idle(lanes[idle], reconsider)
-        run_lanes = lanes[~idle]
-        if run_lanes.shape[0] == 0:
+            self._apply_idle(lanes[idle], decision.reconsider_at[idle])
+        go = decision.run.nonzero()[0]
+        if go.size == 0:
             return
-        run_jobs = job[~idle]
-        new_level = decision.level[~idle]
-        # note_started (idempotent first dispatch)
-        fresh = np.isnan(self.jfirst[run_lanes, run_jobs])
-        self.jfirst[run_lanes[fresh], run_jobs[fresh]] = self.t[
-            run_lanes[fresh]
-        ]
+        run_lanes = lanes[go]
+        run_jobs = job[go]
+        new_level = decision.level[go]
+        if self._job_detail:
+            # note_started (idempotent first dispatch)
+            first = self.jfirst[run_lanes, run_jobs]
+            self.jfirst[run_lanes, run_jobs] = np.where(
+                np.isnan(first), now[go], first
+            )
         self.running[run_lanes] = run_jobs
-        self.switch_at[run_lanes] = decision.switch_at[~idle]
+        self.switch_at[run_lanes] = decision.switch_at[go]
         # _set_processor_level: a switch is counted only between two real
         # levels with different speeds (distinct indices here — covered
         # scales have speed gaps far above EPSILON).
@@ -992,242 +1078,258 @@ class _BatchCore:
         self.switch_count[run_lanes[switched]] += 1
         self.level[run_lanes] = new_level
         self.has_decision[run_lanes] = True
-        self.dec_reconsider[run_lanes] = decision.reconsider_at[~idle]
+        self.dec_reconsider[run_lanes] = decision.reconsider_at[go]
 
-    def _apply_idle(self, lanes: IntArray, reconsider: FloatArray) -> None:
-        """_apply_decision for Decision.idle(reconsider_at=...)."""
-        if lanes.shape[0] == 0:
-            return
+    def _apply_idle(
+        self, lanes: IntArray, reconsider: Union[FloatArray, float]
+    ) -> None:
+        """_apply_decision for Decision.idle(reconsider_at=...).
+
+        ``reconsider`` holds one instant per listed lane, or one for all.
+        """
         self.running[lanes] = -1
         self.level[lanes] = -1
         self.switch_at[lanes] = np.nan
         self.has_decision[lanes] = True
-        self.dec_reconsider[lanes] = reconsider[lanes]
+        self.dec_reconsider[lanes] = reconsider
 
-    def _segment_end(self) -> tuple[FloatArray, FloatArray, FloatArray]:
-        """Simulator._segment_end, element-wise (same min-cascade order).
+    def _segment_end(
+        self, harvest: FloatArray, boundary: FloatArray
+    ) -> tuple[FloatArray, _Segment]:
+        """Simulator._segment_end, element-wise.
 
-        The cascade uses masked in-place ``np.minimum(..., where=...)``
-        updates — each candidate still enters the running minimum with a
-        single rounding-free comparison, exactly like the scalar chain
-        of ``min()`` calls, just with fewer temporaries.
+        ``harvest``/``boundary`` are the source state at ``t``.  Each
+        candidate enters the running minimum through masked in-place
+        ``np.minimum`` updates; a minimum is exact, so the result equals
+        the scalar chain of ``min()`` calls whatever the order.  Two
+        candidates need no mask: ``dec_reconsider`` is +inf on every lane
+        without a decision (stalled lanes included), and ``switch_at`` is
+        NaN on every lane without a planned switch, which ``np.fmin``
+        skips.  Returns the end and the per-lane quantities the rest of
+        the step reuses.
         """
         t = self.t
-        end = np.minimum(self.horizon, self.next_ev)
-        np.minimum(end, self._src_next_boundary(t), out=end)
         running = self.running >= 0
-        level = np.maximum(self.level, 0)
-        job = np.maximum(self.running, 0)
+        # Idle lanes read level 0 / job 0; every use masks them out.
+        level_cells = self._level_row + np.maximum(self.level, 0)
+        job_cells = self._job_row + np.maximum(self.running, 0)
+        speed = np.take(self.speeds, level_cells)
+        actual = np.take(self.jremaining_actual, job_cells)
+        end = np.minimum(self.horizon, self.next_ev)
+        np.minimum(end, boundary, out=end)
         np.minimum(end, self.stalled_until, out=end, where=self.stalled)
-        idle_reconsider = ~self.stalled & ~running & self.has_decision
-        np.minimum(end, self.dec_reconsider, out=end, where=idle_reconsider)
+        np.minimum(end, self.dec_reconsider, out=end)
+        np.fmin(end, self.switch_at, out=end)
         # Running: completion instant (no switching dead time in covered
-        # scenarios), planned speed-up, reconsider.
-        speed = np.maximum(self.speeds[self.idx, level], 1e-12)
-        completion = t + self.jremaining_actual[self.idx, job] / speed
+        # scenarios).
+        completion = t + actual / np.maximum(speed, 1e-12)
         np.minimum(end, completion, out=end, where=running)
-        planned = running & ~np.isnan(self.switch_at)
-        np.minimum(end, self.switch_at, out=end, where=planned)
-        np.minimum(end, self.dec_reconsider, out=end, where=running)
-        harvest = self._src_power(t)
-        draw = np.where(running, self.powers[self.idx, level], 0.0)
+        draw = np.where(running, np.take(self.powers, level_cells), 0.0)
         # storage.time_to_empty(harvest, draw): infinite unless the net
         # rate is below -EPSILON (the masked divide leaves +inf there).
         rate = harvest - draw
-        draining = rate < -EPSILON
         time_to_empty = np.full(self.n, INFINITY)
-        np.divide(self.stored, -rate, out=time_to_empty, where=draining)
+        np.divide(self.stored, -rate, out=time_to_empty, where=rate < -EPSILON)
         np.maximum(time_to_empty, 0.0, out=time_to_empty)
         empty_at = t + time_to_empty
-        cut = empty_at < end - EPSILON
-        end[cut] = empty_at[cut]
+        np.copyto(end, empty_at, where=empty_at < end - EPSILON)
         np.maximum(end, t, out=end)
-        return end, harvest, draw
+        return end, _Segment(
+            harvest=harvest,
+            draw=draw,
+            rate=rate,
+            running=running,
+            speed=speed,
+            level_cells=level_cells,
+            job_cells=job_cells,
+            actual=actual,
+        )
 
     def _advance_to(
-        self, end: FloatArray, harvest: FloatArray, draw: FloatArray
-    ) -> FloatArray:
-        """Simulator._advance_to: storage/processor/job accounting."""
-        duration = np.maximum(0.0, end - self.t)
+        self, end: FloatArray, seg: _Segment
+    ) -> tuple[FloatArray, FloatArray]:
+        """Simulator._advance_to: storage/processor/job accounting.
+
+        Runs over every lane at once: a lane that does not move gets a
+        zero span, so every sum it takes part in adds exactly ``0.0``
+        and its state is unchanged.  Returns the step durations and each
+        lane's remaining true work of its running job after the step.
+        """
+        duration = end - self.t  # _segment_end never ends before t
         moving = self.active & (duration > 0.0)  # repro-lint: disable=RPR101 -- exact scalar gate mirror
-        if moving.any():
-            lanes = np.flatnonzero(moving)
-            span = duration[lanes]
-            inflow = harvest[lanes]
-            outflow = draw[lanes]
-            # IdealStorage._advance_finite (+ _saturate)
-            proposed = self.stored[lanes] + (inflow - outflow) * span
-            negative = proposed < 0.0
+        if not moving.any():
+            return duration, seg.actual
+        span = np.where(moving, duration, 0.0)
+        # IdealStorage._advance_finite (+ _saturate)
+        proposed = self.stored + seg.rate * span
+        negative = proposed < 0.0  # repro-lint: disable=RPR101 -- exact scalar clamp mirror
+        if negative.any():
             impossible = negative & (
-                proposed
-                < -1e-6 * np.maximum(1.0, np.abs(self.stored[lanes]))
+                proposed < -1e-6 * np.maximum(1.0, np.abs(self.stored))
             )
             if impossible.any():
-                self._fail(lanes[impossible], "storage drained below zero")
+                self._fail(impossible.nonzero()[0], "storage drained below zero")
             proposed = np.where(negative, 0.0, proposed)
-            cap = self.capacity[lanes]
-            overflow = np.where(proposed > cap, proposed - cap, 0.0)
-            self.stored[lanes] = np.where(proposed > cap, cap, proposed)
-            self.total_drawn[lanes] += outflow * span
-            self.total_overflow[lanes] += overflow
-            # predictor.observe(t, end, harvest * duration): the scalar
-            # call happens for every elapsed segment; the predictors
-            # no-op below EPSILON, and oracle/EDF lanes are skipped (see
-            # _observe_mask).  Segments never straddle a source boundary
-            # (_segment_end cuts there), so harvest * duration is the
-            # exact realized integral, as in the scalar call.
-            if self._has_online:
-                obs = moving & self._observe_mask & (duration > EPSILON)
-                if obs.any():
-                    ol = np.flatnonzero(obs)
-                    odur = duration[ol]
-                    oenergy = harvest[ol] * odur
-                    okind = self.pred_kind[ol]
-                    mean_m = okind == _PRED_MEAN
-                    if mean_m.any():
-                        ml = ol[mean_m]
-                        self.pred_estimate[ml] = batch_mean_observe(
-                            self.pred_estimate[ml],
-                            self.pred_alpha[ml],
-                            odur[mean_m],
-                            oenergy[mean_m],
-                        )
-                    last_m = okind == _PRED_LAST
-                    if last_m.any():
-                        ll = ol[last_m]
-                        self.pred_estimate[ll] = batch_last_observe(
-                            odur[last_m], oenergy[last_m]
-                        )
-                    prof_m = okind == _PRED_PROFILE
-                    if prof_m.any():
-                        pl = ol[prof_m]
-                        sub_est = self.pred_bin_est[pl]
-                        sub_seen = self.pred_bin_seen[pl]
-                        batch_profile_observe(
-                            self.t[pl],
-                            end[pl],
-                            self.pred_period[pl],
-                            self.pred_bw[pl],
-                            self.pred_nbins[pl],
-                            self.pred_alpha[pl],
-                            oenergy[prof_m],
-                            sub_est,
-                            sub_seen,
-                        )
-                        self.pred_bin_est[pl] = sub_est
-                        self.pred_bin_seen[pl] = sub_seen
-            # Processor.account_time
-            running = self.running[lanes] >= 0
-            busy_lanes = lanes[running]
-            self.busy[busy_lanes, self.level[busy_lanes]] += span[running]
-            self.idle_time[lanes[~running]] += span[~running]
-            # Job.execute at the current level (dead time never occurs:
-            # switching overhead is zero in covered scenarios)
-            if busy_lanes.shape[0]:
-                jobs = self.running[busy_lanes]
-                levels = self.level[busy_lanes]
-                speed = self.speeds[busy_lanes, levels]
-                work = speed * span[running]
-                actual = self.jremaining_actual[busy_lanes, jobs]
-                overrun = work > actual + EPSILON
-                if overrun.any():  # pragma: no cover - defensive guard
-                    self._fail(busy_lanes[overrun], "job budget overrun")
-                remaining = actual - work
-                below = remaining < -1e-6  # snap_nonnegative(…, eps=1e-6)
-                if below.any():  # pragma: no cover - defensive guard
-                    self._fail(busy_lanes[below], "negative residual work")
-                self.jremaining_actual[busy_lanes, jobs] = np.where(
-                    remaining < 0.0, 0.0, remaining
-                )
-                self.jremaining[busy_lanes, jobs] = np.maximum(
-                    0.0, self.jremaining[busy_lanes, jobs] - work
-                )
-                self.jenergy[busy_lanes, jobs] += (
-                    self.powers[busy_lanes, levels] * span[running]
-                )
-            self.t = np.where(moving, end, self.t)
-        return duration
+        full = proposed > self.capacity
+        if full.any():
+            self.total_overflow[full] += proposed[full] - self.capacity[full]
+        np.minimum(proposed, self.capacity, out=self.stored)
+        self.total_drawn += seg.draw * span
+        if self._has_online:
+            self._observe(moving, duration, seg.harvest, end)
+        # Processor.account_time
+        busy_span = np.where(seg.running, span, 0.0)
+        self.idle_time += span - busy_span
+        np.put(
+            self.busy,
+            seg.level_cells,
+            np.take(self.busy, seg.level_cells) + busy_span,
+        )
+        # Job.execute at the current level (dead time never occurs:
+        # switching overhead is zero in covered scenarios)
+        work = seg.speed * busy_span
+        overrun = work > seg.actual + EPSILON
+        if overrun.any():  # pragma: no cover - defensive guard
+            self._fail(overrun.nonzero()[0], "job budget overrun")
+        remaining = seg.actual - work
+        below = remaining < -1e-6  # snap_nonnegative(…, eps=1e-6)
+        if below.any():  # pragma: no cover - defensive guard
+            self._fail(below.nonzero()[0], "negative residual work")
+        actual = np.where(remaining < 0.0, 0.0, remaining)
+        np.put(self.jremaining_actual, seg.job_cells, actual)
+        np.put(
+            self.jremaining,
+            seg.job_cells,
+            np.maximum(0.0, np.take(self.jremaining, seg.job_cells) - work),
+        )
+        if self._job_detail:
+            np.put(
+                self.jenergy,
+                seg.job_cells,
+                np.take(self.jenergy, seg.job_cells) + seg.draw * busy_span,
+            )
+        self.t = np.where(moving, end, self.t)
+        return duration, actual
 
-    def _post_segment(self) -> None:
-        """Simulator._post_segment: the cascade of masked early returns."""
+    def _observe(
+        self,
+        moving: BoolArray,
+        duration: FloatArray,
+        harvest: FloatArray,
+        end: FloatArray,
+    ) -> None:
+        """predictor.observe(t, end, harvest * duration) for moving lanes.
+
+        The scalar call happens for every elapsed segment; the
+        predictors no-op below EPSILON, and oracle/EDF lanes are skipped
+        (see _observe_mask).  Segments never straddle a source boundary
+        (_segment_end cuts there), so harvest * duration is the exact
+        realized integral, as in the scalar call.
+        """
+        ol = (moving & self._observe_mask & (duration > EPSILON)).nonzero()[0]
+        if ol.size == 0:
+            return
+        odur = duration[ol]
+        oenergy = harvest[ol] * odur
+        prof = ol
+        if self._has_span:
+            okind = self.pred_kind[ol]
+            mean_m = okind == _PRED_MEAN
+            if mean_m.any():
+                ml = ol[mean_m]
+                self.pred_estimate[ml] = batch_mean_observe(
+                    self.pred_estimate[ml],
+                    self.pred_alpha[ml],
+                    odur[mean_m],
+                    oenergy[mean_m],
+                )
+            last_m = okind == _PRED_LAST
+            if last_m.any():
+                self.pred_estimate[ol[last_m]] = batch_last_observe(
+                    odur[last_m], oenergy[last_m]
+                )
+            prof_m = okind == _PRED_PROFILE
+            prof = ol[prof_m]
+            oenergy = oenergy[prof_m]
+        if prof.size:
+            batch_profile_observe(
+                self.t[prof],
+                end[prof],
+                self.pred_period[prof],
+                self.pred_bw[prof],
+                self.pred_nbins[prof],
+                self.pred_alpha[prof],
+                oenergy,
+                self.pred_bin_est,
+                self.pred_bin_seen,
+                rows=prof,
+            )
+
+    def _post_segment(
+        self, seg: _Segment, actual: FloatArray
+    ) -> tuple[FloatArray, FloatArray]:
+        """Simulator._post_segment: the cascade of masked early returns.
+
+        ``seg`` is this step's :meth:`_segment_end` state and ``actual``
+        the running jobs' remaining true work after the step.  Returns
+        the source state at the new ``t`` (see :meth:`_src_state`).
+        """
         t = self.t
-        harvest = self._src_power(t)
+        harvest, boundary = self._src_state(t)
         # stall expiry
         expired = (
+            self.active & self.stalled & (t >= self.stalled_until - EPSILON)
+        ).nonzero()[0]
+        if expired.size:
+            self.stalled[expired] = False
+            self.stall_time[expired] += t[expired] - self.stall_started[expired]
+            self.need_decision[expired] = True
+        was_running = seg.running
+        # completion: residual true work below the 1e-7 threshold
+        done = (self.active & was_running & (actual <= 1e-7)).nonzero()[0]
+        if done.size:
+            jobs = self.running[done]
+            self.jremaining_actual[done, jobs] = 0.0
+            self.jstate[done, jobs] = _COMPLETED
+            if self._job_detail:
+                self.jcompletion[done, jobs] = t[done]
+            self._ready_remove(done, jobs)
+            self.completed_count[done] += 1
+            self._clear_plan(done)
+        # depletion: empty storage and negative net flow -> stall (the
+        # level, hence the draw, is unchanged since _segment_end)
+        depleted = (
             self.active
-            & self.stalled
-            & (t >= self.stalled_until - EPSILON)
+            & (self.running >= 0)
+            & (self.stored <= EPSILON)
+            & (harvest - seg.draw < -EPSILON)
+        ).nonzero()[0]
+        if depleted.size:
+            # _enter_stall: retry at the next source boundary or after
+            # the (default 1.0) retry interval, whichever is sooner.
+            resume = np.minimum(boundary[depleted], t[depleted] + 1.0)
+            self.stall_count[depleted] += 1
+            self.stall_started[depleted] = t[depleted]
+            self.stalled[depleted] = True
+            self.stalled_until[depleted] = resume
+            self._drop_plan(depleted)
+        # planned speed-up reached: only lanes still running keep a
+        # planned switch (completion and stalls drop the plan), and a
+        # NaN switch_at compares False
+        reached = (self.active & (t >= self.switch_at - EPSILON)).nonzero()[0]
+        if reached.size:
+            self.switch_at[reached] = np.nan
+            max_level = self.n_lev - 1
+            self.switch_count[reached[self.level[reached] != max_level]] += 1
+            self.level[reached] = max_level
+        # reconsider instant reached, running or idle: dec_reconsider is
+        # +inf on lanes without a decision, which never match
+        self.need_decision |= t >= self.dec_reconsider - EPSILON
+        # idle at entry with work pending and no stall: wake the scheduler
+        self.need_decision |= ~(was_running | self.stalled) & (
+            self.best_rank < _NO_JOB
         )
-        if expired.any():
-            lanes = np.flatnonzero(expired)
-            self.stalled[lanes] = False
-            self.stall_time[lanes] += t[lanes] - self.stall_started[lanes]
-            self.need_decision[lanes] = True
-        was_running = self.active & (self.running >= 0)
-        lanes = np.flatnonzero(was_running)
-        if lanes.shape[0]:
-            jobs = self.running[lanes]
-            levels = self.level[lanes]
-            # completion: residual true work below the 1e-7 threshold
-            completed = self.jremaining_actual[lanes, jobs] <= 1e-7
-            if completed.any():
-                done_lanes = lanes[completed]
-                done_jobs = jobs[completed]
-                self.jremaining_actual[done_lanes, done_jobs] = 0.0
-                self.jstate[done_lanes, done_jobs] = _COMPLETED
-                self.jcompletion[done_lanes, done_jobs] = t[done_lanes]
-                self._ready_remove(done_lanes, done_jobs)
-                self.completed_count[done_lanes] += 1
-                self._clear_plan(done_lanes)
-            lanes = lanes[~completed]
-            jobs = jobs[~completed]
-            levels = levels[~completed]
-            # depletion: empty storage and negative net flow -> stall
-            depleted = (self.stored[lanes] <= EPSILON) & (
-                (harvest[lanes] - self.powers[lanes, levels]) < -EPSILON
-            )
-            if depleted.any():
-                stall_lanes = lanes[depleted]
-                # _enter_stall: retry at the next source boundary or after
-                # the (default 1.0) retry interval, whichever is sooner.
-                resume = np.minimum(
-                    self._src_next_boundary(t)[stall_lanes],
-                    t[stall_lanes] + 1.0,
-                )
-                self.stall_count[stall_lanes] += 1
-                self.stall_started[stall_lanes] = t[stall_lanes]
-                self.stalled[stall_lanes] = True
-                self.stalled_until[stall_lanes] = resume
-                self._drop_plan(stall_lanes)
-            lanes = lanes[~depleted]
-            # planned speed-up reached
-            reached = ~np.isnan(self.switch_at[lanes]) & (
-                t[lanes] >= self.switch_at[lanes] - EPSILON
-            )
-            if reached.any():
-                up_lanes = lanes[reached]
-                self.switch_at[up_lanes] = np.nan
-                max_level = self.n_lev - 1
-                self.switch_count[
-                    up_lanes[self.level[up_lanes] != max_level]
-                ] += 1
-                self.level[up_lanes] = max_level
-            # reconsider instant reached while running
-            revisit = self.has_decision[lanes] & (
-                t[lanes] >= self.dec_reconsider[lanes] - EPSILON
-            )
-            self.need_decision[lanes[revisit]] = True
-        # idle branch (running was None at entry to _post_segment)
-        idle = self.active & ~was_running
-        lanes = np.flatnonzero(idle)
-        if lanes.shape[0]:
-            revisit = self.has_decision[lanes] & (
-                t[lanes] >= self.dec_reconsider[lanes] - EPSILON
-            )
-            self.need_decision[lanes[revisit]] = True
-            ready = self.best_rank[lanes] < _NO_JOB
-            wake = ready & ~self.stalled[lanes]
-            self.need_decision[lanes[wake]] = True
+        return harvest, boundary
 
     # -- result extraction -------------------------------------------------
 

@@ -20,10 +20,13 @@ from repro.energy.predictor import (
     LastValuePredictor,
     MeanPowerPredictor,
     ProfilePredictor,
+    _snap_tail,
     profile_segments,
 )
 from repro.energy.vectorized import (
+    _ladder_durations,
     _libm_pow,
+    _profile_walk,
     batch_last_observe,
     batch_mean_observe,
     batch_profile_observe,
@@ -169,11 +172,14 @@ class _ProfileLanes:
         )
         self.alpha = np.asarray([p.alpha for p in self.scalars])
         max_bins = int(self.n_bins.max())
-        self.estimates = np.zeros((n, max_bins))
-        self.seen = np.zeros((n, max_bins), dtype=np.bool_)
+        # Lane i keeps its bin state in row rows[i] (reversed, plus one
+        # spare row), as the batch core indexes its own state matrices.
+        self.rows = np.arange(n, dtype=np.int64)[::-1] + 1
+        self.estimates = np.zeros((n + 1, max_bins))
+        self.seen = np.zeros((n + 1, max_bins), dtype=np.bool_)
         for i, p in enumerate(self.scalars):
-            self.estimates[i, : p.n_bins] = p.bin_estimates()
-            self.seen[i, : p.n_bins] = p.bin_seen()
+            self.estimates[self.rows[i], : p.n_bins] = p.bin_estimates()
+            self.seen[self.rows[i], : p.n_bins] = p.bin_seen()
 
     def observe(self, t0: float, t1: float, energy: float) -> None:
         for p in self.scalars:
@@ -183,30 +189,29 @@ class _ProfileLanes:
         a1 = np.full(n, t1)
         obs = a1 - a0 > EPSILON  # the batch caller's pre-filter
         if obs.any():
-            rows = np.flatnonzero(obs)
-            sub_est = self.estimates[rows]
-            sub_seen = self.seen[rows]
+            lanes = np.flatnonzero(obs)
             batch_profile_observe(
-                a0[rows],
-                a1[rows],
-                self.period[rows],
-                self.bin_width[rows],
-                self.n_bins[rows],
-                self.alpha[rows],
-                np.full(n, energy)[rows],
-                sub_est,
-                sub_seen,
+                a0[lanes],
+                a1[lanes],
+                self.period[lanes],
+                self.bin_width[lanes],
+                self.n_bins[lanes],
+                self.alpha[lanes],
+                np.full(n, energy)[lanes],
+                self.estimates,
+                self.seen,
+                rows=self.rows[lanes],
             )
-            self.estimates[rows] = sub_est
-            self.seen[rows] = sub_seen
 
     def assert_state_bit_equal(self) -> None:
         for i, p in enumerate(self.scalars):
             scalar_est = p.bin_estimates()
             scalar_seen = p.bin_seen()
+            row = self.rows[i]
             for b in range(p.n_bins):
-                assert self.estimates[i, b] == scalar_est[b]
-                assert bool(self.seen[i, b]) == bool(scalar_seen[b])
+                assert self.estimates[row, b] == scalar_est[b]
+                assert bool(self.seen[row, b]) == bool(scalar_seen[b])
+        assert not self.seen[0].any()  # the spare row is never written
 
     def assert_predict_bit_equal(self, t0: float, t1: float) -> None:
         n = len(self.scalars)
@@ -217,6 +222,7 @@ class _ProfileLanes:
             self.bin_width,
             self.n_bins,
             self.estimates,
+            rows=self.rows,
         )
         for i, p in enumerate(self.scalars):
             assert predicted[i] == p.predict_energy(t0, t1)
@@ -256,17 +262,157 @@ class TestProfileKernels:
             t0, t1, period, bin_width, n_bins, estimates
         )
         assert out.tolist() == [0.0, 0.0]
+        # An observe with no participating lanes touches nothing.
+        empty = np.zeros(0)
+        seen = np.zeros((2, 4), dtype=np.bool_)
+        batch_profile_observe(
+            empty, empty, empty, empty, np.zeros(0, dtype=np.int64),
+            empty, empty, estimates, seen,
+        )
+        assert (estimates == 3.0).all() and not seen.any()
 
-    def test_kernels_share_the_scalar_walk(self):
-        # The kernels run repro.energy.predictor.profile_segments per
-        # lane — one walk implementation, so the engines cannot drift.
-        # Spot-check the shared generator against the bound method.
+    def test_walk_matches_the_scalar_generator(self):
+        # The bound method delegates to the shared generator, and the
+        # kernels' padded walk yields that generator's segments, bin for
+        # bin and bit for bit, in order (empty cells yield nothing).
         p = ProfilePredictor(period=37.0, n_bins=8)
         method = list(p._segments(1.3, 55.9))
         shared = list(
             profile_segments(1.3, 55.9, p.period, p.bin_width, p.n_bins)
         )
         assert method == shared
+        lanes = _ProfileLanes()
+        for t0, t1 in ((1.3, 55.9), (0.0, 40.0), (2.5 - 1e-15, 5.0)):
+            n = len(lanes.scalars)
+            index, duration = _profile_walk(
+                np.full(n, t0),
+                np.full(n, t1),
+                lanes.period,
+                lanes.bin_width,
+                lanes.n_bins,
+            )
+            for i, q in enumerate(lanes.scalars):
+                cells = duration[i].nonzero()[0]
+                walked = list(
+                    zip(index[i, cells].tolist(), duration[i, cells].tolist())
+                )
+                assert walked == list(
+                    profile_segments(t0, t1, q.period, q.bin_width, q.n_bins)
+                )
+
+    def test_exact_recurrence_replaces_a_broken_telescope(self):
+        # A crafted ladder whose second step does not telescope:
+        # c + (e - c) rounds away from e, so the coverage the scalar walk
+        # carries is not the edge.  The affected lane must replay the
+        # scalar recurrence instead of reading coverage off the ladder.
+        c, e = 0.80317946927987, 1.8959391428711407
+        assert c + (e - c) != e
+        ladder = np.asarray([[0.0, c, e, 3.0], [0.0, 1.0, 2.0, 3.0]])
+        span = np.asarray([2.5, 2.5])
+        ends = ladder[:, 1:] >= span[:, None]
+        last = ends.argmax(axis=1)
+        duration = _ladder_durations(ladder, ends, last, span)
+        for row, got in zip(ladder, duration):
+            # profile_segments' loop over the same edges
+            expected = []
+            covered = 0.0
+            for edge in row[1:].tolist():
+                if edge >= 2.5:
+                    expected.append(_snap_tail(covered, 2.5))
+                    break
+                if edge > covered:
+                    expected.append(edge - covered)
+                    covered += expected[-1]
+            assert got[: len(expected)].tolist() == expected
+            assert not got[len(expected):].any()
+        assert duration[0, 2] != _snap_tail(e, 2.5)  # the telescoped tail
+
+
+#: (period, n_bins) pairs whose first bin clamps one ulp below the period.
+_CLAMPING = ((3.3, 10), (3.3, 6), (0.1, 3), (690.8861930260637, 10))
+
+
+def _lane_params(period, n_bins):
+    p = ProfilePredictor(period=period, n_bins=n_bins)
+    return p.period, p.bin_width, n_bins
+
+
+@st.composite
+def _profile_windows(draw):
+    """Heterogeneous profile lanes, each with its own predict window.
+
+    Windows come in four shapes: free, longer than one period, starting
+    just below a period multiple (where ``t0 % period`` can round into
+    a clamped last bin), and ending exactly on a ladder edge.
+    """
+    lanes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        shape = draw(st.sampled_from(("free", "long", "clamped", "edge")))
+        if shape == "clamped":
+            # One ulp below the period, position / bin_width rounds up to
+            # n_bins for these pairs, so the first bin clamps to the last.
+            period, width, n_bins = _lane_params(
+                *draw(st.sampled_from(_CLAMPING))
+            )
+            t0 = math.nextafter(period, 0.0)
+        else:
+            period, width, n_bins = _lane_params(
+                draw(st.sampled_from(_PERIODS)), draw(st.sampled_from(_N_BINS))
+            )
+            t0 = draw(st.floats(min_value=0.0, max_value=2000.0))
+        estimates = draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=10.0),
+                min_size=n_bins,
+                max_size=n_bins,
+            )
+        )
+        if shape == "long":
+            span = period * draw(st.floats(min_value=1.0, max_value=3.0))
+        elif shape == "edge":
+            position = t0 % period
+            first = min(int(position / width), n_bins - 1)
+            steps = draw(st.integers(min_value=0, max_value=2 * n_bins))
+            span = (first + steps + 1) * width - position
+        else:
+            span = period * draw(st.floats(min_value=0.0, max_value=1.5))
+        lanes.append((period, width, n_bins, estimates, t0, t0 + span))
+    return lanes
+
+
+class TestProfilePredictProperty:
+    @pytest.mark.parametrize("period, n_bins", _CLAMPING)
+    def test_clamping_pairs_clamp(self, period, n_bins):
+        p = ProfilePredictor(period=period, n_bins=n_bins)
+        t0 = math.nextafter(period, 0.0)
+        assert int((t0 % period) / p.bin_width) >= n_bins
+        segments = profile_segments(t0, t0 + 1.0, period, p.bin_width, n_bins)
+        assert next(segments)[0] == n_bins - 1
+
+    @given(lanes=_profile_windows())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_scalar_predict(self, lanes):
+        n = len(lanes)
+        max_bins = max(lane[2] for lane in lanes)
+        estimates = np.zeros((n, max_bins))
+        scalars = []
+        for i, (period, _, n_bins, values, _, _) in enumerate(lanes):
+            p = ProfilePredictor(period=period, n_bins=n_bins)
+            p._estimates[:] = values
+            estimates[i, :n_bins] = values
+            scalars.append(p)
+        t0 = np.asarray([lane[4] for lane in lanes])
+        t1 = np.asarray([lane[5] for lane in lanes])
+        predicted = batch_profile_predict(
+            t0,
+            t1,
+            np.asarray([lane[0] for lane in lanes]),
+            np.asarray([lane[1] for lane in lanes]),
+            np.asarray([lane[2] for lane in lanes], dtype=np.int64),
+            estimates,
+        )
+        for i, p in enumerate(scalars):
+            assert predicted[i] == p.predict_energy(t0[i], t1[i])
 
 
 class TestMeanObserveEdgeCases:

@@ -382,7 +382,7 @@ class TestNumpyAccumulationContract:
         """``np.mod`` == ``%`` on non-negative operands.
 
         The profile-predictor bin walk
-        (:func:`repro.energy.vectorized.iter_profile_segments`) folds
+        (:func:`repro.energy.vectorized._profile_walk`) folds
         ``t0`` into the cycle with ``np.mod`` where the scalar predictor
         uses ``%``.
         """
