@@ -15,24 +15,34 @@ because shipping thousands of job objects through IPC costs more than
 the simulation itself for short runs.
 
 For long fault-injection sweeps, :func:`run_parallel_salvage` adds crash
-tolerance on top: per-round timeouts, bounded retries with exponential
-backoff, and salvage semantics — a cell that keeps failing becomes a
-:class:`RunFailure` record in the (order-preserving) result list instead
-of poisoning the whole sweep.
+tolerance on top: one long-lived pool streaming cells as they land,
+per-cell timeouts, bounded retries with exponential backoff, and salvage
+semantics — a cell that keeps failing becomes a :class:`RunFailure`
+record in the (order-preserving) result list instead of poisoning the
+whole sweep.  An optional callback hears each final outcome the moment
+it lands, which is how the supervisor journals cell by cell.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
+import threading
 import time
 import traceback as traceback_module
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterator,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
@@ -179,6 +189,10 @@ class RunFailure:
     quarantined: bool = False
 
 
+#: What a salvaged cell yields: its result or its failure record.
+Outcome = Union[SimulationResult, RunFailure]
+
+
 def _failure(
     spec: RunSpec, exc: BaseException, attempts: int, timed_out: bool = False
 ) -> RunFailure:
@@ -208,66 +222,202 @@ def _failure_from_worker(
     )
 
 
-def _pooled_round(
-    specs: Sequence[RunSpec],
-    indices: Sequence[int],
-    max_workers: Optional[int],
-    slim: bool,
-    timeout: Optional[float],
-) -> dict[int, Union[SimulationResult, RunFailure]]:
-    """Run one retry round of ``indices`` in a fresh process pool.
+#: How often an idle pool worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.25
 
-    The pool is per-round on purpose: a worker wedged by a previous round
-    cannot poison this one, and ``shutdown(wait=False)`` after a timeout
-    abandons stuck workers instead of blocking the caller on them.
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once its parent process is gone.
+
+    Between cells a worker blocks on the call queue, and a parent killed
+    by SIGKILL never sends the shutdown sentinel that would wake it.  A
+    daemon thread polls the parent PID and exits the worker hard as soon
+    as it has been reparented.
     """
-    outcome: dict[int, Union[SimulationResult, RunFailure]] = {}
-    workers = max_workers or os.cpu_count() or 1
-    budget = None
-    if timeout is not None:
-        # The wall-clock budget covers the whole round; queueing behind a
-        # finite worker count must not count against individual cells.
-        budget = timeout * max(1, math.ceil(len(indices) / workers))
-    pool = ProcessPoolExecutor(max_workers=max_workers)
-    timed_out = False
-    try:
-        futures = {
-            i: pool.submit(_execute_captured, (specs[i], slim))
-            for i in indices
-        }
-        start = time.monotonic()
-        for i, future in futures.items():
-            remaining = None
-            if budget is not None:
-                remaining = max(0.0, budget - (time.monotonic() - start))
-            try:
-                cell = future.result(timeout=remaining)
-            except FutureTimeoutError:
-                timed_out = True
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _terminate(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down without waiting and kill its worker processes.
+
+    A worker stalled past its timeout would otherwise pin a core for the
+    rest of the sweep and hold up interpreter exit until its cell
+    returned, which for a truly hung cell is never.
+    """
+    terminate_workers = getattr(pool, "terminate_workers", None)
+    if terminate_workers is not None:  # Python 3.14+
+        terminate_workers()
+        return
+    processes = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.terminate()
+
+
+@dataclass(frozen=True)
+class _Launch:
+    """One in-flight cell: its index, its pool and its deadline."""
+
+    index: int
+    pool: ProcessPoolExecutor
+    cutoff: Optional[float]
+
+
+class _CellPool:
+    """Up to ``workers`` cells in flight on one long-lived process pool.
+
+    The pool is created on the first launch and replaced only when it
+    breaks (a worker died) or one of its cells overstays its deadline.
+    A pool retired for a timeout keeps its healthy siblings running
+    until they land or reach their own deadlines; then its workers are
+    terminated.  The window equals the worker count, so a cell starts
+    the moment it is launched and its deadline counts from there.
+    """
+
+    def __init__(
+        self,
+        specs: Sequence[RunSpec],
+        workers: int,
+        slim: bool,
+        timeout: Optional[float],
+    ) -> None:
+        self._specs = specs
+        self._workers = workers
+        self._slim = slim
+        self._timeout = timeout
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._in_flight: dict[Future[Any], _Launch] = {}
+        self._retiring: list[ProcessPoolExecutor] = []
+
+    def stream(
+        self, order: Sequence[int], launching: Callable[[], bool]
+    ) -> Iterator[tuple[int, Outcome]]:
+        """Run ``order``, launching the next cell as each one lands."""
+        queue = deque(order)
+        while True:
+            while queue and len(self._in_flight) < self._workers and launching():
+                self._launch(queue.popleft())
+            if not self._in_flight:
+                return
+            yield from self._collect()
+
+    def close(self) -> None:
+        """Shut the live pool down; terminate every pool still working."""
+        if self._pool is not None and not self._in_flight:
+            self._pool.shutdown()
+        elif self._pool is not None:
+            self._retire(self._pool)
+        self._pool = None
+        self._in_flight.clear()
+        self._reap()
+
+    def _launch(self, i: int) -> None:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._workers, initializer=_exit_with_parent
+            )
+        future: Future[Any]
+        try:
+            future = self._pool.submit(
+                _execute_captured, (self._specs[i], self._slim)
+            )
+        except BrokenProcessPool as exc:
+            # A worker died since the last collect: this attempt is lost
+            # with its siblings and lands as their failure does.
+            future = Future()
+            future.set_exception(exc)
+        cutoff = None
+        if self._timeout is not None:
+            cutoff = time.monotonic() + self._timeout
+        self._in_flight[future] = _Launch(i, self._pool, cutoff)
+
+    def _collect(self) -> list[tuple[int, Outcome]]:
+        """Wait for in-flight cells to land or time out; launch order."""
+        cutoffs = [
+            launch.cutoff
+            for launch in self._in_flight.values()
+            if launch.cutoff is not None
+        ]
+        wait(
+            self._in_flight,
+            timeout=max(0.0, min(cutoffs) - time.monotonic())
+            if cutoffs else None,
+            return_when=FIRST_COMPLETED,
+        )
+        clock = time.monotonic()
+        landed: list[tuple[int, Outcome]] = []
+        for future, launch in list(self._in_flight.items()):
+            spec = self._specs[launch.index]
+            if future.done():
+                outcome = self._outcome(future, spec, launch.pool)
+            elif launch.cutoff is not None and launch.cutoff <= clock:
                 future.cancel()
-                outcome[i] = RunFailure(
-                    spec=specs[i],
+                self._retire(launch.pool)
+                outcome = RunFailure(
+                    spec=spec,
                     error_type="TimeoutError",
-                    message=f"no result within {timeout:g}s",
+                    message=f"no result within {self._timeout:g}s",
                     attempts=0,  # filled in by the caller
                     timed_out=True,
                 )
-                continue
-            except BrokenProcessPool as exc:
-                # The worker died (e.g. by signal) — every sibling future
-                # of this pool is lost too; salvage them all from here.
-                outcome[i] = _failure(specs[i], exc, attempts=0)
-                continue
-            except Exception as exc:  # noqa: BLE001 - salvage any pool error
-                outcome[i] = _failure(specs[i], exc, attempts=0)
-                continue
-            if isinstance(cell, _WorkerError):
-                outcome[i] = _failure_from_worker(specs[i], cell, attempts=0)
             else:
-                outcome[i] = cell
-    finally:
-        pool.shutdown(wait=not timed_out, cancel_futures=True)
-    return outcome
+                continue
+            del self._in_flight[future]
+            landed.append((launch.index, outcome))
+        self._reap()
+        return landed
+
+    def _outcome(
+        self, future: Future[Any], spec: RunSpec, pool: ProcessPoolExecutor
+    ) -> Outcome:
+        try:
+            cell = future.result()
+        except BrokenProcessPool as exc:
+            # The worker died (e.g. by signal) — every sibling future of
+            # this pool is lost too and lands here as well.
+            self._retire(pool)
+            return _failure(spec, exc, attempts=0)
+        except Exception as exc:  # noqa: BLE001 - salvage any pool error
+            return _failure(spec, exc, attempts=0)
+        if isinstance(cell, _WorkerError):
+            return _failure_from_worker(spec, cell, attempts=0)
+        return cell
+
+    def _retire(self, pool: ProcessPoolExecutor) -> None:
+        if pool is self._pool:
+            self._pool = None
+        if pool not in self._retiring:
+            self._retiring.append(pool)
+
+    def _reap(self) -> None:
+        busy = [launch.pool for launch in self._in_flight.values()]
+        for pool in [p for p in self._retiring if p not in busy]:
+            self._retiring.remove(pool)
+            _terminate(pool)
+
+
+def _serial_cells(
+    specs: Sequence[RunSpec],
+    order: Sequence[int],
+    slim: bool,
+    launching: Callable[[], bool],
+) -> Iterator[tuple[int, Outcome]]:
+    """Run ``order`` in-process, one cell after another."""
+    for i in order:
+        if not launching():
+            return
+        cell = _execute_captured((specs[i], slim))
+        if isinstance(cell, _WorkerError):
+            yield i, _failure_from_worker(specs[i], cell, attempts=0)
+        else:
+            yield i, cell
 
 
 def retry_delay(
@@ -314,7 +464,8 @@ def run_parallel_salvage(
     backoff: float = 0.5,
     jitter: float = 0.0,
     seed: int = 0,
-) -> list[Union[SimulationResult, RunFailure]]:
+    on_outcome: Optional[Callable[[int, Outcome], bool]] = None,
+) -> list[Optional[Outcome]]:
     """Crash-tolerant twin of :func:`run_parallel`.
 
     Every spec yields exactly one entry, in input order: its
@@ -324,18 +475,23 @@ def run_parallel_salvage(
     ``1 + retries`` attempts are exhausted.  A raising or hanging worker
     never aborts the sweep.
 
+    Pooled runs keep up to ``max_workers`` cells in flight on one
+    process pool that lives for the whole call, launching the next cell
+    as each one lands; the pool is replaced only after a timeout or a
+    dead worker.  Workers exit on their own if this process dies.
+
     Parameters
     ----------
     timeout:
-        Per-cell wall-clock timeout in seconds.  Cells of one retry
-        round run concurrently, so the round's budget is ``timeout``
-        scaled by the queueing factor ``ceil(cells / workers)``; a cell
-        unfinished when the budget runs out is salvaged as timed out and
-        its worker abandoned.  Only enforced on pooled runs — the serial
-        path (``max_workers=1`` or a single spec) cannot preempt a
-        stuck call and documents timeouts as unsupported there.
+        Per-cell wall-clock timeout in seconds, counted from the cell's
+        launch; a cell still running at its deadline is salvaged as
+        timed out and its worker terminated.  Only enforced on pooled
+        runs — the serial path (``max_workers=1`` or a single spec)
+        cannot preempt a stuck call and documents timeouts as
+        unsupported there.
     retries:
-        Extra attempts per failing cell (0 = one attempt only).
+        Extra attempts per failing cell (0 = one attempt only).  Retry
+        round ``r`` starts once round ``r - 1`` has drained.
     backoff:
         Sleep before retry round ``r`` is ``backoff * 2**(r-1)`` seconds,
         widened by ``jitter``.
@@ -346,6 +502,13 @@ def run_parallel_salvage(
         Seed of the retry schedule: both the backoff jitter and the
         order in which failing cells are retried are pure functions of
         it, so a sweep's retry behaviour is bit-reproducible.
+    on_outcome:
+        Called in this process as ``on_outcome(index, outcome)`` with
+        each cell's *final* outcome, the moment it is known.  Returning
+        ``False`` stops new launches: cells already in flight still
+        finish and are reported, a failed cell whose retries were cut
+        short is final with its last failure, and cells never launched
+        come back as ``None``.
     """
     if timeout is not None and timeout <= 0:
         raise ValueError(f"timeout must be > 0 or None, got {timeout!r}")
@@ -359,46 +522,56 @@ def run_parallel_salvage(
         return []
 
     n = len(specs)
-    serial = max_workers == 1 or n == 1
-    results: list[Optional[Union[SimulationResult, RunFailure]]] = [None] * n
+    results: list[Optional[Outcome]] = [None] * n
     failures: dict[int, RunFailure] = {}
     attempts = [0] * n
+    go_on = True
+
+    def launching() -> bool:
+        return go_on
+
+    cells = None
+    if max_workers != 1 and n > 1:
+        workers = min(n, max_workers or os.cpu_count() or 1)
+        cells = _CellPool(specs, workers, slim, timeout)
     pending = list(range(n))
-    for round_no in range(1 + retries):
-        if not pending:
-            break
-        if round_no > 0:
-            delay = retry_delay(backoff, round_no, jitter=jitter, seed=seed)
-            if delay > 0:
-                time.sleep(delay)
-            pending = _retry_order(pending, round_no, seed)
-        still_failing: list[int] = []
-        if serial:
-            for i in pending:
+    try:
+        for round_no in range(1 + retries):
+            if not pending or not go_on:
+                break
+            if round_no > 0:
+                delay = retry_delay(backoff, round_no, jitter=jitter, seed=seed)
+                if delay > 0:
+                    time.sleep(delay)
+                pending = _retry_order(pending, round_no, seed)
+            landed = (
+                _serial_cells(specs, pending, slim, launching)
+                if cells is None
+                else cells.stream(pending, launching)
+            )
+            still_failing: list[int] = []
+            for i, cell in landed:
                 attempts[i] += 1
-                cell = _execute_captured((specs[i], slim))
-                if isinstance(cell, _WorkerError):
-                    failures[i] = _failure_from_worker(
-                        specs[i], cell, attempts[i]
-                    )
-                    still_failing.append(i)
-                else:
-                    results[i] = cell
-        else:
-            outcome = _pooled_round(specs, pending, max_workers, slim, timeout)
-            for i in pending:
-                attempts[i] += 1
-                cell = outcome[i]
                 if isinstance(cell, RunFailure):
-                    failures[i] = dataclasses.replace(cell, attempts=attempts[i])
-                    still_failing.append(i)
-                else:
-                    results[i] = cell
-        pending = still_failing
-    for i in pending:
-        results[i] = failures[i]
-    assert all(r is not None for r in results)
-    return results  # type: ignore[return-value]
+                    cell = dataclasses.replace(cell, attempts=attempts[i])
+                    if round_no < retries:
+                        failures[i] = cell
+                        still_failing.append(i)
+                        continue
+                results[i] = cell
+                if on_outcome is not None and not on_outcome(i, cell):
+                    go_on = False
+            pending = still_failing
+    finally:
+        if cells is not None:
+            cells.close()
+    # Only a stop leaves earlier failures unresolved: they are final now.
+    for i, failure in failures.items():
+        if results[i] is None:
+            results[i] = failure
+            if on_outcome is not None:
+                on_outcome(i, failure)
+    return results
 
 
 def parallel_capacity_sweep(

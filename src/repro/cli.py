@@ -218,7 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--export", metavar="PATH", default=None,
         help="write the full result set as canonical JSON",
     )
-    sweep.add_argument("--workers", type=int, default=None)
+    sweep.add_argument(
+        "--workers", type=int, default=None,
+        help="scalar-engine worker processes, all on one pool that streams "
+        "cells (default: 1, serial and in-process)",
+    )
     sweep.add_argument(
         "--engine", default=None, choices=("scalar", "batch"),
         help="execution engine: scalar event simulator or the vectorized "

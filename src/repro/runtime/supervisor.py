@@ -7,8 +7,9 @@ service loop:
 * **checkpoint/resume** — with a :class:`~repro.runtime.journal.
   ResultJournal` attached, cells whose key is already journaled are
   skipped (results always; failures only once quarantined), and every
-  fresh outcome is durably appended the moment its batch completes, so
-  ``kill -9`` at any point loses at most one in-flight batch;
+  fresh outcome is durably appended the moment its cell lands, so
+  ``kill -9`` at any point loses at most the ≤ ``workers`` cells in
+  flight (a whole block of cells on the batch engine);
 * **bounded retries** with seeded exponential backoff + jitter
   (:func:`repro.analysis.parallel.retry_delay` — the whole retry
   schedule is a pure function of the policy seed, no wall-clock RNG);
@@ -16,9 +17,15 @@ service loop:
   retries *and resumes* stops being retried once its cumulative attempt
   count reaches ``quarantine_after``;
 * **graceful degradation** — wall-clock and memory budgets are checked
-  between batches; exceeding one flushes everything finished so far and
-  returns a structured :class:`SweepReport` (``budget_exhausted`` set)
-  instead of dying mid-sweep.
+  before every launch (before every block on the batch engine);
+  exceeding one stops launching, lets the cells in flight land, flushes
+  everything finished so far and returns a structured
+  :class:`SweepReport` (``budget_exhausted`` set) instead of dying
+  mid-sweep.
+
+On the scalar engine the whole pending grid is one
+:func:`~repro.analysis.parallel.run_parallel_salvage` call on one
+worker pool; its ``on_outcome`` callback journals each cell.
 
 The supervisor is the journal's only writer; workers never touch disk.
 """
@@ -28,9 +35,10 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.analysis.parallel import (
+    Outcome,
     RunFailure,
     RunSpec,
     run_parallel_salvage,
@@ -46,14 +54,13 @@ from repro.sim.simulator import SimulationResult
 
 __all__ = ["SupervisorPolicy", "SweepReport", "run_supervised"]
 
-Outcome = Union[SimulationResult, RunFailure]
-
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
     """Retry, quarantine and budget discipline of one supervised sweep."""
 
-    #: Per-cell wall-clock timeout (pooled rounds only; see
+    #: Per-cell wall-clock timeout, counted from the cell's launch
+    #: (pooled scalar runs only; see
     #: :func:`~repro.analysis.parallel.run_parallel_salvage`).
     timeout: Optional[float] = None
     #: Extra attempts per failing cell within one run.
@@ -67,14 +74,15 @@ class SupervisorPolicy:
     #: Cumulative attempts (across resumes) after which a cell is
     #: poisoned: journaled as a quarantined failure and never retried.
     quarantine_after: int = 3
-    #: Stop launching new batches once this much wall-clock time (s) has
+    #: Stop launching new cells once this much wall-clock time (s) has
     #: elapsed; finished work is flushed and the report says so.
     max_wall_clock: Optional[float] = None
-    #: Stop launching new batches once the process RSS exceeds this many
+    #: Stop launching new cells once the process RSS exceeds this many
     #: MiB (best effort — measured via ``resource.getrusage``).
     max_rss_mb: Optional[float] = None
-    #: Cells per supervised batch (= checkpoint granularity).  Default:
-    #: one batch per worker round.
+    #: Cells per batch-engine block (= its checkpoint granularity).
+    #: Default: the whole pending grid in one block.  The scalar engine
+    #: streams and checkpoints cell by cell, so it ignores this.
     batch_size: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -125,15 +133,18 @@ class SweepReport:
     journal_path: Optional[str] = None
     #: Which execution engine ran the cells (``"scalar"`` or ``"batch"``).
     engine: str = "scalar"
-    #: Cells the batch engine handed back to the scalar path (uncovered
-    #: shapes or core guard trips); always 0 on the scalar engine.
-    batch_fallbacks: int = 0
     #: Histogram of fallback reasons for this run's executed cells only —
     #: journal-resumed cells are answered before execution and never
     #: re-add to it, so resuming an interrupted sweep cannot double
     #: count.  Empty on the scalar engine and on fully-covered batches
     #: (the default sweep grid is fully covered).
     fallback_reasons: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def batch_fallbacks(self) -> int:
+        """Cells the batch engine handed back to the scalar path (uncovered
+        shapes or core guard trips); always 0 on the scalar engine."""
+        return sum(self.fallback_reasons.values())
 
     @property
     def ok(self) -> bool:
@@ -198,6 +209,21 @@ def _rss_mb() -> Optional[float]:
     return usage / 1024.0 if usage < 1 << 40 else usage / (1024.0 * 1024.0)
 
 
+def _exhausted_budget(
+    policy: SupervisorPolicy, started: float
+) -> Optional[str]:
+    """The budget that has run out (``None`` while launching may go on)."""
+    if policy.max_wall_clock is not None and (
+        time.monotonic() - started >= policy.max_wall_clock
+    ):
+        return "wall-clock"
+    if policy.max_rss_mb is not None:
+        rss = _rss_mb()
+        if rss is not None and rss >= policy.max_rss_mb:
+            return "memory"
+    return None
+
+
 def _journal_outcome(
     journal: ResultJournal, key: JournalKey, spec: RunSpec,
     quarantine_after: int,
@@ -229,12 +255,13 @@ def run_supervised(
 ) -> SweepReport:
     """Run ``specs`` under supervision; see the module docstring.
 
-    Without a journal this degrades to batched
+    Without a journal this degrades to
     :func:`~repro.analysis.parallel.run_parallel_salvage` with budget
     enforcement.  With one, the call is idempotent: rerunning after any
-    interruption converges to the same result set.
+    interruption converges to the same result set.  ``max_workers=None``
+    means one worker: serial and in-process.
 
-    ``engine="batch"`` routes each batch through the vectorized SoA core
+    ``engine="batch"`` routes each block through the vectorized SoA core
     (:func:`repro.sim.batch.execute_runspecs`); cells the core does not
     cover run scalar and are tallied in ``SweepReport.batch_fallbacks``.
     Results are equivalent either way (the differential equivalence
@@ -264,69 +291,73 @@ def run_supervised(
                 continue
         pending.append(i)
 
-    batch_size = policy.batch_size
-    if batch_size is None:
-        # The vectorized engine amortizes per-pass dispatch over every
-        # lane, so it wants the widest batch available; the scalar pool
-        # checkpoints once per worker round.
-        batch_size = (
-            max(1, len(pending)) if engine == "batch" else (max_workers or 1)
-        )
     executed = 0
-    batch_fallbacks = 0
     fallback_reasons: dict[str, int] = {}
-    budget_exhausted: Optional[str] = None
 
-    for start in range(0, len(pending), batch_size):
-        if policy.max_wall_clock is not None and (
-            time.monotonic() - started >= policy.max_wall_clock
-        ):
-            budget_exhausted = "wall-clock"
-            break
-        if policy.max_rss_mb is not None:
-            rss = _rss_mb()
-            if rss is not None and rss >= policy.max_rss_mb:
-                budget_exhausted = "memory"
+    def record(i: int, outcome: Outcome) -> None:
+        nonlocal executed
+        executed += 1
+        if isinstance(outcome, RunFailure):
+            total_attempts = prior_attempts[i] + outcome.attempts
+            outcome = dataclasses.replace(
+                outcome,
+                attempts=total_attempts,
+                quarantined=total_attempts >= policy.quarantine_after,
+            )
+        outcomes[i] = outcome
+        if journal is not None:
+            key = journal_key(specs[i])
+            if isinstance(outcome, RunFailure):
+                journal.append_failure(key, outcome)
+            else:
+                journal.append_result(key, outcome)
+
+    budget_exhausted: Optional[str] = None
+    if engine == "batch":
+        # The vectorized engine amortizes per-pass dispatch over every
+        # lane, so it wants the widest batch available.
+        batch_size = policy.batch_size or max(1, len(pending))
+        for start in range(0, len(pending), batch_size):
+            budget_exhausted = _exhausted_budget(policy, started)
+            if budget_exhausted is not None:
                 break
-        batch = pending[start:start + batch_size]
-        if engine == "batch":
+            batch = pending[start:start + batch_size]
             from repro.sim.batch import execute_runspecs
 
             batch_outcomes, batch_reasons = execute_runspecs(
                 [specs[i] for i in batch], slim=slim
             )
-            batch_fallbacks += sum(batch_reasons.values())
             for reason, count in batch_reasons.items():
                 fallback_reasons[reason] = (
                     fallback_reasons.get(reason, 0) + count
                 )
-        else:
-            batch_outcomes = run_parallel_salvage(
-                [specs[i] for i in batch],
-                max_workers=max_workers,
+            for i, outcome in zip(batch, batch_outcomes):
+                record(i, outcome)
+    elif pending:
+        budget_exhausted = _exhausted_budget(policy, started)
+        left = len(pending)
+
+        def settle(k: int, outcome: Outcome) -> bool:
+            # Journals each cell as it lands; budgets gate the next launch.
+            nonlocal budget_exhausted, left
+            record(pending[k], outcome)
+            left -= 1
+            if left:
+                budget_exhausted = _exhausted_budget(policy, started)
+            return budget_exhausted is None
+
+        if budget_exhausted is None:
+            run_parallel_salvage(
+                [specs[i] for i in pending],
+                max_workers=max_workers or 1,
                 slim=slim,
                 timeout=policy.timeout,
                 retries=policy.retries,
                 backoff=policy.backoff,
                 jitter=policy.jitter,
-                seed=policy.seed + start,
+                seed=policy.seed,
+                on_outcome=settle,
             )
-        for i, outcome in zip(batch, batch_outcomes):
-            executed += 1
-            if isinstance(outcome, RunFailure):
-                total_attempts = prior_attempts[i] + outcome.attempts
-                outcome = dataclasses.replace(
-                    outcome,
-                    attempts=total_attempts,
-                    quarantined=total_attempts >= policy.quarantine_after,
-                )
-            outcomes[i] = outcome
-            if journal is not None:
-                key = journal_key(specs[i])
-                if isinstance(outcome, RunFailure):
-                    journal.append_failure(key, outcome)
-                else:
-                    journal.append_result(key, outcome)
 
     failures = [o for o in outcomes if isinstance(o, RunFailure)]
     return SweepReport(
@@ -340,6 +371,5 @@ def run_supervised(
         budget_exhausted=budget_exhausted,
         journal_path=str(journal.path) if journal is not None else None,
         engine=engine,
-        batch_fallbacks=batch_fallbacks,
         fallback_reasons=fallback_reasons,
     )

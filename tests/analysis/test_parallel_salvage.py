@@ -1,7 +1,12 @@
 """Failure-path tests for the crash-tolerant sweep runner."""
 
+import os
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +145,142 @@ class TestPooledSalvage:
         for s, p in zip(serial, pooled):
             assert s.missed_count == p.missed_count
             assert s.drawn_energy == pytest.approx(p.drawn_energy)
+
+
+class TestStreamingPool:
+    def test_one_pool_for_the_whole_call(self, pool_spy):
+        results = run_parallel_salvage(
+            [ok_spec(seed) for seed in range(6)], max_workers=2
+        )
+        assert all(isinstance(r, SimulationResult) for r in results)
+        assert len(pool_spy) == 1
+
+    def test_no_pool_without_pooled_work(self, pool_spy):
+        assert run_parallel_salvage([], max_workers=2) == []
+        run_parallel_salvage([ok_spec()], max_workers=2)  # one cell: serial
+        run_parallel_salvage([ok_spec(0), ok_spec(1)], max_workers=1)
+        assert pool_spy == []
+
+    def test_timeout_is_counted_per_cell_from_launch(self):
+        # Six quick cells queue behind one worker while the other hangs.
+        # The hung cell is cut off one timeout after its launch, not
+        # after a round budget scaled by the queue (4 timeouts here).
+        specs = [RunSpec("edf", 0.4, 50.0, 0, setup=SleepingSetup())]
+        specs += [ok_spec(seed) for seed in range(6)]
+        started = time.monotonic()
+        results = run_parallel_salvage(specs, max_workers=2, timeout=1.0)
+        assert time.monotonic() - started < 3.5
+        assert results[0].timed_out is True
+        assert all(isinstance(r, SimulationResult) for r in results[1:])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_callback_hears_each_final_outcome_once(self, workers):
+        heard = []
+        specs = [ok_spec(0), bad_spec(), ok_spec(1)]
+        results = run_parallel_salvage(
+            specs, max_workers=workers, retries=1, backoff=0.0,
+            on_outcome=lambda i, outcome: heard.append((i, outcome)) or True,
+        )
+        assert sorted(i for i, _ in heard) == [0, 1, 2]
+        for i, outcome in heard:
+            assert outcome is results[i]
+        assert results[1].attempts == 2  # only the final failure is heard
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stop_lets_in_flight_cells_land(self, workers):
+        heard = []
+
+        def stop_after_first(i, outcome):
+            heard.append(i)
+            return False
+
+        specs = [ok_spec(seed) for seed in range(6)]
+        results = run_parallel_salvage(
+            specs, max_workers=workers, on_outcome=stop_after_first
+        )
+        # Every launched cell lands and is heard; the rest never run.
+        assert len(heard) == workers
+        assert [r is not None for r in results].count(True) == workers
+        assert sorted(heard) == [
+            i for i, r in enumerate(results) if r is not None
+        ]
+
+    def test_stop_finalizes_failures_awaiting_retry(self):
+        heard = []
+
+        def stop_on_first_result(i, outcome):
+            heard.append((i, outcome))
+            return False
+
+        results = run_parallel_salvage(
+            [bad_spec(), ok_spec(0), ok_spec(1)],
+            max_workers=1, retries=2, backoff=0.0,
+            on_outcome=stop_on_first_result,
+        )
+        assert isinstance(results[0], RunFailure)
+        assert results[0].attempts == 1
+        assert isinstance(results[1], SimulationResult)
+        assert results[2] is None
+        assert [i for i, _ in heard] == [1, 0]
+
+
+#: A pooled sweep whose second cell hangs for a minute; the script
+#: reports what the parent saw.  Run as a file so the setup class is
+#: importable by workers under any start method.
+_STALL_SCRIPT = """
+import os
+import sys
+import time
+from dataclasses import dataclass
+
+from repro.analysis.parallel import RunSpec, run_parallel_salvage
+from repro.experiments.common import PaperSetup
+
+
+@dataclass(frozen=True)
+class PidStallSetup(PaperSetup):
+    pid_file: str = ""
+
+    def run(self, *args, **kwargs):
+        with open(self.pid_file, "w") as handle:
+            handle.write(str(os.getpid()))
+        time.sleep(60.0)
+
+
+if __name__ == "__main__":
+    specs = [
+        RunSpec("edf", 0.4, 50.0, 0, setup=PaperSetup(horizon=200.0)),
+        RunSpec("edf", 0.4, 50.0, 1, setup=PidStallSetup(pid_file=sys.argv[1])),
+    ]
+    results = run_parallel_salvage(specs, max_workers=2, timeout=0.5)
+    print(type(results[1]).__name__, results[1].timed_out)
+"""
+
+
+class TestStalledWorkerTerminated:
+    def test_script_exits_promptly_and_worker_is_gone(
+        self, tmp_path, survivors
+    ):
+        script = tmp_path / "stall.py"
+        script.write_text(_STALL_SCRIPT)
+        pid_file = tmp_path / "worker.pid"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, str(script), str(pid_file)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        spent = time.monotonic() - started
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["RunFailure", "True"]
+        # The hung cell sleeps 60 s: exiting well before that means its
+        # worker was terminated rather than waited for.
+        assert spent < 20.0
+        left = survivors([int(pid_file.read_text())], within=5.0)
+        for pid in left:  # do not leak it into the rest of the run
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
 
 
 class TestDiagnosticsCapture:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,48 @@ def solar_source():
 def small_storage():
     """A small ideal storage starting full."""
     return IdealStorage(capacity=100.0)
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Every process pool the salvage runner creates, in creation order."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    import repro.analysis.parallel as parallel
+
+    created = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", SpyPool)
+    return created
+
+
+def process_state(pid: int):
+    """The ``/proc`` state letter of ``pid`` (``None`` once it is gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+@pytest.fixture
+def survivors():
+    """``survivors(pids, within)``: the PIDs still running after waiting
+    up to ``within`` seconds for them to go (zombies count as gone)."""
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("needs /proc")
+
+    def wait(pids, within=5.0):
+        deadline = time.monotonic() + within
+        while True:
+            alive = [p for p in pids if process_state(p) not in (None, "Z")]
+            if not alive or time.monotonic() >= deadline:
+                return alive
+            time.sleep(0.05)
+
+    return wait

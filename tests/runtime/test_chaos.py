@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,6 @@ SWEEP_ARGS = [
     "--capacities", "50",
     "--seeds", "3",
     "--horizon", "200",
-    "--workers", "1",
 ]
 
 #: (1-based armed append, kill mode): the three seeded interruption
@@ -50,8 +50,10 @@ def run_cli(args, check=True):
     return proc
 
 
-def sweep(journal, extra=()):
-    return run_cli([*SWEEP_ARGS, "--journal", str(journal), *extra])
+def sweep(journal, workers, extra=()):
+    return run_cli(
+        [*SWEEP_ARGS, "--workers", workers, "--journal", str(journal), *extra]
+    )
 
 
 def export(journal, out):
@@ -59,11 +61,29 @@ def export(journal, out):
     return Path(out).read_bytes()
 
 
+def children(pid):
+    """PIDs whose parent is ``pid``, from a scan of ``/proc``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry.name))
+    return found
+
+
 @pytest.mark.slow
 class TestKillAndResume:
+    #: ``--workers`` of every sweep: serial and in-process.
+    workers = "1"
+
     def test_resume_is_bit_identical_at_every_kill_point(self, tmp_path):
         clean = tmp_path / "clean.journal"
-        sweep(clean)
+        sweep(clean, self.workers)
         reference = export(clean, tmp_path / "clean.json")
         assert reference  # non-empty canonical export
 
@@ -72,6 +92,7 @@ class TestKillAndResume:
             proc = run_cli(
                 [
                     *SWEEP_ARGS,
+                    "--workers", self.workers,
                     "--journal", str(journal),
                     "--chaos-kill-record", str(record),
                     "--chaos-kill-mode", mode,
@@ -92,7 +113,7 @@ class TestKillAndResume:
 
             # Resume: only the missing cells run, then exports match
             # the uninterrupted reference byte for byte.
-            resumed = sweep(journal)
+            resumed = sweep(journal, self.workers)
             assert f"journal: {durable} hit(s)" in resumed.stdout
             assert export(journal, tmp_path / f"{record}-{mode}.json") == reference
 
@@ -103,6 +124,7 @@ class TestKillAndResume:
             proc = run_cli(
                 [
                     *SWEEP_ARGS,
+                    "--workers", self.workers,
                     "--journal", str(journal),
                     "--chaos-kill-record", str(record),
                     "--chaos-kill-mode", mode,
@@ -110,12 +132,56 @@ class TestKillAndResume:
                 check=False,
             )
             assert proc.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL)
-        sweep(journal)
+        sweep(journal, self.workers)
         clean = tmp_path / "clean.journal"
-        sweep(clean)
+        sweep(clean, self.workers)
         assert export(journal, tmp_path / "a.json") == export(
             clean, tmp_path / "b.json"
         )
+
+
+class TestKillAndResumePooled(TestKillAndResume):
+    """The same kill points on a pool of two workers, where records land
+    in completion order rather than input order."""
+
+    workers = "2"
+
+
+@pytest.mark.slow
+class TestPoolWorkersDieWithParent:
+    def test_sigkilled_sweep_leaves_no_worker_behind(self, tmp_path, survivors):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO_SRC
+        env.pop("REPRO_JOURNAL", None)
+        journal = tmp_path / "big.journal"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "sweep",
+                "--workers", "2", "--seeds", "40", "--horizon", "2000",
+                "--journal", str(journal),
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        try:
+            # Mid-run: both workers are up and a record has landed.
+            deadline = time.monotonic() + 60.0
+            workers = []
+            while time.monotonic() < deadline and proc.poll() is None:
+                workers = children(proc.pid)
+                landed = journal.exists() and journal.stat().st_size > 8
+                if len(workers) >= 2 and landed:  # more than the magic
+                    break
+                time.sleep(0.05)
+            assert len(workers) >= 2, "sweep never started its pool"
+        finally:
+            proc.kill()
+            proc.wait()
+        left = survivors(workers, within=5.0)
+        for pid in left:  # do not leak them into the rest of the run
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
 
 
 @pytest.mark.slow

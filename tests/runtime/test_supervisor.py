@@ -43,6 +43,15 @@ class SlowSetup(PaperSetup):
         return super().run(*args, **kwargs)
 
 
+@dataclass(frozen=True)
+class HangingSetup(PaperSetup):
+    """Never finishes within any test timeout."""
+
+    def run(self, *args, **kwargs):
+        time.sleep(30.0)
+        raise AssertionError("should have been cut off by the timeout")
+
+
 def specs_for(n, setup=FAST_SETUP, name="edf"):
     return [RunSpec(name, 0.4, 50.0, seed, setup=setup) for seed in range(n)]
 
@@ -105,6 +114,67 @@ class TestSupervisedNoJournal:
         assert report.budget_exhausted == "memory"
         assert report.executed == 0
         assert report.not_run == 2
+
+
+class TestPooledLifecycle:
+    """One worker pool per scalar sweep, journaled cell by cell."""
+
+    def test_one_pool_for_a_clean_sweep(self, tmp_path, pool_spy):
+        with ResultJournal(tmp_path / "j.journal") as journal:
+            report = run_supervised(specs_for(6), journal=journal, max_workers=2)
+            assert report.ok and report.executed == 6
+            assert len(journal) == 6
+        assert len(pool_spy) == 1
+
+    def test_no_pool_when_every_cell_is_a_journal_hit(self, tmp_path, pool_spy):
+        with ResultJournal(tmp_path / "j.journal") as journal:
+            run_supervised(specs_for(6), journal=journal, max_workers=2)
+            pool_spy.clear()
+            report = run_supervised(specs_for(6), journal=journal, max_workers=2)
+        assert (report.journal_hits, report.executed) == (6, 0)
+        assert pool_spy == []
+
+    def test_timeout_replaces_the_pool_once(self, tmp_path, pool_spy):
+        # One worker hangs; the other is still working through the slow
+        # healthy cells when the hung one times out, so the rest launch
+        # on exactly one replacement pool.
+        healthy = specs_for(16, setup=SlowSetup(horizon=200.0))
+        specs = specs_for(1, setup=HangingSetup()) + healthy
+        policy = SupervisorPolicy(timeout=0.5, retries=0)
+        with ResultJournal(tmp_path / "j.journal") as journal:
+            report = run_supervised(
+                specs, policy=policy, journal=journal, max_workers=2
+            )
+            assert len(journal) == 17  # the healthy siblings and the failure
+        assert len(pool_spy) == 2
+        failure = report.outcomes[0]
+        assert isinstance(failure, RunFailure) and failure.timed_out
+        assert (report.failed, report.completed) == (1, 16)
+
+    def test_pooled_wall_clock_budget(self, tmp_path, pool_spy):
+        specs = specs_for(20, setup=SlowSetup(horizon=200.0))
+        policy = SupervisorPolicy(max_wall_clock=0.3)
+        with ResultJournal(tmp_path / "j.journal") as journal:
+            first = run_supervised(
+                specs, policy=policy, journal=journal, max_workers=2
+            )
+            assert first.budget_exhausted == "wall-clock"
+            assert first.not_run > 0
+            assert first.executed + first.not_run == 20
+            # Every finished cell is durable; the rest were never run.
+            assert len(journal) == first.executed
+            assert sum(o is None for o in first.outcomes) == first.not_run
+            rerun = run_supervised(specs, journal=journal, max_workers=2)
+        assert rerun.ok
+        assert (rerun.journal_hits, rerun.executed) == (
+            first.executed, first.not_run
+        )
+        assert len(pool_spy) == 2  # one per sweep
+
+    def test_serial_by_default(self, pool_spy):
+        report = run_supervised(specs_for(3))
+        assert report.ok
+        assert pool_spy == []
 
 
 class TestSupervisedWithJournal:
