@@ -86,7 +86,7 @@ def test_batch_throughput(report, predictor):
 
     # -- live batch: the whole grid through the SoA core -----------------
     started = time.perf_counter()
-    batch_outcomes, fallback_reasons = execute_runspecs(specs, slim=True)
+    batch_outcomes, fallback_reasons = execute_runspecs(specs)
     batch_total = time.perf_counter() - started
     fallbacks = sum(fallback_reasons.values())
     assert fallbacks == 0, (

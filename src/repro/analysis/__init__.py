@@ -20,7 +20,6 @@ from repro.analysis.schedulability import (
 from repro.analysis.parallel import (
     RunFailure,
     RunSpec,
-    run_parallel,
     run_parallel_salvage,
 )
 from repro.analysis.stats import (
@@ -58,7 +57,6 @@ __all__ = [
     "min_energy_demand_rate",
     "miss_rate_by_task",
     "run_capacity_sweep",
-    "run_parallel",
     "run_parallel_salvage",
     "run_replications",
     "summarize",

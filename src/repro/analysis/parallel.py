@@ -2,25 +2,24 @@
 
 The figure/table experiments replicate each configuration across many
 seeded task sets; the runs are embarrassingly parallel.  This module
-fans them out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
+holds the one place any sweep cell runs on the scalar simulator:
 
 * :class:`RunSpec` — one picklable cell (setup + scheduler + capacity +
   seed);
-* :func:`run_parallel` — execute many specs, preserving input order;
-* :func:`parallel_miss_rates` — convenience wrapper returning pooled
-  miss rates per scheduler for one (utilization, capacity) cell.
+* :func:`run_parallel_salvage` — execute many specs, preserving input
+  order, serially in-process or on one long-lived process pool.
 
-Results are returned *slim* by default (job list and trace dropped)
-because shipping thousands of job objects through IPC costs more than
-the simulation itself for short runs.
+Results are always *slim* (job list dropped) because shipping thousands
+of job objects through IPC costs more than the simulation itself for
+short runs, and the sweeps only consume metrics and counters.
 
-For long fault-injection sweeps, :func:`run_parallel_salvage` adds crash
-tolerance on top: one long-lived pool streaming cells as they land,
-per-cell timeouts, bounded retries with exponential backoff, and salvage
-semantics — a cell that keeps failing becomes a :class:`RunFailure`
-record in the (order-preserving) result list instead of poisoning the
-whole sweep.  An optional callback hears each final outcome the moment
-it lands, which is how the supervisor journals cell by cell.
+The runner is crash tolerant: per-cell timeouts, bounded retries with
+exponential backoff, and salvage semantics — a cell that keeps failing
+becomes a :class:`RunFailure` record in the result list instead of
+poisoning the whole sweep.  An optional callback hears each final
+outcome the moment it lands, which is how the supervisor
+(:func:`repro.runtime.supervisor.run_supervised`, the entry point of
+every sweep) journals cell by cell.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Iterator,
@@ -49,16 +47,10 @@ import numpy as np
 from repro.experiments.common import PaperSetup
 from repro.sim.simulator import SimulationResult
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.sweep import CapacitySweepPoint
-
 __all__ = [
     "RunFailure",
     "RunSpec",
-    "parallel_capacity_sweep",
-    "parallel_miss_rates",
     "retry_delay",
-    "run_parallel",
     "run_parallel_salvage",
 ]
 
@@ -73,24 +65,6 @@ class RunSpec:
     seed: int
     setup: PaperSetup = PaperSetup()
     energy_sample_interval: Optional[float] = None
-
-
-def _slim(result: SimulationResult) -> SimulationResult:
-    """Strip bulky per-job/trace payloads before crossing the process
-    boundary (metrics and counters are all the sweeps consume)."""
-    return dataclasses.replace(result, jobs=())
-
-
-def _execute(args: tuple[RunSpec, bool]) -> SimulationResult:
-    spec, slim = args
-    result = spec.setup.run(
-        scheduler_name=spec.scheduler_name,
-        utilization=spec.utilization,
-        capacity=spec.capacity,
-        seed=spec.seed,
-        energy_sample_interval=spec.energy_sample_interval,
-    )
-    return _slim(result) if slim else result
 
 
 @dataclass(frozen=True)
@@ -122,32 +96,19 @@ def _capture_error(exc: BaseException) -> _WorkerError:
     )
 
 
-def _execute_captured(
-    args: tuple[RunSpec, bool]
-) -> Union[SimulationResult, _WorkerError]:
-    """Salvage-path twin of :func:`_execute`: errors return, never raise."""
+def _execute_captured(spec: RunSpec) -> Union[SimulationResult, _WorkerError]:
+    """Run one cell and slim its result; errors return, never raise."""
     try:
-        return _execute(args)
+        result = spec.setup.run(
+            scheduler_name=spec.scheduler_name,
+            utilization=spec.utilization,
+            capacity=spec.capacity,
+            seed=spec.seed,
+            energy_sample_interval=spec.energy_sample_interval,
+        )
     except Exception as exc:  # noqa: BLE001 - salvage semantics
         return _capture_error(exc)
-
-
-def run_parallel(
-    specs: Sequence[RunSpec],
-    max_workers: Optional[int] = None,
-    slim: bool = True,
-) -> list[SimulationResult]:
-    """Run all specs across worker processes; results in input order.
-
-    With ``max_workers=1`` (or a single spec) everything runs in-process,
-    which keeps tests and small sweeps free of pool overhead.
-    """
-    if not specs:
-        return []
-    if max_workers == 1 or len(specs) == 1:
-        return [_execute((spec, slim)) for spec in specs]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_execute, [(spec, slim) for spec in specs]))
+    return dataclasses.replace(result, jobs=())
 
 
 @dataclass(frozen=True)
@@ -285,12 +246,10 @@ class _CellPool:
         self,
         specs: Sequence[RunSpec],
         workers: int,
-        slim: bool,
         timeout: Optional[float],
     ) -> None:
         self._specs = specs
         self._workers = workers
-        self._slim = slim
         self._timeout = timeout
         self._pool: Optional[ProcessPoolExecutor] = None
         self._in_flight: dict[Future[Any], _Launch] = {}
@@ -325,9 +284,7 @@ class _CellPool:
             )
         future: Future[Any]
         try:
-            future = self._pool.submit(
-                _execute_captured, (self._specs[i], self._slim)
-            )
+            future = self._pool.submit(_execute_captured, self._specs[i])
         except BrokenProcessPool as exc:
             # A worker died since the last collect: this attempt is lost
             # with its siblings and lands as their failure does.
@@ -406,14 +363,13 @@ class _CellPool:
 def _serial_cells(
     specs: Sequence[RunSpec],
     order: Sequence[int],
-    slim: bool,
     launching: Callable[[], bool],
 ) -> Iterator[tuple[int, Outcome]]:
     """Run ``order`` in-process, one cell after another."""
     for i in order:
         if not launching():
             return
-        cell = _execute_captured((specs[i], slim))
+        cell = _execute_captured(specs[i])
         if isinstance(cell, _WorkerError):
             yield i, _failure_from_worker(specs[i], cell, attempts=0)
         else:
@@ -458,7 +414,6 @@ def _retry_order(pending: Sequence[int], round_no: int, seed: int) -> list[int]:
 def run_parallel_salvage(
     specs: Sequence[RunSpec],
     max_workers: Optional[int] = None,
-    slim: bool = True,
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 0.5,
@@ -466,7 +421,7 @@ def run_parallel_salvage(
     seed: int = 0,
     on_outcome: Optional[Callable[[int, Outcome], bool]] = None,
 ) -> list[Optional[Outcome]]:
-    """Crash-tolerant twin of :func:`run_parallel`.
+    """Run ``specs`` with salvage semantics; outcomes in input order.
 
     Every spec yields exactly one entry, in input order: its
     :class:`~repro.sim.SimulationResult` on success, or a
@@ -533,7 +488,7 @@ def run_parallel_salvage(
     cells = None
     if max_workers != 1 and n > 1:
         workers = min(n, max_workers or os.cpu_count() or 1)
-        cells = _CellPool(specs, workers, slim, timeout)
+        cells = _CellPool(specs, workers, timeout)
     pending = list(range(n))
     try:
         for round_no in range(1 + retries):
@@ -545,7 +500,7 @@ def run_parallel_salvage(
                     time.sleep(delay)
                 pending = _retry_order(pending, round_no, seed)
             landed = (
-                _serial_cells(specs, pending, slim, launching)
+                _serial_cells(specs, pending, launching)
                 if cells is None
                 else cells.stream(pending, launching)
             )
@@ -573,87 +528,3 @@ def run_parallel_salvage(
                 on_outcome(i, failure)
     return results
 
-
-def parallel_capacity_sweep(
-    scheduler_names: Sequence[str],
-    utilization: float,
-    capacities: Sequence[float],
-    seeds: Sequence[int],
-    setup: Optional[PaperSetup] = None,
-    max_workers: Optional[int] = None,
-) -> "list[CapacitySweepPoint]":
-    """Parallel twin of :func:`repro.analysis.sweep.run_capacity_sweep`.
-
-    Returns the same ``list[CapacitySweepPoint]`` structure (with slim
-    results inside), so the figure harness can switch transparently
-    between serial and parallel execution.
-    """
-    from repro.analysis.metrics import aggregate_results
-    from repro.analysis.sweep import CapacitySweepPoint, ReplicatedRun
-
-    setup = setup or PaperSetup()
-    specs = [
-        RunSpec(
-            scheduler_name=name,
-            utilization=utilization,
-            capacity=capacity,
-            seed=seed,
-            setup=setup,
-        )
-        for capacity in capacities
-        for name in scheduler_names
-        for seed in seeds
-    ]
-    results = run_parallel(specs, max_workers=max_workers)
-    points = []
-    index = 0
-    per_cell = len(seeds)
-    for capacity in capacities:
-        cell = {}
-        for name in scheduler_names:
-            chunk = tuple(results[index : index + per_cell])
-            index += per_cell
-            cell[name] = ReplicatedRun(
-                scheduler_name=name,
-                capacity=capacity,
-                results=chunk,
-                metrics=aggregate_results(chunk),
-            )
-        points.append(CapacitySweepPoint(capacity=capacity, by_scheduler=cell))
-    return points
-
-
-def parallel_miss_rates(
-    scheduler_names: Sequence[str],
-    utilization: float,
-    capacity: float,
-    seeds: Sequence[int],
-    setup: Optional[PaperSetup] = None,
-    max_workers: Optional[int] = None,
-) -> dict[str, float]:
-    """Pooled miss rate per scheduler for one configuration cell.
-
-    All schedulers share the same seeds (paired comparison), and all
-    (scheduler, seed) runs go through one process pool.
-    """
-    setup = setup or PaperSetup()
-    specs = [
-        RunSpec(
-            scheduler_name=name,
-            utilization=utilization,
-            capacity=capacity,
-            seed=seed,
-            setup=setup,
-        )
-        for name in scheduler_names
-        for seed in seeds
-    ]
-    results = run_parallel(specs, max_workers=max_workers)
-    rates: dict[str, float] = {}
-    per_name = len(seeds)
-    for i, name in enumerate(scheduler_names):
-        chunk = results[i * per_name : (i + 1) * per_name]
-        missed = sum(r.missed_count for r in chunk)
-        judged = sum(r.judged_count for r in chunk)
-        rates[name] = missed / judged if judged else 0.0
-    return rates

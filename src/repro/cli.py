@@ -226,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--engine", default=None, choices=("scalar", "batch"),
         help="execution engine: scalar event simulator or the vectorized "
-        "batch core with scalar fallback (default: $REPRO_ENGINE or "
-        "scalar)",
+        "batch core; cells the core does not cover run afterwards on the "
+        "scalar workers with --timeout and --retries (default: "
+        "$REPRO_ENGINE or scalar)",
     )
     sweep.add_argument(
         "--predictor", default="profile", choices=_PREDICTOR_CHOICES,

@@ -71,9 +71,11 @@ def replications(base: int) -> int:
 def workers() -> int:
     """Worker-process count for the heavy sweeps (``REPRO_WORKERS``).
 
-    Defaults to 1 (serial).  Values above 1 route the figure/table
-    sweeps through :mod:`repro.analysis.parallel`; useful together with
-    large ``REPRO_SCALE`` settings.
+    Defaults to 1 (serial and in-process).  The figure/table sweeps pass
+    it to :func:`repro.runtime.supervisor.run_supervised` as the size of
+    the scalar worker pool (batch-engine sweeps use it for their
+    fallback cells); useful together with large ``REPRO_SCALE``
+    settings.
     """
     raw = os.environ.get("REPRO_WORKERS", "1")
     try:

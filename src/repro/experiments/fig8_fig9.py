@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.sweep import CapacitySweepPoint, run_capacity_sweep
+from repro.analysis.sweep import CapacitySweepPoint
 from repro.experiments.common import PaperSetup, replications, workers
 from repro.plotting import ascii_plot
 
@@ -116,10 +116,13 @@ def run_miss_rate_sweep(
     ``"batch"``); ``None`` reads ``$REPRO_ENGINE`` and defaults to
     ``"batch"`` — the vectorized engine covers every predictor kind, so
     the flagship figures take the fast path end-to-end (set
-    ``REPRO_ENGINE=scalar`` to force the scalar event loop).  The batch
-    engine runs through the journaled sweep path (with or without a
-    journal).
+    ``REPRO_ENGINE=scalar`` to force the scalar event loop).  Either
+    way the grid is one supervised sweep: it checkpoints through
+    ``$REPRO_JOURNAL`` when set and runs scalar cells on
+    ``$REPRO_WORKERS`` processes.
     """
+    from repro.runtime.sweep import engine_from_env, journaled_capacity_sweep
+
     setup = setup or PaperSetup()
     if reference_capacity is None:
         try:
@@ -131,48 +134,15 @@ def run_miss_rate_sweep(
             ) from None
     if n_sets is None:
         n_sets = replications(6)
-    capacities = [f * reference_capacity for f in fractions]
-    n_workers = workers()
-    import os
-
-    from repro.runtime.sweep import JOURNAL_ENV, engine_from_env
-
-    if engine is None:
-        engine = engine_from_env(default="batch")
-    if engine == "batch" or os.environ.get(JOURNAL_ENV):
-        # Resumable path: every cell checkpoints through $REPRO_JOURNAL,
-        # so a killed sweep reruns only what is missing.  The batch
-        # engine also routes through here — the supervisor is where the
-        # engine switch lives.
-        from repro.runtime.sweep import journaled_capacity_sweep
-
-        points = journaled_capacity_sweep(
-            scheduler_names=_SCHEDULERS,
-            utilization=utilization,
-            capacities=capacities,
-            seeds=range(n_sets),
-            setup=setup,
-            max_workers=n_workers,
-            engine=engine,
-        )
-    elif n_workers > 1:
-        from repro.analysis.parallel import parallel_capacity_sweep
-
-        points = parallel_capacity_sweep(
-            scheduler_names=_SCHEDULERS,
-            utilization=utilization,
-            capacities=capacities,
-            seeds=range(n_sets),
-            setup=setup,
-            max_workers=n_workers,
-        )
-    else:
-        points = run_capacity_sweep(
-            setup.factory(utilization),
-            scheduler_names=_SCHEDULERS,
-            capacities=capacities,
-            seeds=range(n_sets),
-        )
+    points = journaled_capacity_sweep(
+        scheduler_names=_SCHEDULERS,
+        utilization=utilization,
+        capacities=[f * reference_capacity for f in fractions],
+        seeds=range(n_sets),
+        setup=setup,
+        max_workers=workers(),
+        engine=engine or engine_from_env(default="batch"),
+    )
     return MissRateResult(
         figure=figure,
         utilization=utilization,

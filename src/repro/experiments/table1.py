@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.capacity import CapacitySearchResult, find_min_capacity
-from repro.analysis.sweep import run_replications
 from repro.experiments.common import PaperSetup, replications, workers
 
 __all__ = ["Table1Row", "Table1Result", "run_table1", "PAPER_TABLE1_RATIOS"]
@@ -78,8 +77,10 @@ def run_table1(
 ) -> Table1Result:
     """Search the minimum zero-miss capacity per scheduler and utilization.
 
-    When ``$REPRO_JOURNAL`` names a journal file, every capacity probe
-    checkpoints through it: the search sequence is deterministic, so a
+    Every capacity probe is one supervised sweep
+    (:func:`~repro.runtime.sweep.journaled_miss_rates`; ``$REPRO_ENGINE``
+    and ``$REPRO_WORKERS`` apply).  When ``$REPRO_JOURNAL`` names a
+    journal file, every probe checkpoints through it: the search sequence is deterministic, so a
     killed run replayed against the same journal answers the already
     probed capacities from disk and resumes the bisection where it died.
     """
@@ -94,34 +95,19 @@ def run_table1(
     rows = []
     try:
         for utilization in utilizations:
-            factory = setup.factory(utilization)
             searches = {}
             for name in _SCHEDULERS:
 
                 def miss_fn(capacity: float, _name: str = name) -> float:
-                    if journal is not None:
-                        return journaled_miss_rates(
-                            scheduler_names=(_name,),
-                            utilization=utilization,
-                            capacity=capacity,
-                            seeds=seeds,
-                            setup=setup,
-                            journal=journal,
-                            max_workers=n_workers,
-                        )[_name]
-                    if n_workers > 1:
-                        from repro.analysis.parallel import parallel_miss_rates
-
-                        return parallel_miss_rates(
-                            scheduler_names=(_name,),
-                            utilization=utilization,
-                            capacity=capacity,
-                            seeds=seeds,
-                            setup=setup,
-                            max_workers=n_workers,
-                        )[_name]
-                    run = run_replications(factory, _name, capacity, seeds)
-                    return run.metrics.pooled_miss_rate
+                    return journaled_miss_rates(
+                        scheduler_names=(_name,),
+                        utilization=utilization,
+                        capacity=capacity,
+                        seeds=seeds,
+                        setup=setup,
+                        journal=journal,
+                        max_workers=n_workers,
+                    )[_name]
 
                 searches[name] = find_min_capacity(
                     miss_fn,

@@ -10,9 +10,13 @@ package makes those sweeps survive crashes, kills and budget limits:
 * :mod:`repro.runtime.supervisor` — a **worker supervisor** layering
   checkpoint/resume, deterministic seeded retry backoff, poisoned-task
   quarantine and wall-clock/memory budgets over
-  :func:`repro.analysis.parallel.run_parallel_salvage`;
-* :mod:`repro.runtime.sweep` — journal-aware twins of the parallel
-  sweep helpers, plus the ``$REPRO_JOURNAL`` wiring that makes the
+  :func:`repro.analysis.parallel.run_parallel_salvage`.
+  :func:`~repro.runtime.supervisor.run_supervised` is the one way a
+  ``RunSpec`` grid is executed, on either engine; batch-engine cells
+  the vectorized core leaves out run on the same scalar runner;
+* :mod:`repro.runtime.sweep` — the experiments' sweep calls
+  (capacity sweeps and per-scheduler miss rates), plus the
+  ``$REPRO_JOURNAL`` / ``$REPRO_ENGINE`` wiring that makes the
   existing experiments resumable without code changes.
 
 The chaos harness exercising all of this lives in

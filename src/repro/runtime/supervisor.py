@@ -23,9 +23,14 @@ service loop:
   :class:`SweepReport` (``budget_exhausted`` set) instead of dying
   mid-sweep.
 
-On the scalar engine the whole pending grid is one
+Every cell that runs on the scalar simulator is part of one
 :func:`~repro.analysis.parallel.run_parallel_salvage` call on one
-worker pool; its ``on_outcome`` callback journals each cell.
+worker pool, whose ``on_outcome`` callback journals each cell: the
+whole pending grid on the scalar engine; on the batch engine, the cells
+the vectorized core leaves out (uncovered shapes, lane-build errors,
+core guard trips), run after the core's blocks.  Those fallback cells
+therefore get the same timeout, retries and quarantine as a scalar
+sweep.
 
 The supervisor is the journal's only writer; workers never touch disk.
 """
@@ -60,8 +65,8 @@ class SupervisorPolicy:
     """Retry, quarantine and budget discipline of one supervised sweep."""
 
     #: Per-cell wall-clock timeout, counted from the cell's launch
-    #: (pooled scalar runs only; see
-    #: :func:`~repro.analysis.parallel.run_parallel_salvage`).
+    #: (pooled scalar runs only, batch-engine fallback cells included;
+    #: see :func:`~repro.analysis.parallel.run_parallel_salvage`).
     timeout: Optional[float] = None
     #: Extra attempts per failing cell within one run.
     retries: int = 1
@@ -81,8 +86,8 @@ class SupervisorPolicy:
     #: MiB (best effort — measured via ``resource.getrusage``).
     max_rss_mb: Optional[float] = None
     #: Cells per batch-engine block (= its checkpoint granularity).
-    #: Default: the whole pending grid in one block.  The scalar engine
-    #: streams and checkpoints cell by cell, so it ignores this.
+    #: Default: the whole pending grid in one block.  Scalar cells
+    #: stream and checkpoint one by one, so they ignore this.
     batch_size: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -142,8 +147,9 @@ class SweepReport:
 
     @property
     def batch_fallbacks(self) -> int:
-        """Cells the batch engine handed back to the scalar path (uncovered
-        shapes or core guard trips); always 0 on the scalar engine."""
+        """Cells the batch core left to the scalar runner (uncovered
+        shapes, lane-build errors or core guard trips); always 0 on the
+        scalar engine."""
         return sum(self.fallback_reasons.values())
 
     @property
@@ -250,7 +256,6 @@ def run_supervised(
     policy: SupervisorPolicy = SupervisorPolicy(),
     journal: Optional[ResultJournal] = None,
     max_workers: Optional[int] = None,
-    slim: bool = True,
     engine: str = "scalar",
 ) -> SweepReport:
     """Run ``specs`` under supervision; see the module docstring.
@@ -262,8 +267,9 @@ def run_supervised(
     means one worker: serial and in-process.
 
     ``engine="batch"`` routes each block through the vectorized SoA core
-    (:func:`repro.sim.batch.execute_runspecs`); cells the core does not
-    cover run scalar and are tallied in ``SweepReport.batch_fallbacks``.
+    (:func:`repro.sim.batch.execute_runspecs`); the cells the core
+    leaves out run afterwards on the scalar runner, like every cell of
+    a scalar sweep, and are tallied in ``SweepReport.fallback_reasons``.
     Results are equivalent either way (the differential equivalence
     suite enforces it), so journal entries mix freely across engines.
     """
@@ -313,6 +319,9 @@ def run_supervised(
                 journal.append_result(key, outcome)
 
     budget_exhausted: Optional[str] = None
+    # Cells for the scalar runner: every pending cell on the scalar
+    # engine, the cells the core leaves out on the batch engine.
+    scalar_cells = pending if engine == "scalar" else []
     if engine == "batch":
         # The vectorized engine amortizes per-pass dispatch over every
         # lane, so it wants the widest batch available.
@@ -324,23 +333,25 @@ def run_supervised(
             batch = pending[start:start + batch_size]
             from repro.sim.batch import execute_runspecs
 
-            batch_outcomes, batch_reasons = execute_runspecs(
-                [specs[i] for i in batch], slim=slim
-            )
-            for reason, count in batch_reasons.items():
+            results, reasons = execute_runspecs([specs[i] for i in batch])
+            for reason, count in reasons.items():
                 fallback_reasons[reason] = (
                     fallback_reasons.get(reason, 0) + count
                 )
-            for i, outcome in zip(batch, batch_outcomes):
-                record(i, outcome)
-    elif pending:
+            for i, result in zip(batch, results):
+                if result is None:
+                    scalar_cells.append(i)
+                else:
+                    record(i, result)
+
+    if scalar_cells and budget_exhausted is None:
         budget_exhausted = _exhausted_budget(policy, started)
-        left = len(pending)
+        left = len(scalar_cells)
 
         def settle(k: int, outcome: Outcome) -> bool:
             # Journals each cell as it lands; budgets gate the next launch.
             nonlocal budget_exhausted, left
-            record(pending[k], outcome)
+            record(scalar_cells[k], outcome)
             left -= 1
             if left:
                 budget_exhausted = _exhausted_budget(policy, started)
@@ -348,9 +359,8 @@ def run_supervised(
 
         if budget_exhausted is None:
             run_parallel_salvage(
-                [specs[i] for i in pending],
+                [specs[i] for i in scalar_cells],
                 max_workers=max_workers or 1,
-                slim=slim,
                 timeout=policy.timeout,
                 retries=policy.retries,
                 backoff=policy.backoff,

@@ -142,37 +142,23 @@ def journaled_miss_rates(
     max_workers: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> dict[str, float]:
-    """Journal-aware twin of
-    :func:`repro.analysis.parallel.parallel_miss_rates`."""
-    setup = setup or PaperSetup()
-    specs = [
-        RunSpec(
-            scheduler_name=name,
-            utilization=utilization,
-            capacity=capacity,
-            seed=seed,
-            setup=setup,
-        )
-        for name in scheduler_names
-        for seed in seeds
-    ]
-    report = run_journaled_sweep(
-        specs,
+    """Pooled miss rate per scheduler for one configuration cell.
+
+    A one-capacity :func:`journaled_capacity_sweep`: all schedulers
+    share the same seeds (paired comparison).
+    """
+    (point,) = journaled_capacity_sweep(
+        scheduler_names,
+        utilization=utilization,
+        capacities=(capacity,),
+        seeds=seeds,
+        setup=setup,
         journal=journal,
         policy=policy,
         max_workers=max_workers,
         engine=engine,
     )
-    _complete_results(report)
-    results = report.results()
-    rates: dict[str, float] = {}
-    per_name = len(seeds)
-    for i, name in enumerate(scheduler_names):
-        chunk = results[i * per_name : (i + 1) * per_name]
-        missed = sum(r.missed_count for r in chunk)
-        judged = sum(r.judged_count for r in chunk)
-        rates[name] = missed / judged if judged else 0.0
-    return rates
+    return {name: point.miss_rate(name) for name in scheduler_names}
 
 
 def journaled_capacity_sweep(
@@ -186,12 +172,13 @@ def journaled_capacity_sweep(
     max_workers: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> "list[CapacitySweepPoint]":
-    """Journal-aware twin of
-    :func:`repro.analysis.parallel.parallel_capacity_sweep`.
+    """Supervised capacity sweep; the experiments' one sweep call.
 
-    Returns the same ``list[CapacitySweepPoint]`` structure, so the
-    figure harness switches transparently between serial, pooled and
-    resumable execution.
+    Cells are capacity-major, then scheduler, then seed.  Returns the
+    ``list[CapacitySweepPoint]`` structure of
+    :func:`repro.analysis.sweep.run_capacity_sweep` (with slim results
+    inside).  Raises :class:`SweepFailedError` if any cell still fails
+    after the policy's retries.
     """
     from repro.analysis.metrics import aggregate_results
     from repro.analysis.sweep import CapacitySweepPoint, ReplicatedRun

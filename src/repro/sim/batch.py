@@ -27,10 +27,13 @@ constant / solar-stochastic / day-night sources (unfaulted), finite
 state lives in per-lane arrays, updated by the kernels in
 :mod:`repro.energy.vectorized`), both miss policies, zero switching
 overhead, no tracing/sampling.  Everything else (fault plans, infinite
-storage, custom schedulers, per-run energy sampling) falls back
-per-scenario to the scalar simulator; :class:`BatchRunner` counts those
-fallbacks so sweeps can report them (``SweepReport.batch_fallbacks`` /
-``SweepReport.fallback_reasons``).
+storage, custom schedulers, per-run energy sampling, setups that
+override ``PaperSetup.run``) is left out of the core: the front-ends
+return ``None`` for such cells with a histogram of the reasons, and the
+caller runs them on the scalar simulator.  This module never does —
+the supervisor routes sweep fallbacks to its scalar runner
+(``SweepReport.fallback_reasons``), ``repro verify --batch`` runs its
+own.
 """
 
 # repro: float-doctrine -- the RPR4xx bit-exactness rules apply here.
@@ -40,7 +43,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 import numpy as np
 
@@ -66,6 +77,7 @@ from repro.energy.vectorized import (
     batch_profile_predict,
     batch_span_predict,
 )
+from repro.experiments.common import PaperSetup
 from repro.sched.registry import make_scheduler
 from repro.sched.vectorized import (
     SCHEDULER_KINDS,
@@ -82,12 +94,10 @@ from repro.tasks.task import PeriodicTask, TaskSet
 from repro.timeutils import EPSILON, INFINITY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.parallel import RunFailure, RunSpec
+    from repro.analysis.parallel import RunSpec
     from repro.verify.scenarios import ScenarioSpec
 
 __all__ = [
-    "BatchOutcome",
-    "BatchRunner",
     "UncoveredScenarioError",
     "run_scenario_batch",
     "execute_runspecs",
@@ -98,6 +108,10 @@ __all__ = [
 
 class UncoveredScenarioError(Exception):
     """The batch core does not cover this scenario shape (use scalar)."""
+
+
+#: One front-end input: a ``RunSpec`` or a ``ScenarioSpec``.
+_Cell = TypeVar("_Cell")
 
 
 # -- source parameterization ----------------------------------------------
@@ -1425,12 +1439,14 @@ def scenario_fallback_reason(
 def runspec_fallback_reason(spec: "RunSpec") -> Optional[str]:
     """Why this sweep cell needs the scalar engine, or None.
 
-    All four predictor kinds are vectorized; an unknown kind raises at
-    lane build (exactly where the scalar ``PaperSetup.predictor`` would)
-    and is journaled as a cell failure, not a fallback.
+    All four predictor kinds are vectorized.  A setup that overrides
+    ``PaperSetup.run`` (fault injection, chaos, test doubles) simulates
+    a world the lane builder cannot see, so it always falls back.
     """
     if spec.scheduler_name not in SCHEDULER_KINDS:
         return f"scheduler {spec.scheduler_name!r} not vectorized"
+    if type(spec.setup).run is not PaperSetup.run:
+        return f"setup {type(spec.setup).__name__} overrides run"
     if spec.energy_sample_interval is not None:
         return "energy sampling requested"
     if not math.isfinite(spec.capacity):
@@ -1441,113 +1457,73 @@ def runspec_fallback_reason(spec: "RunSpec") -> Optional[str]:
 # -- front-ends -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BatchOutcome:
-    """Results of one batch run, in input order, with fallback accounting.
+def _run_lanes(
+    cells: Sequence[_Cell],
+    fallback_reason: Callable[[_Cell], Optional[str]],
+    build_lane: Callable[[_Cell], _Lane],
+    include_jobs: bool,
+) -> tuple[list[Optional[SimulationResult]], dict[str, int]]:
+    """Run every coverable cell in one core; ``None`` marks the rest.
 
-    ``fallbacks`` counts entries that ran on the scalar engine (shape
-    not covered, or evicted from the core by an internal guard);
-    ``fallback_reasons`` histograms the reasons.
+    A cell is left out (and its reason counted) when the fallback probe
+    rejects it, when building its lane raises, or when a core guard
+    evicts it; the caller decides how to run it instead.
     """
+    results: list[Optional[SimulationResult]] = [None] * len(cells)
+    reasons: Counter[str] = Counter()
+    placed: list[int] = []
+    lanes: list[_Lane] = []
+    for i, cell in enumerate(cells):
+        reason = fallback_reason(cell)
+        if reason is None:
+            try:
+                lanes.append(build_lane(cell))
+                placed.append(i)
+                continue
+            except UncoveredScenarioError as exc:
+                reason = str(exc)
+            except Exception as exc:  # noqa: BLE001 - the scalar path reports it
+                reason = f"lane build raised {type(exc).__name__}"
+        reasons[reason] += 1
+    core = _BatchCore(lanes)
+    core.run()
+    for pos, i in enumerate(placed):
+        if core.errors[pos] is None:
+            results[i] = core.result(pos, include_jobs=include_jobs)
+        else:
+            reasons[f"batch core: {core.errors[pos]}"] += 1
+    return results, dict(reasons)
 
-    results: tuple[SimulationResult, ...]
-    fallbacks: int
-    fallback_reasons: dict[str, int]
 
+def run_scenario_batch(
+    specs: Sequence["ScenarioSpec"], scheduler_name: str
+) -> tuple[list[Optional[SimulationResult]], dict[str, int]]:
+    """Run every spec under ``scheduler_name`` in one core.
 
-class BatchRunner:
-    """Front-end routing work through the SoA core with scalar fallback.
-
-    The runner is stateless; it exists to give sweeps and experiments a
-    single object to hold (mirroring how they hold a ``PaperSetup``)
-    and to keep the fallback policy in one place.
+    Returns ``(results, fallback_reasons)`` in input order; a ``None``
+    result was not run on the core, and the caller runs it on the scalar
+    simulator (``spec.run(scheduler_name)``).
     """
+    return _run_lanes(
+        specs,
+        lambda spec: scenario_fallback_reason(spec, scheduler_name),
+        lambda spec: _scenario_lane(spec, scheduler_name),
+        include_jobs=True,
+    )
 
-    def run_scenarios(
-        self, specs: Sequence["ScenarioSpec"], scheduler_name: str
-    ) -> BatchOutcome:
-        """Run every spec under ``scheduler_name``; scalar where uncovered."""
-        n = len(specs)
-        results: list[Optional[SimulationResult]] = [None] * n
-        reasons: dict[str, int] = {}
-        batch_indices: list[int] = []
-        lanes: list[_Lane] = []
-        for i, spec in enumerate(specs):
-            reason = scenario_fallback_reason(spec, scheduler_name)
-            if reason is None:
-                try:
-                    lanes.append(_scenario_lane(spec, scheduler_name))
-                    batch_indices.append(i)
-                    continue
-                except UncoveredScenarioError as exc:
-                    reason = str(exc)
-            reasons[reason] = reasons.get(reason, 0) + 1
-            results[i] = spec.run(scheduler_name)
-        core = _BatchCore(lanes)
-        core.run()
-        for pos, i in enumerate(batch_indices):
-            if core.errors[pos] is None:
-                results[i] = core.result(pos)
-            else:
-                reason = f"batch core: {core.errors[pos]}"
-                reasons[reason] = reasons.get(reason, 0) + 1
-                results[i] = specs[i].run(scheduler_name)
-        final = tuple(r for r in results if r is not None)
-        assert len(final) == n
-        return BatchOutcome(
-            results=final,
-            fallbacks=sum(reasons.values()),
-            fallback_reasons=reasons,
-        )
 
-    def run_specs(
-        self, specs: Sequence["RunSpec"], slim: bool = True
-    ) -> tuple[list[Union[SimulationResult, "RunFailure"]], dict[str, int]]:
-        """Execute sweep cells; returns (outcomes, fallback histogram).
+def execute_runspecs(
+    specs: Sequence["RunSpec"],
+) -> tuple[list[Optional[SimulationResult]], dict[str, int]]:
+    """Run sweep cells in one core; slim results (``jobs=()``).
 
-        The scalar fallback (and any error, batch or scalar) is captured
-        as a :class:`~repro.analysis.parallel.RunFailure` so the
-        supervisor can journal it exactly like a pooled failure.
-        """
-        import dataclasses
-
-        n = len(specs)
-        outcomes: list[Optional[Union[SimulationResult, "RunFailure"]]] = (
-            [None] * n
-        )
-        reasons: dict[str, int] = {}
-        batch_indices: list[int] = []
-        lanes: list[_Lane] = []
-        for i, spec in enumerate(specs):
-            reason = runspec_fallback_reason(spec)
-            if reason is None:
-                try:
-                    lanes.append(_runspec_lane(spec, slim=slim))
-                    batch_indices.append(i)
-                    continue
-                except UncoveredScenarioError as exc:
-                    reason = str(exc)
-                except Exception as exc:  # setup error: report as failure
-                    outcomes[i] = _capture_failure(spec, exc)
-                    continue
-            reasons[reason] = reasons.get(reason, 0) + 1
-            outcomes[i] = _scalar_cell(spec)
-        core = _BatchCore(lanes)
-        core.run()
-        for pos, i in enumerate(batch_indices):
-            if core.errors[pos] is None:
-                outcomes[i] = core.result(pos, include_jobs=not slim)
-            else:
-                reason = f"batch core: {core.errors[pos]}"
-                reasons[reason] = reasons.get(reason, 0) + 1
-                outcomes[i] = _scalar_cell(specs[i])
-        final: list[Union[SimulationResult, "RunFailure"]] = []
-        for outcome in outcomes:
-            assert outcome is not None
-            if slim and isinstance(outcome, SimulationResult):
-                outcome = dataclasses.replace(outcome, jobs=())
-            final.append(outcome)
-        return final, reasons
+    Returns ``(results, fallback_reasons)`` in input order; a ``None``
+    result was not run on the core.  The supervisor hands those cells to
+    the scalar runner with the sweep's timeout, retries and journaling.
+    """
+    return _run_lanes(
+        specs, runspec_fallback_reason, _runspec_lane, include_jobs=False
+    )
 
 
 def _scenario_lane(spec: "ScenarioSpec", scheduler_name: str) -> _Lane:
@@ -1571,36 +1547,35 @@ def _scenario_lane(spec: "ScenarioSpec", scheduler_name: str) -> _Lane:
     )
 
 
-def _runspec_lane(spec: "RunSpec", slim: bool = True) -> _Lane:
+def _runspec_lane(spec: "RunSpec") -> _Lane:
     """A lane replaying PaperSetup.run's setup exactly (no aet sampling).
 
-    Slim lanes take the array-only job path for all-periodic sets —
-    no ``Job`` objects are created, which is the setup hot spot on big
-    sweeps; such lanes cannot serve ``result(include_jobs=True)``.
+    All-periodic sets take the array-only job path — no ``Job`` objects
+    are created, which is the setup hot spot on big sweeps; such lanes
+    cannot serve ``result(include_jobs=True)``.
     """
     setup = spec.setup
     taskset = setup.taskset(spec.seed, spec.utilization)
     source = setup.source(spec.seed)
-    if slim:
-        arrays = _periodic_job_arrays(taskset, setup.horizon)
-        if arrays is not None:
-            jrelease, jdeadline, jwork, jtask, task_names = arrays
-            return _assemble_lane(
-                scheduler_name=spec.scheduler_name,
-                scale=setup.scale(),
-                source=source,
-                storage=IdealStorage(capacity=spec.capacity),
-                predictor=setup.predictor(source),
-                horizon=setup.horizon,
-                miss_drop=True,
-                jrelease=jrelease,
-                jdeadline=jdeadline,
-                jwork=jwork,
-                jactual=jwork.copy(),  # rng=None: actual == WCET
-                jtask=jtask,
-                task_names=task_names,
-                jobs=None,
-            )
+    arrays = _periodic_job_arrays(taskset, setup.horizon)
+    if arrays is not None:
+        jrelease, jdeadline, jwork, jtask, task_names = arrays
+        return _assemble_lane(
+            scheduler_name=spec.scheduler_name,
+            scale=setup.scale(),
+            source=source,
+            storage=IdealStorage(capacity=spec.capacity),
+            predictor=setup.predictor(source),
+            horizon=setup.horizon,
+            miss_drop=True,
+            jrelease=jrelease,
+            jdeadline=jdeadline,
+            jwork=jwork,
+            jactual=jwork.copy(),  # rng=None: actual == WCET
+            jtask=jtask,
+            task_names=task_names,
+            jobs=None,
+        )
     return _build_lane(
         scheduler_name=spec.scheduler_name,
         scale=setup.scale(),
@@ -1679,52 +1654,3 @@ def _periodic_job_arrays(
         jtask[perm],
         task_names,
     )
-
-
-def _scalar_cell(
-    spec: "RunSpec",
-) -> Union[SimulationResult, "RunFailure"]:
-    """One scalar sweep cell, errors captured as a RunFailure."""
-    try:
-        return spec.setup.run(
-            spec.scheduler_name,
-            spec.utilization,
-            spec.capacity,
-            spec.seed,
-            spec.energy_sample_interval,
-        )
-    except Exception as exc:
-        return _capture_failure(spec, exc)
-
-
-def _capture_failure(spec: "RunSpec", exc: Exception) -> "RunFailure":
-    import traceback as tb
-
-    from repro.analysis.parallel import RunFailure
-
-    return RunFailure(
-        spec=spec,
-        error_type=type(exc).__name__,
-        message=str(exc),
-        attempts=1,
-        traceback="".join(
-            tb.format_exception(type(exc), exc, exc.__traceback__)
-        ),
-    )
-
-
-_DEFAULT_RUNNER = BatchRunner()
-
-
-def run_scenario_batch(
-    specs: Sequence["ScenarioSpec"], scheduler_name: str
-) -> BatchOutcome:
-    """Module-level shorthand for :meth:`BatchRunner.run_scenarios`."""
-    return _DEFAULT_RUNNER.run_scenarios(specs, scheduler_name)
-
-
-def execute_runspecs(
-    specs: Sequence["RunSpec"], slim: bool = True
-) -> tuple[list[Union[SimulationResult, "RunFailure"]], dict[str, int]]:
-    """Module-level shorthand for :meth:`BatchRunner.run_specs`."""
-    return _DEFAULT_RUNNER.run_specs(specs, slim=slim)

@@ -13,9 +13,9 @@ and once through the reference scalar simulator, and asserts:
   per-job timelines are compared at a documented ``1e-9`` absolute /
   relative tolerance (see ``docs/batch-simulation.md``; in practice the
   engines agree bit-for-bit, the tolerance only guards the contract);
-* **fallback plumbing** — cells the batch engine hands back to the
-  scalar path (faulted worlds, infinite storage) still round-trip
-  through the front-end and are tallied.
+* **fallback plumbing** — cells the batch front-end leaves out
+  (faulted worlds, infinite storage) are tallied, run here on the
+  scalar simulator and checked for determinism.
 
 The scenario pool draws every predictor kind (``oracle``, ``profile``,
 ``mean``, ``last-value``), all vectorized; the report counts scenarios
@@ -202,29 +202,28 @@ def run_batch_equivalence(
         report.predictor_kinds[spec.predictor_kind] = (
             report.predictor_kinds.get(spec.predictor_kind, 0) + 1
         )
-    from repro.sim.batch import scenario_fallback_reason
-
     total = n * len(BATCH_CHECKED_SCHEDULERS)
     done = 0
     for scheduler_name in BATCH_CHECKED_SCHEDULERS:
-        outcome = run_scenario_batch(specs, scheduler_name)
+        results, reasons = run_scenario_batch(specs, scheduler_name)
+        fallbacks = sum(reasons.values())
         report.simulations_run += len(specs)
-        report.fallback_cells += outcome.fallbacks
-        report.batch_cells += len(specs) - outcome.fallbacks
-        for reason, count in outcome.fallback_reasons.items():
+        report.fallback_cells += fallbacks
+        report.batch_cells += len(specs) - fallbacks
+        for reason, count in reasons.items():
             report.fallback_reasons[reason] = (
                 report.fallback_reasons.get(reason, 0) + count
             )
-        for spec, batch_result in zip(specs, outcome.results):
-            # The scalar reference run.  For fallback cells the batch
-            # front-end already ran scalar — the comparison then checks
-            # determinism of the fallback path rather than the core.
+        for spec, batch_result in zip(specs, results):
+            # A cell the core left out runs its scalar fallback here;
+            # the comparison then checks determinism of the fallback
+            # path rather than the core.
+            vectorized = batch_result is not None
+            if batch_result is None:
+                batch_result = spec.run(scheduler_name)
             scalar_result = spec.run(scheduler_name)
             report.simulations_run += 1
             report.checks_run += 1
-            vectorized = (
-                scenario_fallback_reason(spec, scheduler_name) is None
-            )
             for problem in compare_results(scalar_result, batch_result):
                 report.discrepancies.append(Discrepancy(
                     seed=spec.seed,

@@ -3,18 +3,18 @@
 The paired-comparison methodology of the experiments (and the verify
 tier's golden fixtures) rests on one property: the same
 :class:`~repro.analysis.parallel.RunSpec` produces byte-identical
-serialized results no matter *how* it is executed — serially in-process,
-through the :func:`run_parallel` pool, or through the crash-tolerant
-:func:`run_parallel_salvage` path.
+serialized results no matter *how* it is executed — directly through
+``PaperSetup.run``, serially in-process or on the worker pool of
+:func:`run_parallel_salvage`, or through the supervised sweep on either
+engine.
 """
+
+import dataclasses
 
 import pytest
 
-from repro.analysis.parallel import (
-    RunSpec,
-    run_parallel,
-    run_parallel_salvage,
-)
+from repro.analysis.parallel import RunSpec, run_parallel_salvage
+from repro.runtime import run_supervised
 from repro.experiments.common import PaperSetup
 from repro.serialization import canonical_json, result_to_dict
 
@@ -37,44 +37,51 @@ def _fingerprints(results):
     return [canonical_json(result_to_dict(result)) for result in results]
 
 
+def _direct(spec):
+    return _SETUP.run(
+        scheduler_name=spec.scheduler_name,
+        utilization=spec.utilization,
+        capacity=spec.capacity,
+        seed=spec.seed,
+    )
+
+
 class TestSeedDeterminism:
     def test_serial_path_is_repeatable(self):
-        first = _fingerprints(run_parallel(_SPECS, max_workers=1))
-        second = _fingerprints(run_parallel(_SPECS, max_workers=1))
+        first = _fingerprints(run_parallel_salvage(_SPECS, max_workers=1))
+        second = _fingerprints(run_parallel_salvage(_SPECS, max_workers=1))
         assert first == second
 
     @pytest.mark.slow
     def test_pool_matches_serial(self):
-        serial = _fingerprints(run_parallel(_SPECS, max_workers=1))
-        pooled = _fingerprints(run_parallel(_SPECS, max_workers=2))
+        serial = _fingerprints(run_parallel_salvage(_SPECS, max_workers=1))
+        pooled = _fingerprints(run_parallel_salvage(_SPECS, max_workers=2))
         assert pooled == serial
 
     def test_salvage_serial_matches_plain(self):
-        plain = _fingerprints(run_parallel(_SPECS, max_workers=1))
+        plain = _fingerprints(
+            dataclasses.replace(_direct(spec), jobs=()) for spec in _SPECS
+        )
         salvaged = run_parallel_salvage(_SPECS, max_workers=1)
         assert all(hasattr(r, "scheduler_name") for r in salvaged)
         assert _fingerprints(salvaged) == plain
 
     @pytest.mark.slow
     def test_salvage_pool_matches_serial(self):
-        serial = _fingerprints(run_parallel(_SPECS, max_workers=1))
+        serial = _fingerprints(run_parallel_salvage(_SPECS, max_workers=1))
         salvaged = run_parallel_salvage(_SPECS, max_workers=2, retries=1)
         assert _fingerprints(salvaged) == serial
 
     def test_distinct_seeds_differ(self):
         """Guards against a fingerprint that ignores the payload."""
-        prints = _fingerprints(run_parallel(_SPECS, max_workers=1))
+        prints = _fingerprints(run_parallel_salvage(_SPECS, max_workers=1))
         assert len(set(prints)) == len(prints)
 
     def test_direct_setup_run_matches_runspec_path(self):
         spec = _SPECS[0]
-        direct = _SETUP.run(
-            scheduler_name=spec.scheduler_name,
-            utilization=spec.utilization,
-            capacity=spec.capacity,
-            seed=spec.seed,
-        )
-        via_sweep = run_parallel([spec], slim=False)[0]
-        assert canonical_json(result_to_dict(direct)) == canonical_json(
-            result_to_dict(via_sweep)
-        )
+        direct = dataclasses.replace(_direct(spec), jobs=())
+        for engine in ("scalar", "batch"):
+            (via_sweep,) = run_supervised([spec], engine=engine).outcomes
+            assert canonical_json(result_to_dict(direct)) == canonical_json(
+                result_to_dict(via_sweep)
+            )

@@ -1,23 +1,35 @@
-"""Tests for the multi-process sweep driver."""
+"""Tests for the sweep entry points: the salvage runner and the
+supervised capacity-sweep / miss-rate helpers built on it."""
+
+import dataclasses
 
 import pytest
 
-from repro.analysis.parallel import RunSpec, parallel_miss_rates, run_parallel
+from repro.analysis.parallel import RunSpec, run_parallel_salvage
 from repro.experiments.common import PaperSetup
+from repro.runtime.sweep import journaled_capacity_sweep, journaled_miss_rates
+from repro.serialization import canonical_json, result_to_dict
 from repro.timeutils import time_eq
 
 FAST_SETUP = PaperSetup(horizon=400.0)
 
 
+@pytest.fixture(autouse=True)
+def _no_env_journal(monkeypatch):
+    monkeypatch.delenv("REPRO_JOURNAL", raising=False)
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+
+
 class TestRunParallel:
     def test_empty(self):
-        assert run_parallel([]) == []
+        assert run_parallel_salvage([]) == []
 
-    def test_single_spec_runs_inline(self):
+    def test_single_spec_runs_inline(self, pool_spy):
         spec = RunSpec("edf", 0.4, 50.0, 0, setup=FAST_SETUP)
-        (result,) = run_parallel([spec])
+        (result,) = run_parallel_salvage([spec], max_workers=2)
         assert result.scheduler_name == "edf"
         assert result.released_count > 0
+        assert pool_spy == []
 
     def test_order_preserved(self):
         specs = [
@@ -25,29 +37,30 @@ class TestRunParallel:
             RunSpec("lsa", 0.4, 50.0, 0, setup=FAST_SETUP),
             RunSpec("ea-dvfs", 0.4, 50.0, 0, setup=FAST_SETUP),
         ]
-        results = run_parallel(specs, max_workers=2)
+        results = run_parallel_salvage(specs, max_workers=2)
         assert [r.scheduler_name for r in results] == ["edf", "lsa", "ea-dvfs"]
 
     def test_matches_serial_execution(self):
         spec = RunSpec("lsa", 0.4, 60.0, 3, setup=FAST_SETUP)
-        serial = run_parallel([spec], max_workers=1)[0]
-        parallel = run_parallel([spec, spec], max_workers=2)[0]
+        serial = run_parallel_salvage([spec], max_workers=1)[0]
+        parallel = run_parallel_salvage([spec, spec], max_workers=2)[0]
         assert parallel.missed_count == serial.missed_count
         assert parallel.drawn_energy == pytest.approx(serial.drawn_energy)
 
     def test_slim_strips_jobs(self):
         spec = RunSpec("edf", 0.4, 50.0, 0, setup=FAST_SETUP)
-        slim = run_parallel([spec], slim=True)[0]
-        fat = run_parallel([spec], slim=False)[0]
+        (slim,) = run_parallel_salvage([spec])
+        direct = FAST_SETUP.run("edf", 0.4, 50.0, 0)
+        assert len(direct.jobs) == direct.released_count > 0
         assert slim.jobs == ()
-        assert len(fat.jobs) == fat.released_count
-        # Counters survive slimming.
-        assert slim.released_count == fat.released_count
+        # Counters and energies survive slimming unchanged.
+        assert canonical_json(result_to_dict(slim)) == canonical_json(
+            result_to_dict(dataclasses.replace(direct, jobs=()))
+        )
 
 
 class TestParallelCapacitySweep:
     def test_matches_serial_sweep(self):
-        from repro.analysis.parallel import parallel_capacity_sweep
         from repro.analysis.sweep import run_capacity_sweep
 
         serial = run_capacity_sweep(
@@ -56,7 +69,7 @@ class TestParallelCapacitySweep:
             capacities=(20.0, 80.0),
             seeds=range(2),
         )
-        parallel = parallel_capacity_sweep(
+        parallel = journaled_capacity_sweep(
             scheduler_names=("lsa", "ea-dvfs"),
             utilization=0.4,
             capacities=(20.0, 80.0),
@@ -93,7 +106,7 @@ class TestWorkersEnv:
 
 class TestParallelMissRates:
     def test_rates_per_scheduler(self):
-        rates = parallel_miss_rates(
+        rates = journaled_miss_rates(
             scheduler_names=("lsa", "ea-dvfs"),
             utilization=0.4,
             capacity=30.0,
@@ -112,6 +125,6 @@ class TestParallelMissRates:
             seeds=range(2),
             setup=FAST_SETUP,
         )
-        serial = parallel_miss_rates(max_workers=1, **kwargs)
-        parallel = parallel_miss_rates(max_workers=2, **kwargs)
+        serial = journaled_miss_rates(max_workers=1, **kwargs)
+        parallel = journaled_miss_rates(max_workers=2, **kwargs)
         assert parallel == serial

@@ -124,6 +124,25 @@ class TestFig8Fig9:
             curve = result.curve(name)
             assert curve[-1] <= curve[0] + 1e-9
 
+    @pytest.mark.parametrize("blackout", [False, True])
+    def test_engines_agree(self, blackout):
+        # Both engines run the one supervised sweep path; a faulted
+        # setup falls back to the scalar runner on the batch engine.
+        from repro.experiments.resilience import ResilienceSetup
+
+        setup = (
+            ResilienceSetup(horizon=1500.0, blackout=True)
+            if blackout else PaperSetup(horizon=1500.0)
+        )
+        kwargs = dict(
+            utilization=0.4, figure="Figure 8", setup=setup,
+            reference_capacity=200.0, fractions=(0.1, 0.5), n_sets=2,
+        )
+        scalar = run_miss_rate_sweep(engine="scalar", **kwargs)
+        batch = run_miss_rate_sweep(engine="batch", **kwargs)
+        for name in ("lsa", "ea-dvfs"):
+            assert list(batch.curve(name)) == list(scalar.curve(name))
+
     def test_unknown_utilization_needs_reference(self, fast_setup):
         with pytest.raises(ValueError, match="reference capacity"):
             run_miss_rate_sweep(

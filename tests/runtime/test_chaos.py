@@ -80,10 +80,12 @@ def children(pid):
 class TestKillAndResume:
     #: ``--workers`` of every sweep: serial and in-process.
     workers = "1"
+    #: Extra arguments of every sweep (the engine; default scalar).
+    engine_args: tuple = ()
 
     def test_resume_is_bit_identical_at_every_kill_point(self, tmp_path):
         clean = tmp_path / "clean.journal"
-        sweep(clean, self.workers)
+        sweep(clean, self.workers, self.engine_args)
         reference = export(clean, tmp_path / "clean.json")
         assert reference  # non-empty canonical export
 
@@ -93,6 +95,7 @@ class TestKillAndResume:
                 [
                     *SWEEP_ARGS,
                     "--workers", self.workers,
+                    *self.engine_args,
                     "--journal", str(journal),
                     "--chaos-kill-record", str(record),
                     "--chaos-kill-mode", mode,
@@ -113,7 +116,7 @@ class TestKillAndResume:
 
             # Resume: only the missing cells run, then exports match
             # the uninterrupted reference byte for byte.
-            resumed = sweep(journal, self.workers)
+            resumed = sweep(journal, self.workers, self.engine_args)
             assert f"journal: {durable} hit(s)" in resumed.stdout
             assert export(journal, tmp_path / f"{record}-{mode}.json") == reference
 
@@ -125,6 +128,7 @@ class TestKillAndResume:
                 [
                     *SWEEP_ARGS,
                     "--workers", self.workers,
+                    *self.engine_args,
                     "--journal", str(journal),
                     "--chaos-kill-record", str(record),
                     "--chaos-kill-mode", mode,
@@ -132,9 +136,9 @@ class TestKillAndResume:
                 check=False,
             )
             assert proc.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL)
-        sweep(journal, self.workers)
+        sweep(journal, self.workers, self.engine_args)
         clean = tmp_path / "clean.journal"
-        sweep(clean, self.workers)
+        sweep(clean, self.workers, self.engine_args)
         assert export(journal, tmp_path / "a.json") == export(
             clean, tmp_path / "b.json"
         )
@@ -145,6 +149,13 @@ class TestKillAndResumePooled(TestKillAndResume):
     in completion order rather than input order."""
 
     workers = "2"
+
+
+class TestKillAndResumeBatch(TestKillAndResume):
+    """The same kill points on the batch engine, which journals a whole
+    block of cells after the vectorized core returns."""
+
+    engine_args = ("--engine", "batch")
 
 
 @pytest.mark.slow

@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.parallel import RunFailure, RunSpec
 from repro.experiments.common import PaperSetup
+from repro.experiments.resilience import ResilienceSetup
 from repro.faults.chaos import FlakySetup
 from repro.runtime.journal import ResultJournal, journal_key, result_to_payload
 from repro.runtime.supervisor import (
@@ -175,6 +176,91 @@ class TestPooledLifecycle:
         report = run_supervised(specs_for(3))
         assert report.ok
         assert pool_spy == []
+
+
+class TestBatchFallbackRouting:
+    """Batch-engine cells the core leaves out run on the scalar runner,
+    with the sweep's timeout, retries, quarantine and journaling."""
+
+    @pytest.mark.parametrize(
+        "faults", [{"blackout": True}, {"overrun": True}],
+        ids=["blackout", "overrun"],
+    )
+    def test_run_overriding_setups_fall_back(self, faults):
+        # Regression: the batch lane builder rebuilt these cells from
+        # the nominal task set and source, so their faults never fired.
+        setup = ResilienceSetup(horizon=400.0, **faults)
+        specs = [RunSpec("lsa", 0.6, 30.0, seed, setup) for seed in range(3)]
+        scalar = run_supervised(specs, engine="scalar")
+        batch = run_supervised(specs, engine="batch")
+        assert batch.fallback_reasons == {
+            "setup ResilienceSetup overrides run": 3
+        }
+        assert [result_to_payload(r) for r in batch.results()] == [
+            result_to_payload(r) for r in scalar.results()
+        ]
+        assert len(batch.results()) == 3
+
+    def test_hanging_fallback_times_out(self, tmp_path, pool_spy):
+        covered = specs_for(3, name="lsa")
+        sampled = dataclasses.replace(covered[0], energy_sample_interval=10.0)
+        specs = covered + specs_for(1, setup=HangingSetup()) + [sampled]
+        policy = SupervisorPolicy(timeout=0.5, retries=0)
+        started = time.monotonic()
+        with ResultJournal(tmp_path / "j.journal") as journal:
+            report = run_supervised(
+                specs, policy=policy, journal=journal, max_workers=2,
+                engine="batch",
+            )
+            assert len(journal) == 5
+            record = journal.get(journal_key(specs[3]))
+        assert time.monotonic() - started < 20.0
+        assert record["kind"] == "failure"
+        assert record["payload"]["timed_out"] is True
+        # Only the hanging and the sampled cell left the core.
+        assert report.fallback_reasons == {
+            "setup HangingSetup overrides run": 1,
+            "energy sampling requested": 1,
+        }
+        failure = report.outcomes[3]
+        assert isinstance(failure, RunFailure) and failure.timed_out
+        assert (report.failed, report.completed) == (1, 4)
+        assert len(pool_spy) == 1
+
+    def test_lane_build_error_falls_back_with_retries(self):
+        # The lane builder raises for an unknown predictor kind; the cell
+        # falls back and fails on the scalar runner exactly as it does on
+        # the scalar engine, retries included.
+        specs = specs_for(1, setup=PaperSetup(predictor_kind="bogus"))
+        policy = SupervisorPolicy(retries=1, backoff=0.0)
+        scalar = run_supervised(specs, policy=policy)
+        batch = run_supervised(specs, policy=policy, engine="batch")
+        assert batch.fallback_reasons == {"lane build raised ValueError": 1}
+        (want,), (got,) = scalar.failures(), batch.failures()
+        assert got.attempts == want.attempts == 2
+        assert (got.error_type, got.message) == (want.error_type, want.message)
+
+    def test_raising_fallback_journaled_like_scalar(self, tmp_path):
+        specs = specs_for(1, name="lsa") + specs_for(1, setup=RaisingSetup())
+        policy = SupervisorPolicy(retries=1, backoff=0.0, quarantine_after=3)
+        journals = {
+            engine: ResultJournal(tmp_path / f"{engine}.journal")
+            for engine in ("scalar", "batch")
+        }
+        try:
+            for expected in ((2, False), (4, True)):
+                records = {}
+                for engine, journal in journals.items():
+                    report = run_supervised(
+                        specs, policy=policy, journal=journal, engine=engine
+                    )
+                    failure = report.outcomes[1]
+                    assert (failure.attempts, failure.quarantined) == expected
+                    records[engine] = journal.get(journal_key(specs[1]))
+                assert records["batch"] == records["scalar"]
+        finally:
+            for journal in journals.values():
+                journal.close()
 
 
 class TestSupervisedWithJournal:

@@ -66,7 +66,7 @@ def _grid(setup=ORACLE_SETUP, seeds=2, capacities=(40.0, 150.0)):
 class TestTier1Smoke:
     def test_batch_agrees_with_scalar_on_tiny_sweep(self):
         specs = _grid()
-        outcomes, reasons = execute_runspecs(specs, slim=True)
+        outcomes, reasons = execute_runspecs(specs)
         assert reasons == {}
         for spec, batch_result in zip(specs, outcomes):
             assert isinstance(batch_result, SimulationResult)
@@ -85,7 +85,7 @@ class TestTier1Smoke:
         # counters (1e-9 on energies).
         setup = PaperSetup(horizon=400.0, predictor_kind=kind)
         specs = _grid(setup=setup, seeds=1)
-        outcomes, reasons = execute_runspecs(specs, slim=True)
+        outcomes, reasons = execute_runspecs(specs)
         assert reasons == {}
         for spec, batch_result in zip(specs, outcomes):
             assert isinstance(batch_result, SimulationResult)
@@ -112,9 +112,8 @@ class TestTier1Smoke:
             predictor_kind="oracle",
             horizon=200.0,
         )
-        outcome = run_scenario_batch([spec], "ea-dvfs")
-        assert outcome.fallbacks == 0
-        batch_result = outcome.results[0]
+        (batch_result,), reasons = run_scenario_batch([spec], "ea-dvfs")
+        assert reasons == {}
         scalar = spec.run("ea-dvfs")
         assert scalar.missed_count > 0
         assert compare_results(scalar, batch_result) == []
@@ -156,9 +155,9 @@ class TestEventDrain:
     ):
         specs = [self._world(n_tasks, miss_policy, seed) for seed in range(3)]
         for scheduler in ("edf", "lsa", "ea-dvfs"):
-            outcome = run_scenario_batch(specs, scheduler)
-            assert outcome.fallbacks == 0
-            for spec, batch_result in zip(specs, outcome.results):
+            results, reasons = run_scenario_batch(specs, scheduler)
+            assert reasons == {}
+            for spec, batch_result in zip(specs, results):
                 scalar = spec.run(scheduler)
                 assert scalar.missed_count > 1
                 assert result_to_payload(batch_result) == result_to_payload(
@@ -231,14 +230,16 @@ class TestFallbackRouting:
     def test_mixed_batch_counts_fallbacks(self):
         covered = _grid(seeds=1)[0]
         sampled = dataclasses.replace(covered, energy_sample_interval=10.0)
-        outcomes, reasons = execute_runspecs([covered, sampled], slim=True)
+        outcomes, reasons = execute_runspecs([covered, sampled])
         assert len(outcomes) == 2
-        assert all(isinstance(o, SimulationResult) for o in outcomes)
-        assert sum(reasons.values()) == 1
-        assert any("sampling" in reason for reason in reasons)
+        # The covered cell comes from the core; the sampled one is left
+        # out (None) for the caller's scalar runner.
+        assert isinstance(outcomes[0], SimulationResult)
+        assert outcomes[1] is None
+        assert reasons == {"energy sampling requested": 1}
 
     def test_empty_batch(self):
-        outcomes, reasons = execute_runspecs([], slim=True)
+        outcomes, reasons = execute_runspecs([])
         assert outcomes == []
         assert reasons == {}
 
@@ -257,7 +258,7 @@ class TestFallbackRouting:
         )
 
     def test_slim_lane_refuses_job_results(self):
-        lane = _runspec_lane(_grid(seeds=1)[0], slim=True)
+        lane = _runspec_lane(_grid(seeds=1)[0])
         assert lane.jobs is None  # the array-only fast path was taken
         core = _BatchCore([lane])
         core.run()
@@ -347,6 +348,22 @@ class TestSupervisorEngine:
         monkeypatch.setenv(ENGINE_ENV, "warp")
         with pytest.raises(ValueError, match=ENGINE_ENV):
             engine_from_env()
+
+    def test_fallback_cells_still_get_results(self):
+        # The supervisor runs the cells the core leaves out on its
+        # scalar runner: every cell gets a result, equal to the scalar
+        # engine's, and the fallback is counted.
+        covered = _grid(seeds=1)[0]
+        sampled = dataclasses.replace(
+            covered, energy_sample_interval=10.0
+        )
+        scalar = run_supervised([covered, sampled])
+        batch = run_supervised([covered, sampled], engine="batch")
+        assert batch.ok
+        assert batch.fallback_reasons == {"energy sampling requested": 1}
+        for want, got in zip(scalar.outcomes, batch.outcomes):
+            assert isinstance(got, SimulationResult)
+            assert result_to_payload(got) == result_to_payload(want)
 
     def test_resume_does_not_recount_fallbacks(self, tmp_path):
         # Satellite regression: fallback tallies count only cells
