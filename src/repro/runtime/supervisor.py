@@ -9,7 +9,8 @@ service loop:
   skipped (results always; failures only once quarantined), and every
   fresh outcome is durably appended the moment its cell lands, so
   ``kill -9`` at any point loses at most the ≤ ``workers`` cells in
-  flight (a whole block of cells on the batch engine);
+  flight (on the batch engine, the lanes still running: each cell
+  lands when its lane reaches the horizon);
 * **bounded retries** with seeded exponential backoff + jitter
   (:func:`repro.analysis.parallel.retry_delay` — the whole retry
   schedule is a pure function of the policy seed, no wall-clock RNG);
@@ -17,20 +18,23 @@ service loop:
   retries *and resumes* stops being retried once its cumulative attempt
   count reaches ``quarantine_after``;
 * **graceful degradation** — wall-clock and memory budgets are checked
-  before every launch (before every block on the batch engine);
-  exceeding one stops launching, lets the cells in flight land, flushes
-  everything finished so far and returns a structured
-  :class:`SweepReport` (``budget_exhausted`` set) instead of dying
-  mid-sweep.
+  before the sweep and after every landing; exceeding one stops the
+  runner (the scalar pool lets the cells in flight land, the batch
+  core drops its unfinished lanes and no fallback is launched), and the
+  supervisor returns a structured :class:`SweepReport`
+  (``budget_exhausted`` set) instead of dying mid-sweep.
 
-Every cell that runs on the scalar simulator is part of one
-:func:`~repro.analysis.parallel.run_parallel_salvage` call on one
-worker pool, whose ``on_outcome`` callback journals each cell: the
-whole pending grid on the scalar engine; on the batch engine, the cells
-the vectorized core leaves out (uncovered shapes, lane-build errors,
-core guard trips), run after the core's blocks.  Those fallback cells
-therefore get the same timeout, retries and quarantine as a scalar
-sweep.
+One landing callback journals each outcome and then checks the
+budgets, for both runners: :func:`repro.sim.batch.execute_runspecs`
+calls it as each vectorized lane finishes, and
+:func:`~repro.analysis.parallel.run_parallel_salvage` as each scalar
+cell lands.  Every cell that runs on the scalar simulator is part of
+one ``run_parallel_salvage`` call on one worker pool: the whole pending
+grid on the scalar engine; on the batch engine, the cells the
+vectorized core leaves out (uncovered shapes, lane-build errors, core
+guard trips), run after the core.  Those fallback cells therefore get
+the same timeout, retries and quarantine as a scalar sweep; the cells
+the core covers get no per-cell timeout.
 
 The supervisor is the journal's only writer; workers never touch disk.
 """
@@ -40,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.parallel import (
     Outcome,
@@ -85,9 +89,10 @@ class SupervisorPolicy:
     #: Stop launching new cells once the process RSS exceeds this many
     #: MiB (best effort — measured via ``resource.getrusage``).
     max_rss_mb: Optional[float] = None
-    #: Cells per batch-engine block (= its checkpoint granularity).
-    #: Default: the whole pending grid in one block.  Scalar cells
-    #: stream and checkpoint one by one, so they ignore this.
+    #: Cells per batch-engine block: bounds the vectorized core's width
+    #: and memory.  Default: the whole pending grid in one block.  Cells
+    #: are journaled one by one on either engine whatever the block
+    #: size; the scalar engine ignores it.
     batch_size: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -116,7 +121,7 @@ class SweepReport:
     """Structured outcome of one supervised sweep.
 
     ``outcomes`` is in input-spec order; an entry is ``None`` only when
-    a budget ran out before the cell was attempted (``budget_exhausted``
+    a budget ran out before the cell finished (``budget_exhausted``
     names the budget).  Everything that *did* finish — including in
     earlier interrupted runs, via the journal — is populated.
     """
@@ -126,7 +131,8 @@ class SweepReport:
     journal_hits: int
     #: Cells simulated in this run.
     executed: int
-    #: Cells never attempted because a budget ran out.
+    #: Cells without an outcome because a budget ran out: never
+    #: launched, or dropped unfinished by the batch core.
     not_run: int
     #: Cells whose final outcome is a failure record.
     failed: int
@@ -267,11 +273,14 @@ def run_supervised(
     means one worker: serial and in-process.
 
     ``engine="batch"`` routes each block through the vectorized SoA core
-    (:func:`repro.sim.batch.execute_runspecs`); the cells the core
+    (:func:`repro.sim.batch.execute_runspecs`), which journals each cell
+    as its lane reaches the horizon (records land in lane-finish order)
+    and checks the budgets after every landing; the cells the core
     leaves out run afterwards on the scalar runner, like every cell of
     a scalar sweep, and are tallied in ``SweepReport.fallback_reasons``.
     Results are equivalent either way (the differential equivalence
     suite enforces it), so journal entries mix freely across engines.
+    ``policy.timeout`` does not apply to the cells the core covers.
     """
     if engine not in ("scalar", "batch"):
         raise ValueError(
@@ -299,75 +308,73 @@ def run_supervised(
 
     executed = 0
     fallback_reasons: dict[str, int] = {}
+    budget_exhausted = _exhausted_budget(policy, started) if pending else None
 
-    def record(i: int, outcome: Outcome) -> None:
-        nonlocal executed
-        executed += 1
-        if isinstance(outcome, RunFailure):
-            total_attempts = prior_attempts[i] + outcome.attempts
-            outcome = dataclasses.replace(
-                outcome,
-                attempts=total_attempts,
-                quarantined=total_attempts >= policy.quarantine_after,
-            )
-        outcomes[i] = outcome
-        if journal is not None:
-            key = journal_key(specs[i])
+    def landing(cells: list[int]) -> Callable[[int, Outcome], bool]:
+        """The one landing callback of both runners, for ``cells``.
+
+        It journals the cell's outcome, then checks the budgets
+        (unless it was the sweep's last cell); ``False`` stops the
+        runner.
+        """
+
+        def land(k: int, outcome: Outcome) -> bool:
+            nonlocal executed, budget_exhausted
+            i = cells[k]
+            executed += 1
             if isinstance(outcome, RunFailure):
-                journal.append_failure(key, outcome)
-            else:
-                journal.append_result(key, outcome)
+                total_attempts = prior_attempts[i] + outcome.attempts
+                outcome = dataclasses.replace(
+                    outcome,
+                    attempts=total_attempts,
+                    quarantined=total_attempts >= policy.quarantine_after,
+                )
+            outcomes[i] = outcome
+            if journal is not None:
+                key = journal_key(specs[i])
+                if isinstance(outcome, RunFailure):
+                    journal.append_failure(key, outcome)
+                else:
+                    journal.append_result(key, outcome)
+            if executed < len(pending):
+                budget_exhausted = _exhausted_budget(policy, started)
+            return budget_exhausted is None
 
-    budget_exhausted: Optional[str] = None
+        return land
+
     # Cells for the scalar runner: every pending cell on the scalar
     # engine, the cells the core leaves out on the batch engine.
     scalar_cells = pending if engine == "scalar" else []
     if engine == "batch":
         # The vectorized engine amortizes per-pass dispatch over every
-        # lane, so it wants the widest batch available.
+        # lane, so it wants the widest block available.
         batch_size = policy.batch_size or max(1, len(pending))
         for start in range(0, len(pending), batch_size):
-            budget_exhausted = _exhausted_budget(policy, started)
             if budget_exhausted is not None:
                 break
-            batch = pending[start:start + batch_size]
+            block = pending[start:start + batch_size]
             from repro.sim.batch import execute_runspecs
 
-            results, reasons = execute_runspecs([specs[i] for i in batch])
+            results, reasons = execute_runspecs(
+                [specs[i] for i in block], landing(block)
+            )
             for reason, count in reasons.items():
                 fallback_reasons[reason] = (
                     fallback_reasons.get(reason, 0) + count
                 )
-            for i, result in zip(batch, results):
-                if result is None:
-                    scalar_cells.append(i)
-                else:
-                    record(i, result)
+            scalar_cells += [i for i, r in zip(block, results) if r is None]
 
     if scalar_cells and budget_exhausted is None:
-        budget_exhausted = _exhausted_budget(policy, started)
-        left = len(scalar_cells)
-
-        def settle(k: int, outcome: Outcome) -> bool:
-            # Journals each cell as it lands; budgets gate the next launch.
-            nonlocal budget_exhausted, left
-            record(scalar_cells[k], outcome)
-            left -= 1
-            if left:
-                budget_exhausted = _exhausted_budget(policy, started)
-            return budget_exhausted is None
-
-        if budget_exhausted is None:
-            run_parallel_salvage(
-                [specs[i] for i in scalar_cells],
-                max_workers=max_workers or 1,
-                timeout=policy.timeout,
-                retries=policy.retries,
-                backoff=policy.backoff,
-                jitter=policy.jitter,
-                seed=policy.seed,
-                on_outcome=settle,
-            )
+        run_parallel_salvage(
+            [specs[i] for i in scalar_cells],
+            max_workers=max_workers or 1,
+            timeout=policy.timeout,
+            retries=policy.retries,
+            backoff=policy.backoff,
+            jitter=policy.jitter,
+            seed=policy.seed,
+            on_outcome=landing(scalar_cells),
+        )
 
     failures = [o for o in outcomes if isinstance(o, RunFailure)]
     return SweepReport(

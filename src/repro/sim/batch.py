@@ -898,11 +898,30 @@ class _BatchCore:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self) -> None:
+    def run(
+        self, on_finish: Optional[Callable[[IntArray], bool]] = None
+    ) -> None:
+        """Run every lane to its horizon (or until a guard evicts it).
+
+        ``on_finish(lanes)`` is called with the lanes that left the
+        active set, once per lockstep iteration in which any did: lanes
+        that reached the horizon and lanes a guard evicted (``errors``
+        tells them apart).  A lane's state no longer changes once it is
+        inactive, so :meth:`result` may read it right away.  Returning
+        ``False`` stops the run; the lanes still active stay unfinished.
+        """
         if self.n == 0:
             return
+        # harvested_energy = source.energy(0, horizon) (same walk as the
+        # scalar result builder).  The walk's rows are independent, so
+        # doing every lane at once gives each lane's own bits.
+        self.harvested = self._src_energy_lanes(
+            self.idx, np.zeros(self.n), self.horizon
+        )
         horizon_cut = self.horizon - EPSILON
         harvest, boundary = self._src_state(self.t)
+        live = self.active.copy()
+        n_live = self.n
         iterations = 0
         while True:
             iterations += 1
@@ -911,7 +930,14 @@ class _BatchCore:
                 break
             self._process_due_events()
             self.active &= self.t < horizon_cut  # reached the horizon
-            if not self.active.any():
+            count = int(np.count_nonzero(self.active))
+            if count != n_live:  # lanes only ever leave the active set
+                left = (live & ~self.active).nonzero()[0]
+                live = self.active.copy()
+                n_live = count
+                if on_finish is not None and not on_finish(left):
+                    break
+            if count == 0:
                 break
             self._maybe_decide()
             end, segment = self._segment_end(harvest, boundary)
@@ -924,15 +950,6 @@ class _BatchCore:
             stuck = (self.active & (self.stagnant > 1000)).nonzero()[0]
             if stuck.size:
                 self._fail(stuck, "stagnation guard")
-        # harvested_energy = source.energy(0, horizon) for every lane that
-        # finished cleanly (same walk as the scalar result builder).
-        finished = np.flatnonzero(
-            np.asarray([err is None for err in self.errors], dtype=np.bool_)
-        )
-        self.harvested = np.zeros(self.n)
-        self.harvested[finished] = self._src_energy_lanes(
-            finished, np.zeros(finished.shape[0]), self.horizon[finished]
-        )
 
     def _process_due_events(self) -> None:
         """Simulator._process_due_events: pop while peek <= t + EPSILON.
@@ -1462,12 +1479,18 @@ def _run_lanes(
     fallback_reason: Callable[[_Cell], Optional[str]],
     build_lane: Callable[[_Cell], _Lane],
     include_jobs: bool,
+    on_result: Optional[Callable[[int, SimulationResult], bool]] = None,
 ) -> tuple[list[Optional[SimulationResult]], dict[str, int]]:
     """Run every coverable cell in one core; ``None`` marks the rest.
 
     A cell is left out (and its reason counted) when the fallback probe
     rejects it, when building its lane raises, or when a core guard
     evicts it; the caller decides how to run it instead.
+
+    Each cell's result is built as soon as its lane reaches the horizon
+    and handed to ``on_result(index, result)``.  Returning ``False``
+    stops the core: cells not finished by then stay ``None`` and are
+    not counted as fallbacks.
     """
     results: list[Optional[SimulationResult]] = [None] * len(cells)
     reasons: Counter[str] = Counter()
@@ -1486,12 +1509,20 @@ def _run_lanes(
                 reason = f"lane build raised {type(exc).__name__}"
         reasons[reason] += 1
     core = _BatchCore(lanes)
-    core.run()
-    for pos, i in enumerate(placed):
-        if core.errors[pos] is None:
-            results[i] = core.result(pos, include_jobs=include_jobs)
-        else:
-            reasons[f"batch core: {core.errors[pos]}"] += 1
+
+    def land(finished: IntArray) -> bool:
+        for pos in finished.tolist():
+            if core.errors[pos] is None:
+                i = placed[pos]
+                result = results[i] = core.result(pos, include_jobs)
+                if on_result is not None and not on_result(i, result):
+                    return False
+        return True
+
+    core.run(land)
+    for error in core.errors:
+        if error is not None:
+            reasons[f"batch core: {error}"] += 1
     return results, dict(reasons)
 
 
@@ -1514,15 +1545,26 @@ def run_scenario_batch(
 
 def execute_runspecs(
     specs: Sequence["RunSpec"],
+    on_result: Optional[Callable[[int, SimulationResult], bool]] = None,
 ) -> tuple[list[Optional[SimulationResult]], dict[str, int]]:
     """Run sweep cells in one core; slim results (``jobs=()``).
 
     Returns ``(results, fallback_reasons)`` in input order; a ``None``
     result was not run on the core.  The supervisor hands those cells to
     the scalar runner with the sweep's timeout, retries and journaling.
+
+    ``on_result(index, result)`` is called with each cell the moment its
+    lane reaches the horizon, so cells arrive in lane-finish order (the
+    shape of ``run_parallel_salvage``'s ``on_outcome``).  Returning
+    ``False`` stops the core; the cells not finished by then come back
+    ``None`` and are not counted in ``fallback_reasons``.
     """
     return _run_lanes(
-        specs, runspec_fallback_reason, _runspec_lane, include_jobs=False
+        specs,
+        runspec_fallback_reason,
+        _runspec_lane,
+        include_jobs=False,
+        on_result=on_result,
     )
 
 

@@ -25,6 +25,8 @@ SWEEP_ARGS = [
     "--seeds", "3",
     "--horizon", "200",
 ]
+#: Cells of one sweep: one scheduler x one capacity x three seeds.
+SWEEP_CELLS = 3
 
 #: (1-based armed append, kill mode): the three seeded interruption
 #: points of the acceptance criterion — first record lost entirely,
@@ -117,7 +119,11 @@ class TestKillAndResume:
             # Resume: only the missing cells run, then exports match
             # the uninterrupted reference byte for byte.
             resumed = sweep(journal, self.workers, self.engine_args)
-            assert f"journal: {durable} hit(s)" in resumed.stdout
+            executed = SWEEP_CELLS - durable
+            assert (
+                f"journal: {durable} hit(s), {executed} executed"
+                in resumed.stdout
+            )
             assert export(journal, tmp_path / f"{record}-{mode}.json") == reference
 
     def test_double_kill_then_resume(self, tmp_path):
@@ -152,8 +158,9 @@ class TestKillAndResumePooled(TestKillAndResume):
 
 
 class TestKillAndResumeBatch(TestKillAndResume):
-    """The same kill points on the batch engine, which journals a whole
-    block of cells after the vectorized core returns."""
+    """The same kill points on the batch engine, which journals each cell
+    as its lane reaches the horizon: the kills at records 1 and 2 land
+    while the vectorized core still has lanes running."""
 
     engine_args = ("--engine", "batch")
 

@@ -263,6 +263,49 @@ class TestBatchFallbackRouting:
                 journal.close()
 
 
+class TestBatchBudgets:
+    """On the batch engine every landing journals the cell and then
+    checks the budgets, so a budget stops the vectorized core mid-run."""
+
+    def test_budget_stops_the_core_mid_run(
+        self, tmp_path, monkeypatch, pool_spy
+    ):
+        import repro.runtime.supervisor as supervisor
+
+        specs = specs_for(6, name="lsa")
+        k = 2
+        with ResultJournal(tmp_path / "clean.journal") as clean:
+            run_supervised(specs, journal=clean, engine="batch")
+            reference = canonical_json(clean.to_canonical())
+        original = supervisor._exhausted_budget
+        with ResultJournal(tmp_path / "j.journal") as journal:
+            # The wall-clock budget runs out once k cells have landed.
+            monkeypatch.setattr(
+                supervisor,
+                "_exhausted_budget",
+                lambda policy, started: (
+                    "wall-clock" if len(journal) >= k else None
+                ),
+            )
+            first = run_supervised(
+                specs, journal=journal, max_workers=2, engine="batch"
+            )
+            assert first.budget_exhausted == "wall-clock"
+            assert (first.executed, first.not_run) == (k, len(specs) - k)
+            assert first.fallback_reasons == {}
+            assert len(journal) == k
+            assert pool_spy == []  # no scalar fallback was launched
+            monkeypatch.setattr(supervisor, "_exhausted_budget", original)
+            rerun = run_supervised(
+                specs, journal=journal, max_workers=2, engine="batch"
+            )
+            assert rerun.ok
+            assert (rerun.journal_hits, rerun.executed) == (
+                k, len(specs) - k
+            )
+            assert canonical_json(journal.to_canonical()) == reference
+
+
 class TestSupervisedWithJournal:
     def test_resume_skips_journaled_results(self, tmp_path):
         specs = specs_for(4)

@@ -294,6 +294,56 @@ class TestArrayJobGeneration:
         assert _periodic_job_arrays(taskset, 400.0) is None
 
 
+class TestStreamingResults:
+    """execute_runspecs hands each cell over as soon as its lane reaches
+    the horizon, through ``on_result(index, result)``."""
+
+    COVERED = _grid(setup=PaperSetup(horizon=400.0))
+    SPECS = COVERED + [
+        dataclasses.replace(COVERED[0], energy_sample_interval=10.0),
+        dataclasses.replace(
+            COVERED[1],
+            setup=PaperSetup(horizon=400.0, predictor_kind="bogus"),
+        ),
+    ]
+    REASONS = {
+        "energy sampling requested": 1,
+        "lane build raised ValueError": 1,
+    }
+
+    @staticmethod
+    def _payloads(results):
+        return [None if r is None else result_to_payload(r) for r in results]
+
+    def test_streamed_results_match_the_plain_run(self):
+        plain, plain_reasons = execute_runspecs(self.SPECS)
+        calls = []
+        streamed, reasons = execute_runspecs(
+            self.SPECS, lambda i, result: calls.append((i, result)) is None
+        )
+        assert reasons == plain_reasons == self.REASONS
+        assert self._payloads(streamed) == self._payloads(plain)
+        # Exactly one call per core-finished cell, none for a None cell.
+        finished = [i for i, r in enumerate(streamed) if r is not None]
+        assert sorted(i for i, _ in calls) == finished
+        assert len(finished) == len(self.COVERED)
+        assert all(streamed[i] is result for i, result in calls)
+
+    def test_false_stops_the_core(self):
+        calls = []
+
+        def stop(i, result):
+            calls.append(i)
+            return False
+
+        results, reasons = execute_runspecs(self.SPECS, stop)
+        assert len(calls) == 1
+        assert [i for i, r in enumerate(results) if r is not None] == calls
+        assert any(r is None for r in results[: len(self.COVERED)])
+        # Unfinished cells are not fallbacks.
+        assert reasons == self.REASONS
+
+
 class TestSupervisorEngine:
     def test_batch_engine_matches_scalar_engine(self):
         specs = _grid()
