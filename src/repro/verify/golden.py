@@ -27,7 +27,9 @@ from repro.serialization import atomic_write_text, canonical_json
 __all__ = [
     "GoldenMismatch",
     "GoldenStore",
+    "golden_ablations_payload",
     "golden_fig5_payload",
+    "golden_fig6_payload",
     "golden_table1_payload",
     "golden_resilience_payload",
 ]
@@ -210,9 +212,62 @@ def golden_resilience_payload() -> dict[str, Any]:
     }
 
 
+def golden_fig6_payload() -> dict[str, Any]:
+    """Remaining-energy curves of a reduced figure 6."""
+    from repro.experiments.common import PaperSetup
+    from repro.experiments.fig6_fig7 import run_remaining_energy
+
+    result = run_remaining_energy(
+        utilization=0.4,
+        figure="Figure 6",
+        setup=PaperSetup(horizon=400.0),
+        capacities=(50.0, 200.0),
+        n_sets=1,
+    )
+    return {
+        "experiment": "fig6",
+        "config": {
+            "utilization": 0.4,
+            "horizon": 400.0,
+            "capacities": [50.0, 200.0],
+            "n_sets": 1,
+        },
+        "times": list(result.times),
+        "curves": {name: list(curve) for name, curve in result.curves.items()},
+        "advantage": result.advantage,
+    }
+
+
+def golden_ablations_payload() -> dict[str, Any]:
+    """Metrics of every DESIGN.md ablation at one task set."""
+    from repro.experiments import ablations
+
+    weather = {"capacities": (100.0,), "horizon": 2000.0}
+    runners = {
+        "predictor": ablations.run_predictor_ablation,
+        "rectification": ablations.run_rectification_ablation,
+        "switch-overhead": ablations.run_switch_overhead_ablation,
+        "nonideal-storage": ablations.run_nonideal_storage_ablation,
+        "dvfs-granularity": ablations.run_dvfs_granularity_ablation,
+        "overflow-aware": ablations.run_overflow_aware_ablation,
+        "aet": ablations.run_aet_ablation,
+    }
+    metrics = {name: run(n_sets=1).metrics for name, run in runners.items()}
+    metrics["weather"] = ablations.run_weather_ablation(
+        n_sets=1, **weather
+    ).metrics
+    return {
+        "experiment": "ablations",
+        "config": {"n_sets": 1, "weather": weather},
+        "metrics": metrics,
+    }
+
+
 #: name -> builder, the registry iterated by the golden regression test.
 GOLDEN_PAYLOADS = {
+    "ablations_small": golden_ablations_payload,
     "fig5_small": golden_fig5_payload,
+    "fig6_small": golden_fig6_payload,
     "table1_small": golden_table1_payload,
     "resilience_small": golden_resilience_payload,
 }
