@@ -12,8 +12,10 @@ Run:  python examples/capacity_sizing.py            (quick, 3 task sets)
 """
 
 from repro.analysis.capacity import find_min_capacity
-from repro.analysis.sweep import run_replications
+from repro.analysis.metrics import pooled_miss_rate
+from repro.analysis.parallel import RunSpec
 from repro.experiments.common import PaperSetup, replications
+from repro.runtime.sweep import run_journaled_sweep
 
 UTILIZATION = 0.3
 SCHEDULERS = ("edf", "lsa", "ea-dvfs")
@@ -23,7 +25,6 @@ def main() -> None:
     setup = PaperSetup()
     n_sets = replications(3)
     seeds = range(n_sets)
-    factory = setup.factory(UTILIZATION)
 
     print(
         f"minimum zero-miss capacity at U={UTILIZATION} "
@@ -33,8 +34,12 @@ def main() -> None:
     for name in SCHEDULERS:
 
         def miss_fn(capacity: float, _name=name) -> float:
-            run = run_replications(factory, _name, capacity, seeds)
-            return run.metrics.pooled_miss_rate
+            specs = [
+                RunSpec(_name, UTILIZATION, capacity, seed, setup=setup)
+                for seed in seeds
+            ]
+            report = run_journaled_sweep(specs)
+            return pooled_miss_rate(report.complete_results())
 
         search = find_min_capacity(miss_fn, initial=20.0, rel_tol=0.02)
         minima[name] = search.min_capacity

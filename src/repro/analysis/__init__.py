@@ -28,19 +28,11 @@ from repro.analysis.stats import (
     mean_confidence_interval,
     summarize,
 )
-from repro.analysis.sweep import (
-    CapacitySweepPoint,
-    ReplicatedRun,
-    run_capacity_sweep,
-    run_replications,
-)
 
 __all__ = [
     "AggregateMetrics",
     "CapacitySearchResult",
-    "CapacitySweepPoint",
     "EnergyFeasibility",
-    "ReplicatedRun",
     "RunFailure",
     "RunSpec",
     "SummaryStats",
@@ -56,8 +48,6 @@ __all__ = [
     "mean_confidence_interval",
     "min_energy_demand_rate",
     "miss_rate_by_task",
-    "run_capacity_sweep",
     "run_parallel_salvage",
-    "run_replications",
     "summarize",
 ]

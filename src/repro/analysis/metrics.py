@@ -16,6 +16,7 @@ __all__ = [
     "aggregate_results",
     "energy_series",
     "miss_rate_by_task",
+    "pooled_miss_rate",
 ]
 
 
@@ -40,6 +41,13 @@ class AggregateMetrics:
         )
 
 
+def pooled_miss_rate(results: Sequence[SimulationResult]) -> float:
+    """Total misses over total judged jobs (0.0 when nothing was judged)."""
+    total_missed = sum(r.missed_count for r in results)
+    total_judged = sum(r.judged_count for r in results)
+    return total_missed / total_judged if total_judged else 0.0
+
+
 def aggregate_results(results: Sequence[SimulationResult]) -> AggregateMetrics:
     """Pool runs of one scheduler configuration into summary statistics."""
     if not results:
@@ -47,8 +55,6 @@ def aggregate_results(results: Sequence[SimulationResult]) -> AggregateMetrics:
     names = {r.scheduler_name for r in results}
     if len(names) != 1:
         raise ValueError(f"mixed schedulers in one aggregate: {sorted(names)}")
-    total_missed = sum(r.missed_count for r in results)
-    total_judged = sum(r.judged_count for r in results)
     fractions = [r.final_fraction for r in results]
     finite_fractions = [f for f in fractions if not np.isnan(f)] or [0.0]
     return AggregateMetrics(
@@ -58,7 +64,7 @@ def aggregate_results(results: Sequence[SimulationResult]) -> AggregateMetrics:
         final_fraction=summarize(finite_fractions),
         overflow_energy=summarize([r.overflow_energy for r in results]),
         stall_count=summarize([float(r.stall_count) for r in results]),
-        pooled_miss_rate=(total_missed / total_judged) if total_judged else 0.0,
+        pooled_miss_rate=pooled_miss_rate(results),
     )
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "SummaryStats",
@@ -78,6 +77,8 @@ def mean_confidence_interval(
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
     if sem == 0.0:
         return (mean, mean)
+    from scipy import stats as sps  # ~1 s to import; keep it off start-up
+
     t = float(sps.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
     return (mean - t * sem, mean + t * sem)
 

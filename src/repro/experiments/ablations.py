@@ -15,28 +15,33 @@ Runners:
 * :func:`run_weather_ablation` — correlated-drought robustness;
 * :func:`run_overflow_aware_ablation` — the ``ea-dvfs-oa`` extension;
 * :func:`run_aet_ablation` — actual execution times below WCET.
+
+Each runner runs its legs as one supervised sweep of :class:`PaperSetup`
+cells; a variant changing more than ``scale()``, ``source()`` or
+``predictor()`` (which the batch core reads) overrides ``run``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Optional, Sequence
 
+from repro.analysis.metrics import pooled_miss_rate
 from repro.cpu.dvfs import FrequencyScale, SwitchingOverhead
 from repro.cpu.presets import continuous_approximation, xscale_pxa
 from repro.cpu.processor import Processor
-from repro.energy.predictor import ProfilePredictor
-from repro.energy.source import MarkovWeatherSource
-from repro.energy.storage import IdealStorage, NonIdealStorage
-from repro.experiments.common import PaperSetup, replications
+from repro.energy.predictor import HarvestPredictor, ProfilePredictor
+from repro.energy.source import EnergySource, MarkovWeatherSource
+from repro.energy.storage import EnergyStorage, IdealStorage, NonIdealStorage
+from repro.experiments.common import PaperSetup, replications, workers
 from repro.sched.registry import make_scheduler
 from repro.sim.simulator import (
     HarvestingRtSimulator,
     SimulationConfig,
     SimulationResult,
 )
+from repro.sim.tracing import TraceKind
 from repro.tasks.task import PeriodicTask, TaskSet
-from repro.tasks.workload import generate_paper_taskset
 
 __all__ = [
     "AblationResult",
@@ -64,10 +69,159 @@ class AblationResult:
         return "\n".join([self.header, *("  " + row for row in self.rows)])
 
 
-def _pooled(results: Sequence[SimulationResult]) -> float:
-    missed = sum(r.missed_count for r in results)
-    judged = sum(r.judged_count for r in results)
-    return missed / judged if judged else 0.0
+@dataclass(frozen=True)
+class _ScalarOnlySetup(PaperSetup):
+    """Base of the variants only the scalar simulator models: its
+    ``run`` (which the batch core cannot replay) builds
+    :meth:`PaperSetup.run`'s simulator through the hooks below."""
+
+    def _taskset(self, seed: int, utilization: float) -> TaskSet:
+        return self.taskset(seed, utilization)
+
+    def _storage(self, capacity: float) -> EnergyStorage:
+        return IdealStorage(capacity=capacity)
+
+    def _processor(self, scale: FrequencyScale) -> Optional[Processor]:
+        return None
+
+    def _aet_seed(self, seed: int) -> Optional[int]:
+        return None
+
+    def run(
+        self,
+        scheduler_name: str,
+        utilization: float,
+        capacity: float,
+        seed: int,
+        energy_sample_interval: Optional[float] = None,
+    ) -> SimulationResult:
+        """One simulation of the variant's world."""
+        scale = self.scale()
+        source = self.source(seed)
+        simulator = HarvestingRtSimulator(
+            taskset=self._taskset(seed, utilization),
+            source=source,
+            storage=self._storage(capacity),
+            scheduler=make_scheduler(scheduler_name, scale),
+            predictor=self.predictor(source),
+            processor=self._processor(scale),
+            config=SimulationConfig(
+                horizon=self.horizon,
+                trace_kinds=(
+                    (TraceKind.ENERGY,)
+                    if energy_sample_interval is not None else ()
+                ),
+                energy_sample_interval=energy_sample_interval,
+                aet_seed=self._aet_seed(seed),
+            ),
+        )
+        return simulator.run()
+
+
+@dataclass(frozen=True)
+class SwitchOverheadSetup(_ScalarOnlySetup):
+    """A :class:`PaperSetup` whose DVFS transitions cost time and energy."""
+
+    overhead: SwitchingOverhead = SwitchingOverhead(time=0.05, energy=0.05)
+
+    def _processor(self, scale: FrequencyScale) -> Processor:
+        return Processor(scale, overhead=self.overhead)
+
+
+@dataclass(frozen=True)
+class LossyStorageSetup(_ScalarOnlySetup):
+    """A :class:`PaperSetup` on a :class:`NonIdealStorage`."""
+
+    charge_efficiency: float = 0.9
+    discharge_efficiency: float = 0.9
+    leakage_power: float = 0.02
+
+    def _storage(self, capacity: float) -> EnergyStorage:
+        return NonIdealStorage(
+            capacity=capacity,
+            charge_efficiency=self.charge_efficiency,
+            discharge_efficiency=self.discharge_efficiency,
+            leakage_power=self.leakage_power,
+        )
+
+
+@dataclass(frozen=True)
+class AetSetup(_ScalarOnlySetup):
+    """A :class:`PaperSetup` whose jobs run for less than their WCET:
+    each job's demand is drawn from ``[bcet_ratio, 1] * WCET`` with the
+    cell's seed."""
+
+    bcet_ratio: float = 0.5
+
+    def _taskset(self, seed: int, utilization: float) -> TaskSet:
+        return TaskSet(
+            [
+                PeriodicTask(
+                    period=t.period, wcet=t.wcet,
+                    relative_deadline=t.relative_deadline,
+                    name=t.name, bcet_ratio=self.bcet_ratio,
+                )
+                for t in self.taskset(seed, utilization).periodic_tasks()
+            ]
+        )
+
+    def _aet_seed(self, seed: int) -> int:
+        return seed
+
+
+#: The DVFS ladders of the granularity ablation.  All peak at
+#: ``P_max = 3.2``, so :meth:`PaperSetup.taskset` sizes the same task
+#: sets on each of them.
+_LADDERS: dict[str, Callable[[], FrequencyScale]] = {
+    "continuous-32": lambda: continuous_approximation(
+        n_levels=32, max_power=3.2
+    ),
+    "xscale-5": xscale_pxa,
+    "single-speed": lambda: FrequencyScale.single_speed(power=3.2),
+}
+
+
+@dataclass(frozen=True)
+class LadderSetup(PaperSetup):
+    """A :class:`PaperSetup` on another DVFS ladder (see ``_LADDERS``)."""
+
+    ladder: str = "xscale-5"
+
+    def scale(self) -> FrequencyScale:
+        return _LADDERS[self.ladder]()
+
+
+@dataclass(frozen=True)
+class WeatherSetup(PaperSetup):
+    """A :class:`PaperSetup` harvesting from the regime-switching
+    :class:`MarkovWeatherSource`, tracked by a finer profile predictor."""
+
+    def source(self, seed: int) -> MarkovWeatherSource:
+        return MarkovWeatherSource(seed=seed)
+
+    def predictor(self, source: EnergySource) -> HarvestPredictor:
+        return ProfilePredictor(period=400.0, n_bins=32)
+
+
+def _sweep(
+    cells: Sequence[tuple[PaperSetup, str, float]],
+    utilization: float,
+    n_sets: int,
+) -> list[list[SimulationResult]]:
+    """Each ``(setup, scheduler, capacity)`` cell's results over seeds
+    ``0 .. n_sets-1``, from one :func:`~repro.runtime.sweep.
+    run_journaled_sweep` (``$REPRO_JOURNAL``, ``$REPRO_ENGINE`` and
+    ``$REPRO_WORKERS`` apply)."""
+    from repro.analysis.parallel import RunSpec
+    from repro.runtime.sweep import run_journaled_sweep
+
+    specs = [
+        RunSpec(name, utilization, capacity, seed, setup=setup)
+        for setup, name, capacity in cells
+        for seed in range(n_sets)
+    ]
+    results = run_journaled_sweep(specs, max_workers=workers()).complete_results()
+    return [results[k * n_sets:(k + 1) * n_sets] for k in range(len(cells))]
 
 
 def run_predictor_ablation(
@@ -77,13 +231,13 @@ def run_predictor_ablation(
 ) -> AblationResult:
     """EA-DVFS miss rate under predictors of decreasing fidelity."""
     n_sets = replications(5) if n_sets is None else n_sets
-    rates = {}
-    for kind in ("oracle", "profile", "mean"):
-        setup = PaperSetup(predictor_kind=kind)
-        rates[kind] = _pooled(
-            [setup.run("ea-dvfs", utilization, capacity, s)
-             for s in range(n_sets)]
-        )
+    kinds = ("oracle", "profile", "mean")
+    runs = _sweep(
+        [(PaperSetup(predictor_kind=kind), "ea-dvfs", capacity)
+         for kind in kinds],
+        utilization, n_sets,
+    )
+    rates = {kind: pooled_miss_rate(r) for kind, r in zip(kinds, runs)}
     return AblationResult(
         name="ablation-predictor",
         header=(
@@ -102,13 +256,13 @@ def run_rectification_ablation(
 ) -> AblationResult:
     """LSA at U=0.8 under both eq. (13) rectification readings."""
     n_sets = replications(4) if n_sets is None else n_sets
-    rates = {}
-    for rectify in ("abs", "clamp"):
-        setup = PaperSetup(rectify=rectify)
-        rates[rectify] = _pooled(
-            [setup.run("lsa", utilization, capacity, s)
-             for s in range(n_sets)]
-        )
+    readings = ("abs", "clamp")
+    runs = _sweep(
+        [(PaperSetup(rectify=rectify), "lsa", capacity)
+         for rectify in readings],
+        utilization, n_sets,
+    )
+    rates = {rectify: pooled_miss_rate(r) for rectify, r in zip(readings, runs)}
     return AblationResult(
         name="ablation-rectification",
         header=(
@@ -123,33 +277,6 @@ def run_rectification_ablation(
     )
 
 
-def _run_custom(
-    scheduler_name: str,
-    seed: int,
-    utilization: float,
-    capacity: float,
-    overhead: SwitchingOverhead | None = None,
-    storage_factory: Callable[[], Any] | None = None,
-    setup: PaperSetup | None = None,
-) -> SimulationResult:
-    setup = setup or PaperSetup()
-    scale = setup.scale()
-    source = setup.source(seed)
-    storage = (
-        storage_factory() if storage_factory else IdealStorage(capacity=capacity)
-    )
-    simulator = HarvestingRtSimulator(
-        taskset=setup.taskset(seed, utilization),
-        source=source,
-        storage=storage,
-        scheduler=make_scheduler(scheduler_name, scale),
-        predictor=setup.predictor(source),
-        processor=Processor(scale, overhead=overhead) if overhead else None,
-        config=SimulationConfig(horizon=setup.horizon),
-    )
-    return simulator.run()
-
-
 def run_switch_overhead_ablation(
     utilization: float = 0.4,
     capacity: float = 60.0,
@@ -158,13 +285,14 @@ def run_switch_overhead_ablation(
 ) -> AblationResult:
     """EA-DVFS with free vs costly DVFS transitions."""
     n_sets = replications(4) if n_sets is None else n_sets
-    free = [_run_custom("ea-dvfs", s, utilization, capacity)
-            for s in range(n_sets)]
-    costly = [
-        _run_custom("ea-dvfs", s, utilization, capacity, overhead=overhead)
-        for s in range(n_sets)
-    ]
-    free_rate, costly_rate = _pooled(free), _pooled(costly)
+    free, costly = _sweep(
+        [
+            (PaperSetup(), "ea-dvfs", capacity),
+            (SwitchOverheadSetup(overhead=overhead), "ea-dvfs", capacity),
+        ],
+        utilization, n_sets,
+    )
+    free_rate, costly_rate = pooled_miss_rate(free), pooled_miss_rate(costly)
     switches = sum(r.switch_count for r in costly) / n_sets
     return AblationResult(
         name="ablation-switch-overhead",
@@ -197,24 +325,21 @@ def run_nonideal_storage_ablation(
 ) -> AblationResult:
     """LSA and EA-DVFS on ideal vs lossy storage."""
     n_sets = replications(4) if n_sets is None else n_sets
-
-    def lossy():
-        return NonIdealStorage(
-            capacity=capacity,
-            charge_efficiency=charge_efficiency,
-            discharge_efficiency=discharge_efficiency,
-            leakage_power=leakage_power,
-        )
-
-    rates: dict[str, tuple[float, float]] = {}
-    for name in ("lsa", "ea-dvfs"):
-        ideal = [_run_custom(name, s, utilization, capacity)
-                 for s in range(n_sets)]
-        non = [
-            _run_custom(name, s, utilization, capacity, storage_factory=lossy)
-            for s in range(n_sets)
-        ]
-        rates[name] = (_pooled(ideal), _pooled(non))
+    lossy = LossyStorageSetup(
+        charge_efficiency=charge_efficiency,
+        discharge_efficiency=discharge_efficiency,
+        leakage_power=leakage_power,
+    )
+    names = ("lsa", "ea-dvfs")
+    runs = iter(_sweep(
+        [(setup, name, capacity)
+         for name in names for setup in (PaperSetup(), lossy)],
+        utilization, n_sets,
+    ))
+    rates = {
+        name: (pooled_miss_rate(next(runs)), pooled_miss_rate(next(runs)))
+        for name in names
+    }
     return AblationResult(
         name="ablation-nonideal-storage",
         header=(
@@ -236,30 +361,12 @@ def run_dvfs_granularity_ablation(
 ) -> AblationResult:
     """EA-DVFS on dense / paper / degenerate DVFS ladders."""
     n_sets = replications(4) if n_sets is None else n_sets
-    scales: dict[str, Callable[[], FrequencyScale]] = {
-        "continuous-32": lambda: continuous_approximation(
-            n_levels=32, max_power=3.2
-        ),
-        "xscale-5": xscale_pxa,
-        "single-speed": lambda: FrequencyScale.single_speed(power=3.2),
-    }
-    setup = PaperSetup()
-    rates = {}
-    for label, factory in scales.items():
-        results = []
-        for seed in range(n_sets):
-            scale = factory()
-            source = setup.source(seed)
-            simulator = HarvestingRtSimulator(
-                taskset=setup.taskset(seed, utilization),
-                source=source,
-                storage=IdealStorage(capacity=capacity),
-                scheduler=make_scheduler("ea-dvfs", scale),
-                predictor=setup.predictor(source),
-                config=SimulationConfig(horizon=setup.horizon),
-            )
-            results.append(simulator.run())
-        rates[label] = _pooled(results)
+    runs = _sweep(
+        [(LadderSetup(ladder=label), "ea-dvfs", capacity)
+         for label in _LADDERS],
+        utilization, n_sets,
+    )
+    rates = {label: pooled_miss_rate(r) for label, r in zip(_LADDERS, runs)}
     return AblationResult(
         name="ablation-dvfs-granularity",
         header=(
@@ -280,30 +387,16 @@ def run_weather_ablation(
 ) -> AblationResult:
     """LSA vs EA-DVFS under the regime-switching weather source."""
     n_sets = replications(4) if n_sets is None else n_sets
-    scale = xscale_pxa()
-    rates: dict[float, dict[str, float]] = {}
-    for capacity in capacities:
-        cell = {}
-        for name in ("lsa", "ea-dvfs"):
-            results = []
-            for seed in range(n_sets):
-                source = MarkovWeatherSource(seed=seed)
-                taskset = generate_paper_taskset(
-                    n_tasks=5, utilization=utilization, seed=seed,
-                    mean_harvest_power=source.mean_power(),
-                    max_power=scale.max_power,
-                )
-                simulator = HarvestingRtSimulator(
-                    taskset=taskset,
-                    source=MarkovWeatherSource(seed=seed),
-                    storage=IdealStorage(capacity=capacity),
-                    scheduler=make_scheduler(name, scale),
-                    predictor=ProfilePredictor(period=400.0, n_bins=32),
-                    config=SimulationConfig(horizon=horizon),
-                )
-                results.append(simulator.run())
-            cell[name] = _pooled(results)
-        rates[capacity] = cell
+    setup = WeatherSetup(horizon=horizon)
+    names = ("lsa", "ea-dvfs")
+    runs = iter(_sweep(
+        [(setup, name, capacity) for capacity in capacities for name in names],
+        utilization, n_sets,
+    ))
+    rates = {
+        capacity: {name: pooled_miss_rate(next(runs)) for name in names}
+        for capacity in capacities
+    }
     rows = ["capacity   lsa      ea-dvfs"]
     rows += [
         f"{capacity:8.0f} {cell['lsa']:8.4f} {cell['ea-dvfs']:8.4f}"
@@ -319,46 +412,6 @@ def run_weather_ablation(
     )
 
 
-def _with_bcet(taskset: TaskSet, bcet_ratio: float) -> TaskSet:
-    return TaskSet(
-        [
-            PeriodicTask(
-                period=t.period, wcet=t.wcet,
-                relative_deadline=t.relative_deadline,
-                name=t.name, bcet_ratio=bcet_ratio,
-            )
-            for t in taskset.periodic_tasks()
-        ]
-    )
-
-
-def _run_aet(
-    scheduler_name: str,
-    seed: int,
-    utilization: float,
-    capacity: float,
-    bcet_ratio: float,
-) -> SimulationResult:
-    setup = PaperSetup()
-    scale = setup.scale()
-    source = setup.source(seed)
-    taskset = setup.taskset(seed, utilization)
-    if bcet_ratio < 1.0:
-        taskset = _with_bcet(taskset, bcet_ratio)
-    simulator = HarvestingRtSimulator(
-        taskset=taskset,
-        source=source,
-        storage=IdealStorage(capacity=capacity),
-        scheduler=make_scheduler(scheduler_name, scale),
-        predictor=setup.predictor(source),
-        config=SimulationConfig(
-            horizon=setup.horizon,
-            aet_seed=seed if bcet_ratio < 1.0 else None,
-        ),
-    )
-    return simulator.run()
-
-
 def run_overflow_aware_ablation(
     utilization: float = 0.4,
     capacity: float = 25.0,
@@ -366,14 +419,18 @@ def run_overflow_aware_ablation(
 ) -> AblationResult:
     """Plain EA-DVFS vs the overflow-aware extension at a tiny storage."""
     n_sets = replications(5) if n_sets is None else n_sets
-    metrics = {}
-    for name in ("ea-dvfs", "ea-dvfs-oa"):
-        results = [_run_aet(name, s, utilization, capacity, 1.0)
-                   for s in range(n_sets)]
-        metrics[name] = (
-            _pooled(results),
+    names = ("ea-dvfs", "ea-dvfs-oa")
+    runs = _sweep(
+        [(PaperSetup(), name, capacity) for name in names],
+        utilization, n_sets,
+    )
+    metrics = {
+        name: (
+            pooled_miss_rate(results),
             sum(r.overflow_energy for r in results) / n_sets,
         )
+        for name, results in zip(names, runs)
+    }
     return AblationResult(
         name="ablation-overflow-aware",
         header=(
@@ -395,17 +452,17 @@ def run_aet_ablation(
 ) -> AblationResult:
     """WCET-exact vs variable actual execution times."""
     n_sets = replications(4) if n_sets is None else n_sets
-    rates: dict[str, tuple[float, float]] = {}
-    for name in ("lsa", "ea-dvfs"):
-        wcet_rate = _pooled(
-            [_run_aet(name, s, utilization, capacity, 1.0)
-             for s in range(n_sets)]
-        )
-        aet_rate = _pooled(
-            [_run_aet(name, s, utilization, capacity, bcet_ratio)
-             for s in range(n_sets)]
-        )
-        rates[name] = (wcet_rate, aet_rate)
+    aet = AetSetup(bcet_ratio=bcet_ratio) if bcet_ratio < 1.0 else PaperSetup()
+    names = ("lsa", "ea-dvfs")
+    runs = iter(_sweep(
+        [(setup, name, capacity)
+         for name in names for setup in (PaperSetup(), aet)],
+        utilization, n_sets,
+    ))
+    rates = {
+        name: (pooled_miss_rate(next(runs)), pooled_miss_rate(next(runs)))
+        for name in names
+    }
     return AblationResult(
         name="ablation-aet",
         header=(

@@ -143,7 +143,6 @@ class PaperSetup:
         capacity: float,
         seed: int,
         energy_sample_interval: Optional[float] = None,
-        initial_storage: Optional[float] = None,
     ) -> SimulationResult:
         """One complete simulation of this setup.
 
@@ -159,7 +158,7 @@ class PaperSetup:
         simulator = HarvestingRtSimulator(
             taskset=self.taskset(seed, utilization),
             source=source,
-            storage=IdealStorage(capacity=capacity, initial=initial_storage),
+            storage=IdealStorage(capacity=capacity),
             scheduler=make_scheduler(scheduler_name, scale),
             predictor=self.predictor(source),
             config=SimulationConfig(
@@ -169,13 +168,3 @@ class PaperSetup:
             ),
         )
         return simulator.run()
-
-    def factory(self, utilization: float):
-        """A :data:`~repro.analysis.sweep.RunFactory` for this setup."""
-
-        def _factory(
-            scheduler_name: str, capacity: float, seed: int
-        ) -> SimulationResult:
-            return self.run(scheduler_name, utilization, capacity, seed)
-
-        return _factory

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.metrics import energy_series
-from repro.experiments.common import PaperSetup, replications
+from repro.experiments.common import PaperSetup, replications, workers
 from repro.plotting import ascii_plot
 
 __all__ = [
@@ -83,38 +83,42 @@ def run_remaining_energy(
     n_sets: int | None = None,
     sample_interval: float = 25.0,
 ) -> RemainingEnergyResult:
-    """Average normalized remaining-energy curves over capacities and seeds."""
+    """Average normalized remaining-energy curves over capacities and seeds.
+
+    One :func:`~repro.runtime.sweep.run_journaled_sweep` of energy-sampled
+    cells; the samples are journaled with each result.
+    """
+    from repro.analysis.parallel import RunSpec
+    from repro.runtime.sweep import run_journaled_sweep
+
     setup = setup or PaperSetup()
     if n_sets is None:
         n_sets = replications(3)
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    times: np.ndarray | None = None
-    for scheduler_name in _SCHEDULERS:
-        for capacity in capacities:
-            for seed in range(n_sets):
-                result = setup.run(
-                    scheduler_name,
-                    utilization,
-                    capacity,
-                    seed,
-                    energy_sample_interval=sample_interval,
-                )
-                t, fraction = energy_series(result, "fraction")
-                if times is None:
-                    times = t
-                n = min(times.size, fraction.size)
-                if scheduler_name not in sums:
-                    sums[scheduler_name] = np.zeros(n)
-                    counts[scheduler_name] = 0
-                m = min(n, sums[scheduler_name].size)
-                sums[scheduler_name] = sums[scheduler_name][:m] + fraction[:m]
-                counts[scheduler_name] += 1
-    assert times is not None
+    specs = [
+        RunSpec(
+            scheduler_name,
+            utilization,
+            capacity,
+            seed,
+            setup=setup,
+            energy_sample_interval=sample_interval,
+        )
+        for scheduler_name in _SCHEDULERS
+        for capacity in capacities
+        for seed in range(n_sets)
+    ]
+    results = run_journaled_sweep(specs, max_workers=workers()).complete_results()
+    times, _ = energy_series(results[0])
     curves = {}
-    for name, total in sums.items():
-        curves[name] = total / counts[name]
-        times = times[: total.size]
+    for name in _SCHEDULERS:
+        fractions = [
+            energy_series(result)[1]
+            for spec, result in zip(specs, results)
+            if spec.scheduler_name == name
+        ]
+        n = min(times.size, *(f.size for f in fractions))
+        curves[name] = sum(f[:n] for f in fractions) / len(fractions)
+        times = times[:n]
     return RemainingEnergyResult(
         figure=figure,
         utilization=utilization,

@@ -19,13 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.sweep import CapacitySweepPoint
+from repro.analysis.metrics import AggregateMetrics, aggregate_results
 from repro.experiments.common import PaperSetup, replications, workers
 from repro.plotting import ascii_plot
+from repro.sim.simulator import SimulationResult
 
 __all__ = [
+    "CapacitySweepPoint",
     "DEFAULT_FRACTIONS",
     "MissRateResult",
+    "ReplicatedRun",
     "run_fig8",
     "run_fig9",
     "run_miss_rate_sweep",
@@ -41,6 +44,28 @@ DEFAULT_FRACTIONS: tuple[float, ...] = (
 REFERENCE_CAPACITY = {0.4: 250.0, 0.8: 1000.0}
 
 _SCHEDULERS = ("lsa", "ea-dvfs")
+
+
+@dataclass(frozen=True)
+class ReplicatedRun:
+    """All replications of one (scheduler, capacity) cell."""
+
+    scheduler_name: str
+    capacity: float
+    results: tuple[SimulationResult, ...]
+    metrics: AggregateMetrics
+
+
+@dataclass(frozen=True)
+class CapacitySweepPoint:
+    """One x-axis point of a miss-rate-vs-capacity curve."""
+
+    capacity: float
+    by_scheduler: dict[str, ReplicatedRun]
+
+    def miss_rate(self, scheduler_name: str) -> float:
+        """Pooled miss rate of one scheduler at this capacity."""
+        return self.by_scheduler[scheduler_name].metrics.pooled_miss_rate
 
 
 @dataclass(frozen=True)
@@ -121,7 +146,8 @@ def run_miss_rate_sweep(
     ``$REPRO_JOURNAL`` when set and runs scalar cells on
     ``$REPRO_WORKERS`` processes.
     """
-    from repro.runtime.sweep import engine_from_env, journaled_capacity_sweep
+    from repro.analysis.parallel import RunSpec
+    from repro.runtime.sweep import engine_from_env, run_journaled_sweep
 
     setup = setup or PaperSetup()
     if reference_capacity is None:
@@ -134,15 +160,31 @@ def run_miss_rate_sweep(
             ) from None
     if n_sets is None:
         n_sets = replications(6)
-    points = journaled_capacity_sweep(
-        scheduler_names=_SCHEDULERS,
-        utilization=utilization,
-        capacities=[f * reference_capacity for f in fractions],
-        seeds=range(n_sets),
-        setup=setup,
-        max_workers=workers(),
-        engine=engine or engine_from_env(default="batch"),
+    capacities = [f * reference_capacity for f in fractions]
+    # Capacity-major, then scheduler, then seed: every scheduler at one
+    # capacity sees the same seeds (paired comparison).
+    specs = [
+        RunSpec(name, utilization, capacity, seed, setup=setup)
+        for capacity in capacities
+        for name in _SCHEDULERS
+        for seed in range(n_sets)
+    ]
+    results = iter(
+        run_journaled_sweep(
+            specs,
+            max_workers=workers(),
+            engine=engine or engine_from_env(default="batch"),
+        ).complete_results()
     )
+    points = []
+    for capacity in capacities:
+        runs = {}
+        for name in _SCHEDULERS:
+            chunk = tuple(next(results) for _ in range(n_sets))
+            runs[name] = ReplicatedRun(
+                name, capacity, chunk, aggregate_results(chunk)
+            )
+        points.append(CapacitySweepPoint(capacity, runs))
     return MissRateResult(
         figure=figure,
         utilization=utilization,

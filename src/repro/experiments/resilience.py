@@ -94,7 +94,6 @@ class ResilienceSetup(PaperSetup):
         capacity: float,
         seed: int,
         energy_sample_interval: Optional[float] = None,
-        initial_storage: Optional[float] = None,
     ) -> SimulationResult:
         """One watchdogged simulation with the configured faults injected."""
         scale = self.scale()
@@ -122,7 +121,7 @@ class ResilienceSetup(PaperSetup):
         simulator = HarvestingRtSimulator(
             taskset=taskset,
             source=source,
-            storage=IdealStorage(capacity=capacity, initial=initial_storage),
+            storage=IdealStorage(capacity=capacity),
             scheduler=make_scheduler(scheduler_name, scale),
             predictor=self.predictor(source),
             config=SimulationConfig(

@@ -78,13 +78,15 @@ def run_table1(
     """Search the minimum zero-miss capacity per scheduler and utilization.
 
     Every capacity probe is one supervised sweep
-    (:func:`~repro.runtime.sweep.journaled_miss_rates`; ``$REPRO_ENGINE``
+    (:func:`~repro.runtime.sweep.run_journaled_sweep`; ``$REPRO_ENGINE``
     and ``$REPRO_WORKERS`` apply).  When ``$REPRO_JOURNAL`` names a
     journal file, every probe checkpoints through it: the search sequence is deterministic, so a
     killed run replayed against the same journal answers the already
     probed capacities from disk and resumes the bisection where it died.
     """
-    from repro.runtime.sweep import journal_from_env, journaled_miss_rates
+    from repro.analysis.metrics import pooled_miss_rate
+    from repro.analysis.parallel import RunSpec
+    from repro.runtime.sweep import journal_from_env, run_journaled_sweep
 
     setup = setup or PaperSetup()
     if n_sets is None:
@@ -99,15 +101,14 @@ def run_table1(
             for name in _SCHEDULERS:
 
                 def miss_fn(capacity: float, _name: str = name) -> float:
-                    return journaled_miss_rates(
-                        scheduler_names=(_name,),
-                        utilization=utilization,
-                        capacity=capacity,
-                        seeds=seeds,
-                        setup=setup,
-                        journal=journal,
-                        max_workers=n_workers,
-                    )[_name]
+                    specs = [
+                        RunSpec(_name, utilization, capacity, seed, setup=setup)
+                        for seed in seeds
+                    ]
+                    report = run_journaled_sweep(
+                        specs, journal=journal, max_workers=n_workers
+                    )
+                    return pooled_miss_rate(report.complete_results())
 
                 searches[name] = find_min_capacity(
                     miss_fn,

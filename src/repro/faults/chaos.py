@@ -104,7 +104,6 @@ class FlakySetup(PaperSetup):
         capacity: float,
         seed: int,
         energy_sample_interval: Optional[float] = None,
-        initial_storage: Optional[float] = None,
     ) -> SimulationResult:
         marker = self._marker(scheduler_name, capacity, seed)
         marker.parent.mkdir(parents=True, exist_ok=True)
@@ -126,7 +125,6 @@ class FlakySetup(PaperSetup):
             capacity,
             seed,
             energy_sample_interval=energy_sample_interval,
-            initial_storage=initial_storage,
         )
 
 

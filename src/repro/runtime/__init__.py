@@ -14,10 +14,10 @@ package makes those sweeps survive crashes, kills and budget limits:
   :func:`~repro.runtime.supervisor.run_supervised` is the one way a
   ``RunSpec`` grid is executed, on either engine; batch-engine cells
   the vectorized core leaves out run on the same scalar runner;
-* :mod:`repro.runtime.sweep` — the experiments' sweep calls
-  (capacity sweeps and per-scheduler miss rates), plus the
-  ``$REPRO_JOURNAL`` / ``$REPRO_ENGINE`` wiring that makes the
-  existing experiments resumable without code changes.
+* :mod:`repro.runtime.sweep` — :func:`~repro.runtime.sweep.
+  run_journaled_sweep`, the one sweep call of every experiment grid,
+  with the ``$REPRO_JOURNAL`` / ``$REPRO_ENGINE`` wiring that makes the
+  experiments resumable without code changes.
 
 The chaos harness exercising all of this lives in
 :mod:`repro.faults.chaos`; format and semantics are documented in
@@ -43,8 +43,6 @@ from repro.runtime.supervisor import (
 from repro.runtime.sweep import (
     SweepFailedError,
     journal_from_env,
-    journaled_capacity_sweep,
-    journaled_miss_rates,
     run_journaled_sweep,
 )
 
@@ -59,8 +57,6 @@ __all__ = [
     "SweepReport",
     "journal_from_env",
     "journal_key",
-    "journaled_capacity_sweep",
-    "journaled_miss_rates",
     "result_from_payload",
     "result_to_payload",
     "run_journaled_sweep",

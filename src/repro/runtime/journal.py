@@ -118,12 +118,17 @@ def journal_key(spec: "RunSpec") -> JournalKey:
 # -- outcome codecs --------------------------------------------------------
 #
 # Journaled results are the *slim* results the sweeps consume (no job
-# list, no trace), so every field round-trips through JSON exactly.
+# list), so every field round-trips through JSON exactly.  Of the trace
+# only ENERGY samples travel, under a key only sampled results have.
+
+_ENERGY_FIELDS = ("stored", "fraction", "harvest_power")
 
 
 def result_to_payload(result: "SimulationResult") -> dict[str, Any]:
     """JSON-safe payload of a slim simulation result."""
-    return {
+    from repro.sim.tracing import TraceKind
+
+    payload = {
         "scheduler_name": result.scheduler_name,
         "horizon": result.horizon,
         "released_count": result.released_count,
@@ -150,12 +155,30 @@ def result_to_payload(result: "SimulationResult") -> dict[str, Any]:
         "per_task_released": dict(sorted(result.per_task_released.items())),
         "per_task_missed": dict(sorted(result.per_task_missed.items())),
     }
+    samples = result.trace.by_kind(TraceKind.ENERGY)
+    if samples:
+        columns = {"time": [record.time for record in samples]}
+        for name in _ENERGY_FIELDS:
+            columns[name] = [record[name] for record in samples]
+        payload["energy_samples"] = columns
+    return payload
 
 
 def result_from_payload(payload: dict[str, Any]) -> "SimulationResult":
     """Rehydrate a slim :class:`SimulationResult` from its journal payload."""
     from repro.sim.simulator import SimulationResult
+    from repro.sim.tracing import Trace, TraceKind
 
+    trace = Trace()
+    samples = payload.get("energy_samples")
+    if samples is not None:
+        trace = Trace(kinds=(TraceKind.ENERGY,))
+        for k, time in enumerate(samples["time"]):
+            trace.record(
+                time,
+                TraceKind.ENERGY,
+                **{name: samples[name][k] for name in _ENERGY_FIELDS},
+            )
     capacity = payload["storage_capacity"]
     return SimulationResult(
         scheduler_name=payload["scheduler_name"],
@@ -183,6 +206,7 @@ def result_from_payload(payload: dict[str, Any]) -> "SimulationResult":
         stall_time=payload["stall_time"],
         per_task_released=dict(payload["per_task_released"]),
         per_task_missed=dict(payload["per_task_missed"]),
+        trace=trace,
     )
 
 

@@ -42,6 +42,7 @@ The supervisor is the journal's only writer; workers never touch disk.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -61,7 +62,27 @@ from repro.runtime.journal import (
 )
 from repro.sim.simulator import SimulationResult
 
-__all__ = ["SupervisorPolicy", "SweepReport", "run_supervised"]
+__all__ = [
+    "SupervisorPolicy",
+    "SweepFailedError",
+    "SweepReport",
+    "run_supervised",
+]
+
+
+class SweepFailedError(RuntimeError):
+    """A sweep that requires complete results had failed cells."""
+
+    def __init__(self, failures: Sequence[RunFailure]) -> None:
+        first = failures[0]
+        detail = f"{first.error_type}: {first.message}"
+        if first.traceback:
+            detail += "\n" + first.traceback
+        super().__init__(
+            f"{len(failures)} sweep cell(s) failed after salvage; first: "
+            f"{detail}"
+        )
+        self.failures = tuple(failures)
 
 
 @dataclass(frozen=True)
@@ -174,6 +195,23 @@ class SweepReport:
     def failures(self) -> list[RunFailure]:
         return [o for o in self.outcomes if isinstance(o, RunFailure)]
 
+    def complete_results(self) -> list[SimulationResult]:
+        """Every cell's result, in input order.
+
+        Raises :class:`SweepFailedError` if a cell failed, and
+        :class:`RuntimeError` if a budget left cells unrun.
+        """
+        failures = self.failures()
+        if failures:
+            raise SweepFailedError(failures)
+        if self.not_run:
+            raise RuntimeError(
+                f"sweep stopped early: {self.budget_exhausted} budget "
+                f"exhausted with {self.not_run} cell(s) not run; rerun "
+                "with the same journal to continue"
+            )
+        return self.results()
+
     def format_text(self) -> str:
         lines = [
             f"sweep: {len(self.outcomes)} cell(s) in {self.elapsed:.1f}s — "
@@ -217,8 +255,8 @@ def _rss_mb() -> Optional[float]:
     except ImportError:  # pragma: no cover - non-POSIX
         return None
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports KiB, macOS bytes; normalize by magnitude.
-    return usage / 1024.0 if usage < 1 << 40 else usage / (1024.0 * 1024.0)
+    # macOS reports ru_maxrss in bytes, Linux and the BSDs in KiB.
+    return usage / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def _exhausted_budget(

@@ -1481,11 +1481,13 @@ def _run_lanes(
     include_jobs: bool,
     on_result: Optional[Callable[[int, SimulationResult], bool]] = None,
 ) -> tuple[list[Optional[SimulationResult]], dict[str, int]]:
-    """Run every coverable cell in one core; ``None`` marks the rest.
+    """Run every coverable cell on the core; ``None`` marks the rest.
 
     A cell is left out (and its reason counted) when the fallback probe
     rejects it, when building its lane raises, or when a core guard
-    evicts it; the caller decides how to run it instead.
+    evicts it; the caller decides how to run it instead.  Lanes run in
+    one core per DVFS ladder size (the core's level tables are
+    rectangular), in order of first appearance.
 
     Each cell's result is built as soon as its lane reaches the horizon
     and handed to ``on_result(index, result)``.  Returning ``False``
@@ -1508,21 +1510,30 @@ def _run_lanes(
             except Exception as exc:  # noqa: BLE001 - the scalar path reports it
                 reason = f"lane build raised {type(exc).__name__}"
         reasons[reason] += 1
-    core = _BatchCore(lanes)
+    groups: dict[int, list[int]] = {}
+    for pos, lane in enumerate(lanes):
+        groups.setdefault(lane.speeds.shape[0], []).append(pos)
+    for group in groups.values():
+        core = _BatchCore([lanes[pos] for pos in group])
+        stopped = False
 
-    def land(finished: IntArray) -> bool:
-        for pos in finished.tolist():
-            if core.errors[pos] is None:
-                i = placed[pos]
-                result = results[i] = core.result(pos, include_jobs)
-                if on_result is not None and not on_result(i, result):
-                    return False
-        return True
+        def land(finished: IntArray) -> bool:
+            nonlocal stopped
+            for pos in finished.tolist():
+                if core.errors[pos] is None:
+                    i = placed[group[pos]]
+                    result = results[i] = core.result(pos, include_jobs)
+                    if on_result is not None and not on_result(i, result):
+                        stopped = True
+                        return False
+            return True
 
-    core.run(land)
-    for error in core.errors:
-        if error is not None:
-            reasons[f"batch core: {error}"] += 1
+        core.run(land)
+        for error in core.errors:
+            if error is not None:
+                reasons[f"batch core: {error}"] += 1
+        if stopped:
+            break
     return results, dict(reasons)
 
 

@@ -1,4 +1,9 @@
-"""Unit tests for metric aggregation and the sweep drivers."""
+"""Unit tests for metric aggregation and the sweep drivers.
+
+The drivers are :func:`repro.runtime.sweep.run_journaled_sweep` (seeded
+replication) and :func:`repro.experiments.fig8_fig9.run_miss_rate_sweep`
+(capacity sweeps); both are checked against direct ``setup.run`` loops.
+"""
 
 import pytest
 
@@ -6,11 +11,16 @@ from repro.analysis.metrics import (
     aggregate_results,
     energy_series,
     miss_rate_by_task,
+    pooled_miss_rate,
 )
-from repro.analysis.sweep import run_capacity_sweep, run_replications
+from repro.analysis.parallel import RunSpec
 from repro.cpu.presets import xscale_pxa
 from repro.energy.source import ConstantSource, SolarStochasticSource
 from repro.energy.storage import IdealStorage
+from repro.experiments.common import PaperSetup
+from repro.experiments.fig8_fig9 import run_miss_rate_sweep
+from repro.runtime.journal import result_to_payload
+from repro.runtime.sweep import run_journaled_sweep
 from repro.sched.edf import GreedyEdfScheduler
 from repro.sched.registry import make_scheduler
 from repro.sim.simulator import HarvestingRtSimulator, SimulationConfig
@@ -90,43 +100,53 @@ class TestMissRateByTask:
         assert 0.0 <= rates["t"] <= 1.0
 
 
+FAST_SETUP = PaperSetup(horizon=300.0)
+
+
+@pytest.fixture(autouse=True)
+def _no_env_journal(monkeypatch):
+    monkeypatch.delenv("REPRO_JOURNAL", raising=False)
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+
+
+def capacity_sweep(fractions, n_sets=2):
+    return run_miss_rate_sweep(
+        utilization=0.4, figure="test", setup=FAST_SETUP,
+        reference_capacity=50.0, fractions=fractions, n_sets=n_sets,
+    )
+
+
 class TestReplicationDriver:
     def test_runs_all_seeds(self):
-        rep = run_replications(tiny_factory, "edf", 20.0, seeds=[0, 1, 2])
-        assert len(rep.results) == 3
-        assert rep.scheduler_name == "edf"
-        assert time_eq(rep.capacity, 20.0)
+        specs = [RunSpec("edf", 0.4, 20.0, s, setup=FAST_SETUP)
+                 for s in (0, 1, 2)]
+        results = run_journaled_sweep(specs).complete_results()
+        direct = [FAST_SETUP.run("edf", 0.4, 20.0, s) for s in (0, 1, 2)]
+        assert [result_to_payload(r) for r in results] == [
+            result_to_payload(r) for r in direct
+        ]
 
     def test_no_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            run_replications(tiny_factory, "edf", 20.0, seeds=[])
+        with pytest.raises(ValueError, match="no results"):
+            capacity_sweep((1.0,), n_sets=0)
 
 
 class TestCapacitySweepDriver:
     def test_sweep_structure(self):
-        points = run_capacity_sweep(
-            tiny_factory,
-            scheduler_names=("edf", "lsa"),
-            capacities=(5.0, 50.0),
-            seeds=(0, 1),
-        )
+        points = capacity_sweep((0.1, 1.0)).points
         assert len(points) == 2
-        assert set(points[0].by_scheduler) == {"edf", "lsa"}
+        assert set(points[0].by_scheduler) == {"lsa", "ea-dvfs"}
         assert time_eq(points[0].capacity, 5.0)
+        assert len(points[0].by_scheduler["lsa"].results) == 2
 
     def test_miss_rate_accessor(self):
-        points = run_capacity_sweep(
-            tiny_factory, ("edf",), (5.0,), seeds=(0,),
-        )
-        assert 0.0 <= points[0].miss_rate("edf") <= 1.0
+        (point,) = capacity_sweep((0.2,)).points
+        for name in ("lsa", "ea-dvfs"):
+            direct = [FAST_SETUP.run(name, 0.4, 10.0, s) for s in (0, 1)]
+            assert point.miss_rate(name) == pooled_miss_rate(direct)
 
     def test_larger_capacity_helps(self):
         """Sanity: a much bigger storage cannot miss more (pooled)."""
-        points = run_capacity_sweep(
-            tiny_factory, ("edf",), (2.0, 500.0), seeds=(0, 1, 2),
-        )
-        assert points[1].miss_rate("edf") <= points[0].miss_rate("edf")
-
-    def test_empty_schedulers_rejected(self):
-        with pytest.raises(ValueError):
-            run_capacity_sweep(tiny_factory, (), (5.0,), seeds=(0,))
+        small, large = capacity_sweep((0.04, 10.0), n_sets=3).points
+        for name in ("lsa", "ea-dvfs"):
+            assert large.miss_rate(name) <= small.miss_rate(name)

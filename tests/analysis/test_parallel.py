@@ -1,15 +1,16 @@
 """Tests for the sweep entry points: the salvage runner and the
-supervised capacity-sweep / miss-rate helpers built on it."""
+supervised sweep built on it, against direct ``setup.run`` loops."""
 
 import dataclasses
 
 import pytest
 
+from repro.analysis.metrics import pooled_miss_rate
 from repro.analysis.parallel import RunSpec, run_parallel_salvage
 from repro.experiments.common import PaperSetup
-from repro.runtime.sweep import journaled_capacity_sweep, journaled_miss_rates
+from repro.runtime.journal import result_to_payload
+from repro.runtime.sweep import run_journaled_sweep
 from repro.serialization import canonical_json, result_to_dict
-from repro.timeutils import time_eq
 
 FAST_SETUP = PaperSetup(horizon=400.0)
 
@@ -59,29 +60,37 @@ class TestRunParallel:
         )
 
 
+def grid(names, capacities, seeds=range(2)):
+    return [
+        RunSpec(name, 0.4, capacity, seed, setup=FAST_SETUP)
+        for capacity in capacities
+        for name in names
+        for seed in seeds
+    ]
+
+
+def miss_rates(names, capacity, max_workers):
+    """Pooled miss rate per scheduler of one supervised sweep."""
+    results = run_journaled_sweep(
+        grid(names, (capacity,)), max_workers=max_workers
+    ).complete_results()
+    return {
+        name: pooled_miss_rate(results[2 * k:2 * k + 2])
+        for k, name in enumerate(names)
+    }
+
+
 class TestParallelCapacitySweep:
     def test_matches_serial_sweep(self):
-        from repro.analysis.sweep import run_capacity_sweep
-
-        serial = run_capacity_sweep(
-            FAST_SETUP.factory(0.4),
-            scheduler_names=("lsa", "ea-dvfs"),
-            capacities=(20.0, 80.0),
-            seeds=range(2),
-        )
-        parallel = journaled_capacity_sweep(
-            scheduler_names=("lsa", "ea-dvfs"),
-            utilization=0.4,
-            capacities=(20.0, 80.0),
-            seeds=range(2),
-            setup=FAST_SETUP,
-            max_workers=2,
-        )
-        assert len(parallel) == len(serial)
-        for p, s in zip(parallel, serial):
-            assert time_eq(p.capacity, s.capacity)
-            for name in ("lsa", "ea-dvfs"):
-                assert p.miss_rate(name) == pytest.approx(s.miss_rate(name))
+        specs = grid(("lsa", "ea-dvfs"), (20.0, 80.0))
+        parallel = run_journaled_sweep(specs, max_workers=2).complete_results()
+        serial = [
+            FAST_SETUP.run(s.scheduler_name, 0.4, s.capacity, s.seed)
+            for s in specs
+        ]
+        assert [result_to_payload(r) for r in parallel] == [
+            result_to_payload(r) for r in serial
+        ]
 
 
 class TestWorkersEnv:
@@ -106,25 +115,13 @@ class TestWorkersEnv:
 
 class TestParallelMissRates:
     def test_rates_per_scheduler(self):
-        rates = journaled_miss_rates(
-            scheduler_names=("lsa", "ea-dvfs"),
-            utilization=0.4,
-            capacity=30.0,
-            seeds=range(2),
-            setup=FAST_SETUP,
-            max_workers=2,
-        )
+        rates = miss_rates(("lsa", "ea-dvfs"), 30.0, max_workers=2)
         assert set(rates) == {"lsa", "ea-dvfs"}
         assert all(0.0 <= r <= 1.0 for r in rates.values())
 
     def test_matches_serial_pooling(self):
-        kwargs = dict(
-            scheduler_names=("lsa",),
-            utilization=0.4,
-            capacity=30.0,
-            seeds=range(2),
-            setup=FAST_SETUP,
-        )
-        serial = journaled_miss_rates(max_workers=1, **kwargs)
-        parallel = journaled_miss_rates(max_workers=2, **kwargs)
+        serial = miss_rates(("lsa",), 30.0, max_workers=1)
+        parallel = miss_rates(("lsa",), 30.0, max_workers=2)
         assert parallel == serial
+        direct = [FAST_SETUP.run("lsa", 0.4, 30.0, s) for s in range(2)]
+        assert serial == {"lsa": pooled_miss_rate(direct)}

@@ -5,14 +5,27 @@ horizons, validating the *plumbing* of each experiment; the full-shape
 reproduction lives in the benchmark harness (see EXPERIMENTS.md).
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.experiments.common import PaperSetup, replications, scale_factor
 from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6_fig7 import run_remaining_energy
-from repro.experiments.fig8_fig9 import run_miss_rate_sweep
-from repro.experiments.table1 import run_table1
+from repro.experiments.fig6_fig7 import (
+    RemainingEnergyResult,
+    run_fig6,
+    run_fig7,
+    run_remaining_energy,
+)
+from repro.experiments.fig8_fig9 import (
+    MissRateResult,
+    run_fig8,
+    run_fig9,
+    run_miss_rate_sweep,
+)
+from repro.experiments.resilience import ResilienceResult, run_resilience
+from repro.experiments.table1 import Table1Result, run_table1
 from repro.experiments import EXPERIMENTS, run_experiment
 
 
@@ -41,11 +54,6 @@ class TestPaperSetup:
             assert result.released_count > 0
         with pytest.raises(ValueError, match="unknown predictor"):
             PaperSetup(predictor_kind="magic").predictor(None)
-
-    def test_factory_signature(self, fast_setup):
-        factory = fast_setup.factory(0.4)
-        result = factory("lsa", 50.0, 0)
-        assert result.scheduler_name == "lsa"
 
     def test_scale_factor_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "2.5")
@@ -209,3 +217,85 @@ class TestRegistry:
         text = bundle.format_text()
         assert "Figure 1" in text
         assert "Figure 3" in text
+
+
+TINY = PaperSetup(horizon=400.0)
+
+#: Every experiment grid of the registry at tiny scale.  Ablations run
+#: at their default horizon; n_sets=1 is their smallest scale.
+TINY_GRIDS = {
+    "fig6": lambda: run_fig6(setup=TINY, capacities=(50.0,), n_sets=1),
+    "fig7": lambda: run_fig7(setup=TINY, capacities=(50.0,), n_sets=1),
+    "fig8": lambda: run_fig8(setup=TINY, fractions=(0.2,), n_sets=1),
+    "fig9": lambda: run_fig9(setup=TINY, fractions=(0.2,), n_sets=1),
+    "table1": lambda: run_table1(setup=TINY, utilizations=(0.4,), n_sets=1),
+    "resilience": lambda: run_resilience(
+        setup=TINY, n_sets=1, scheduler_names=("lsa",)
+    ),
+    "ablation-weather": lambda: EXPERIMENTS["ablation-weather"](
+        n_sets=1, capacities=(100.0,), horizon=2000.0
+    ),
+    **{
+        name: (lambda runner=runner: runner(n_sets=1))
+        for name, runner in EXPERIMENTS.items()
+        if name.startswith("ablation-") and name != "ablation-weather"
+    },
+}
+
+
+def reported_numbers(result):
+    """Every number a grid experiment reports, at full precision."""
+    if isinstance(result, RemainingEnergyResult):
+        return result.times.tolist(), {
+            name: curve.tolist() for name, curve in result.curves.items()
+        }
+    if isinstance(result, MissRateResult):
+        return [result.curve(name).tolist() for name in ("lsa", "ea-dvfs")]
+    if isinstance(result, Table1Result):
+        return [(row.cmin_lsa, row.cmin_ea_dvfs) for row in result.rows]
+    if isinstance(result, ResilienceResult):
+        return dict(result.miss_rates)
+    return result.metrics
+
+
+class TestEngineParity:
+    """Each fig6/fig7 and ablation cell runs on either engine with
+    bit-identical numbers: a variant the batch core replays must really
+    be the world its scalar run simulates."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["fig6"] + sorted(n for n in TINY_GRIDS if n.startswith("ablation-")),
+    )
+    def test_engines_agree(self, monkeypatch, name):
+        monkeypatch.delenv("REPRO_JOURNAL", raising=False)
+        results = {}
+        for engine in ("scalar", "batch"):
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+            results[engine] = TINY_GRIDS[name]()
+        assert reported_numbers(results["batch"]) == reported_numbers(
+            results["scalar"]
+        )
+        assert results["batch"].format_text() == (
+            results["scalar"].format_text()
+        )
+
+
+class TestJournalResume:
+    @pytest.mark.parametrize("name", sorted(TINY_GRIDS))
+    def test_rerun_is_answered_from_the_journal(
+        self, tmp_path, monkeypatch, name
+    ):
+        path = tmp_path / "grid.journal"
+        monkeypatch.setenv("REPRO_JOURNAL", str(path))
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        first = TINY_GRIDS[name]()
+        size = os.path.getsize(path)
+        second = TINY_GRIDS[name]()
+        assert os.path.getsize(path) == size  # no record appended
+        assert reported_numbers(second) == reported_numbers(first)
+        assert second.format_text() == first.format_text()
+
+    def test_every_grid_is_covered(self):
+        grids = set(EXPERIMENTS) - {"fig5", "motivation"}
+        assert set(TINY_GRIDS) == grids

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.analysis.metrics import energy_series
 from repro.analysis.parallel import RunFailure, RunSpec
 from repro.experiments.common import PaperSetup
 from repro.faults.chaos import flip_byte, truncate_tail
@@ -104,6 +105,27 @@ class TestPayloadRoundTrip:
         result = make_result(capacity=math.inf)
         back = result_from_payload(result_to_payload(result))
         assert math.isinf(back.storage_capacity)
+
+    def test_unsampled_payload_has_no_energy_samples(self):
+        result = FAST_SETUP.run("lsa", 0.4, 50.0, 0)
+        assert "energy_samples" not in result_to_payload(result)
+
+    def test_energy_samples_round_trip_bit_exactly(self, tmp_path):
+        result = FAST_SETUP.run(
+            "lsa", 0.4, 50.0, 0, energy_sample_interval=25.0
+        )
+        with ResultJournal(tmp_path / "j.journal") as journal:
+            journal.append_result(journal_key(make_spec()), result)
+        with ResultJournal(tmp_path / "j.journal") as journal:
+            record = journal.get(journal_key(make_spec()))
+        back = result_from_payload(record["payload"])
+        for field in ("stored", "fraction", "harvest_power"):
+            times, values = energy_series(result, field)
+            back_times, back_values = energy_series(back, field)
+            assert times.size == 9
+            assert back_times.tobytes() == times.tobytes()
+            assert back_values.tobytes() == values.tobytes()
+        assert result_to_payload(back) == record["payload"]
 
     def test_failure_round_trips(self):
         spec = make_spec()

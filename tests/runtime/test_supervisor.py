@@ -19,8 +19,6 @@ from repro.runtime.supervisor import (
 from repro.runtime.sweep import (
     SweepFailedError,
     journal_from_env,
-    journaled_capacity_sweep,
-    journaled_miss_rates,
     run_journaled_sweep,
 )
 from repro.serialization import canonical_json
@@ -389,52 +387,30 @@ class TestJournaledSweepHelpers:
         report = run_journaled_sweep(specs_for(1), max_workers=1)
         assert report.journal_path is None
 
-    def test_journaled_miss_rates_matches_serial(self, tmp_path):
-        from repro.analysis.sweep import run_replications
-
-        rates = journaled_miss_rates(
-            ("edf", "lsa"),
-            utilization=0.4,
-            capacity=50.0,
-            seeds=range(2),
-            setup=FAST_SETUP,
-            journal=ResultJournal(tmp_path / "j.journal"),
-            max_workers=1,
-        )
-        factory = FAST_SETUP.factory(0.4)
-        for name in ("edf", "lsa"):
-            serial = run_replications(factory, name, 50.0, range(2))
-            assert rates[name] == pytest.approx(
-                serial.metrics.pooled_miss_rate
+    def test_journaled_sweep_matches_serial(self, tmp_path):
+        specs = specs_for(2) + specs_for(2, name="lsa")
+        with ResultJournal(tmp_path / "j.journal") as journal:
+            fresh = run_journaled_sweep(specs, journal=journal, max_workers=1)
+            resumed = run_journaled_sweep(
+                specs, journal=journal, max_workers=1
             )
-
-    def test_journaled_capacity_sweep_matches_parallel_shape(self, tmp_path):
-        points = journaled_capacity_sweep(
-            ("edf",),
-            utilization=0.4,
-            capacities=(25.0, 50.0),
-            seeds=range(2),
-            setup=FAST_SETUP,
-            journal=ResultJournal(tmp_path / "j.journal"),
-            max_workers=1,
-        )
-        assert [p.capacity for p in points] == [25.0, 50.0]
-        for point in points:
-            run = point.by_scheduler["edf"]
-            assert len(run.results) == 2
-            assert 0.0 <= point.miss_rate("edf") <= 1.0
+        assert resumed.journal_hits == len(specs)
+        serial = [
+            FAST_SETUP.run(s.scheduler_name, 0.4, 50.0, s.seed) for s in specs
+        ]
+        for report in (fresh, resumed):
+            assert [
+                result_to_payload(r) for r in report.complete_results()
+            ] == [result_to_payload(r) for r in serial]
 
     def test_sweep_failed_error_carries_traceback(self, tmp_path):
+        report = run_journaled_sweep(
+            specs_for(1, setup=RaisingSetup()),
+            journal=ResultJournal(tmp_path / "j.journal"),
+            max_workers=1,
+        )
         with pytest.raises(SweepFailedError, match="injected crash") as info:
-            journaled_miss_rates(
-                ("edf",),
-                utilization=0.4,
-                capacity=50.0,
-                seeds=range(1),
-                setup=RaisingSetup(),
-                journal=ResultJournal(tmp_path / "j.journal"),
-                max_workers=1,
-            )
+            report.complete_results()
         failure = info.value.failures[0]
         assert failure.traceback is not None
         assert "RuntimeError" in failure.traceback
@@ -455,3 +431,30 @@ class TestSweepReportShape:
         assert not report.ok
         assert report.completed == 0
         assert dataclasses.asdict(report)["budget_exhausted"] == "wall-clock"
+
+    def test_complete_results_refuses_unrun_cells(self):
+        report = SweepReport(
+            outcomes=(None,), journal_hits=0, executed=0, not_run=1,
+            failed=0, quarantined=0, elapsed=0.0,
+            budget_exhausted="wall-clock",
+        )
+        with pytest.raises(RuntimeError, match="wall-clock budget"):
+            report.complete_results()
+
+
+class TestRssMeasurement:
+    @pytest.mark.parametrize(
+        "platform, maxrss", [("linux", 150 * 1024), ("darwin", 150 << 20)]
+    )
+    def test_platform_units(self, monkeypatch, platform, maxrss):
+        import resource
+        import sys
+        from types import SimpleNamespace
+
+        from repro.runtime.supervisor import _rss_mb
+
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(
+            resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss)
+        )
+        assert _rss_mb() == 150.0
