@@ -633,22 +633,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.export:
         from repro.runtime.journal import (
-            journal_key,
+            journal_keys,
             result_to_payload,
         )
         from repro.serialization import atomic_write_text, canonical_json
 
         payload = {}
-        for spec, outcome in zip(specs, report.outcomes):
+        for key, outcome in zip(journal_keys(specs), report.outcomes):
             if outcome is None:
                 continue
-            key = journal_key(spec).text()
             if isinstance(outcome, RunFailure):
-                payload[key] = {"kind": "failure",
-                                "error_type": outcome.error_type}
+                payload[key.text()] = {"kind": "failure",
+                                       "error_type": outcome.error_type}
             else:
-                payload[key] = {"kind": "result",
-                                "payload": result_to_payload(outcome)}
+                payload[key.text()] = {"kind": "result",
+                                       "payload": result_to_payload(outcome)}
         atomic_write_text(args.export, canonical_json(payload))
         print(f"result set written to {args.export}")
     return 0 if report.ok else 1

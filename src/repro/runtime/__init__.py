@@ -31,6 +31,7 @@ from repro.runtime.journal import (
     JournalKey,
     ResultJournal,
     journal_key,
+    journal_keys,
     result_from_payload,
     result_to_payload,
     spec_hash,
@@ -57,6 +58,7 @@ __all__ = [
     "SweepReport",
     "journal_from_env",
     "journal_key",
+    "journal_keys",
     "result_from_payload",
     "result_to_payload",
     "run_journaled_sweep",

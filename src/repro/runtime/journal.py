@@ -14,12 +14,14 @@ trailing frame) that :meth:`ResultJournal.open` detects and truncates
 away.  Everything before the tear is intact — append-only framing means
 an interrupted sweep loses at most the record being written.
 
-Keys are content-addressed: :func:`spec_hash` canonicalizes the full
+Keys are content-addressed: :func:`journal_keys` canonicalizes each
 :class:`~repro.analysis.parallel.RunSpec` (setup class + fields,
-utilization, capacity, seed) through
+utilization, capacity, seed, energy sample interval) through
 :func:`repro.serialization.canonical_json` and hashes it with SHA-256,
 so two sweeps over the same cells share records and a spec change can
-never alias a stale result.  ``engine_version``
+never alias a stale result.  It keys a whole sweep in one pass;
+:func:`spec_hash` and :func:`journal_key` are its one-cell forms, so the
+key bytes have a single definition.  ``engine_version``
 (:data:`ENGINE_VERSION`) is part of the key: bump it whenever simulation
 semantics change numerically and old journals simply stop matching.
 
@@ -37,7 +39,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
 
 from repro.serialization import canonical_json
 
@@ -54,6 +56,7 @@ __all__ = [
     "failure_from_payload",
     "failure_to_payload",
     "journal_key",
+    "journal_keys",
     "result_from_payload",
     "result_to_payload",
     "spec_hash",
@@ -92,27 +95,74 @@ class JournalKey:
         return f"{self.spec_hash}/{self.scheduler_name}/e{self.engine_version}"
 
 
+def journal_keys(specs: Sequence["RunSpec"]) -> list[JournalKey]:
+    """The journal keys of ``specs``, in input order.
+
+    Each key's ``spec_hash`` is the SHA-256 of the canonical JSON of its
+    cell: setup class and fields, utilization, capacity, seed and energy
+    sample interval.  One pass turns each distinct setup object into
+    its fields once and hashes each distinct cell once: cells that differ
+    only in scheduler share a hash, since the scheduler is a separate key
+    field.
+
+    Setups are matched by identity: equal setups may still canonicalize
+    apart (``horizon=2000`` and ``horizon=2000.0`` compare equal but
+    hash differently).  Cells are matched by value *and* type for the
+    same reason (``capacity=100`` is not ``capacity=100.0``).
+    """
+    setups: list[Any] = []  # distinct setup objects
+    setup_fields: list[dict[str, Any]] = []  # their class and fields
+    hashes: dict[tuple[Any, ...], str] = {}
+    keys = []
+    for spec in specs:
+        setup = spec.setup
+        # Most recent first: grids share one setup or run setup-major.
+        for index in range(len(setups) - 1, -1, -1):
+            if setups[index] is setup:
+                break
+        else:
+            index = len(setups)
+            setups.append(setup)
+            setup_fields.append({
+                "setup_class": type(setup).__qualname__,
+                "setup": dataclasses.asdict(setup),
+            })
+        cell = (
+            index,
+            type(spec.utilization), spec.utilization,
+            type(spec.capacity), spec.capacity,
+            type(spec.seed), spec.seed,
+            type(spec.energy_sample_interval), spec.energy_sample_interval,
+        )
+        digest = hashes.get(cell)
+        if digest is None:
+            payload = {
+                **setup_fields[index],
+                "utilization": spec.utilization,
+                "capacity": spec.capacity,
+                "seed": spec.seed,
+                "energy_sample_interval": spec.energy_sample_interval,
+            }
+            digest = hashlib.sha256(
+                canonical_json(payload).encode("utf-8")
+            ).hexdigest()
+            hashes[cell] = digest
+        keys.append(JournalKey(
+            spec_hash=digest,
+            scheduler_name=spec.scheduler_name,
+            engine_version=ENGINE_VERSION,
+        ))
+    return keys
+
+
 def spec_hash(spec: "RunSpec") -> str:
     """SHA-256 of the canonical JSON of a run spec (setup class included)."""
-    payload = {
-        "setup_class": type(spec.setup).__qualname__,
-        "setup": dataclasses.asdict(spec.setup),
-        "utilization": spec.utilization,
-        "capacity": spec.capacity,
-        "seed": spec.seed,
-        "energy_sample_interval": spec.energy_sample_interval,
-    }
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
-    return digest.hexdigest()
+    return journal_keys([spec])[0].spec_hash
 
 
 def journal_key(spec: "RunSpec") -> JournalKey:
     """The journal key of one sweep cell."""
-    return JournalKey(
-        spec_hash=spec_hash(spec),
-        scheduler_name=spec.scheduler_name,
-        engine_version=ENGINE_VERSION,
-    )
+    return journal_keys([spec])[0]
 
 
 # -- outcome codecs --------------------------------------------------------

@@ -57,7 +57,7 @@ from repro.runtime.journal import (
     JournalKey,
     ResultJournal,
     failure_from_payload,
-    journal_key,
+    journal_keys,
     result_from_payload,
 )
 from repro.sim.simulator import SimulationResult
@@ -330,12 +330,13 @@ def run_supervised(
     prior_attempts = [0] * n
     journal_hits = 0
     pending: list[int] = []
+    # Keyed once: the lookups below and the landing appends share them.
+    keys = journal_keys(specs) if journal is not None else []
 
     for i, spec in enumerate(specs):
         if journal is not None:
-            key = journal_key(spec)
             outcome, prior = _journal_outcome(
-                journal, key, spec, policy.quarantine_after
+                journal, keys[i], spec, policy.quarantine_after
             )
             prior_attempts[i] = prior
             if outcome is not None:
@@ -369,11 +370,10 @@ def run_supervised(
                 )
             outcomes[i] = outcome
             if journal is not None:
-                key = journal_key(specs[i])
                 if isinstance(outcome, RunFailure):
-                    journal.append_failure(key, outcome)
+                    journal.append_failure(keys[i], outcome)
                 else:
-                    journal.append_result(key, outcome)
+                    journal.append_result(keys[i], outcome)
             if executed < len(pending):
                 budget_exhausted = _exhausted_budget(policy, started)
             return budget_exhausted is None

@@ -14,6 +14,8 @@ baseline (see ``docs/static-analysis.md``).
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint import Baseline, lint_paths
 from repro.lint import rules_purity
 from repro.lint.engine import load_modules
@@ -27,6 +29,12 @@ DEFAULT_TREE = [
     REPO_ROOT / "examples",
     REPO_ROOT / "tests",
 ]
+
+
+@pytest.fixture(scope="module")
+def default_tree_report():
+    """One full default-tree lint run, shared by the tests that read it."""
+    return lint_paths(DEFAULT_TREE, root=REPO_ROOT)
 
 
 class TestSelfHost:
@@ -48,26 +56,25 @@ class TestSelfHost:
         )
         assert report.ok, "\n" + report.format_text()
 
-    def test_default_tree_is_baseline_clean(self):
+    def test_default_tree_is_baseline_clean(self, default_tree_report):
         """The CI gate: no new findings vs the committed baseline."""
-        report = lint_paths(DEFAULT_TREE, root=REPO_ROOT)
         baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        comparison = baseline.compare(report)
+        comparison = baseline.compare(default_tree_report)
         assert comparison.ok, "\n" + comparison.format_text()
 
-    def test_no_stale_suppressions(self):
+    def test_no_stale_suppressions(self, default_tree_report):
         """CI runs with --fail-on-stale; the tree must satisfy it."""
-        report = lint_paths(DEFAULT_TREE, root=REPO_ROOT)
+        report = default_tree_report
         stale = "\n".join(d.format_text() for d in report.stale_suppressions)
         assert not report.stale_suppressions, "\n" + stale
 
-    def test_timing_recorded_and_under_budget(self):
+    def test_timing_recorded_and_under_budget(self, default_tree_report):
         """The engine shares one parse/tokenize/walk per file across all
         rule families; before PR 10 a full-tree run took ~8.5s on the CI
         baseline box, after it ~4.3s.  The generous ceiling only catches
         a pathological regression (an accidental per-rule re-analysis),
         not scheduler jitter."""
-        report = lint_paths(DEFAULT_TREE, root=REPO_ROOT)
+        report = default_tree_report
         assert report.elapsed_seconds is not None
         assert report.elapsed_seconds < 30.0, report.elapsed_seconds
         assert (
