@@ -18,11 +18,9 @@
     Domain-aware static analysis (determinism, tolerant-comparison,
     flow-aware quantity-unit, API-contract, float-determinism/parity
     rules); exits non-zero on any finding.  ``--baseline`` /
-    ``--update-baseline`` turn it into a ratchet gate, ``--format
-    sarif`` emits SARIF 2.1.0 for review UIs, ``--format github`` emits
-    inline PR annotations, ``--fix`` applies the safe mechanical
-    rewrites (including stripping stale suppressions), and
-    ``--fail-on-stale`` gates on leftover suppressions.
+    ``--update-baseline`` turn it into a ratchet gate,
+    ``--fail-on-stale`` gates on leftover suppressions, and
+    ``--certify`` prints the purity certification report.
 ``repro sweep [options]``
     Resumable grid sweep through the crash-consistent runtime
     (:mod:`repro.runtime`): with ``--journal PATH`` every finished cell
@@ -140,9 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--format", dest="output_format", default="text",
-        choices=("text", "json", "sarif", "github"),
-        help="diagnostic output format (default text; `github` emits "
-        "workflow-command annotations for inline PR review)",
+        choices=("text", "json"),
+        help="diagnostic output format (default text)",
     )
     lint.add_argument(
         "--baseline", metavar="PATH",
@@ -154,11 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the current findings to the --baseline file and exit",
     )
     lint.add_argument(
-        "--fix", action="store_true",
-        help="apply the safe auto-fixes (including stripping stale "
-        "suppressions), then re-run the analysis",
-    )
-    lint.add_argument(
         "--fail-on-stale", action="store_true",
         help="exit non-zero when any suppression matches no finding "
         "(stale notes are informational by default)",
@@ -166,15 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="list the registered rule codes and exit",
-    )
-    lint.add_argument(
-        "--list-fixers", action="store_true",
-        help="list the registered fixers (and their safety) and exit",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan per-module rules out over N worker processes "
-        "(finding order stays deterministic; default 1)",
     )
     lint.add_argument(
         "--certify", action="store_true",
@@ -455,28 +438,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     # Exit-code contract matches `repro verify`: 0 clean, 1 findings,
     # 2 internal/usage errors.
-    import json
-
-    from repro.lint import (
-        Baseline,
-        LintError,
-        all_rules,
-        apply_fixes,
-        lint_paths,
-        to_sarif,
-    )
-    from repro.lint.fixers import all_fixers
+    from repro.lint import Baseline, LintError, all_rules, lint_paths
 
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.code}  {rule.name}")
             print(f"        {rule.description}")
-        return 0
-    if args.list_fixers:
-        for fixer in all_fixers():
-            safety = "safe" if fixer.safe else "UNSAFE (never auto-applied)"
-            print(f"{fixer.name}  [{', '.join(sorted(fixer.codes))}] {safety}")
-            print(f"        {fixer.description}")
         return 0
     if args.update_baseline and not args.baseline:
         print("error: --update-baseline requires --baseline PATH",
@@ -493,19 +460,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        if args.fix:
-            outcome = apply_fixes(args.paths)
-            for path in outcome.files_skipped:
-                print(f"skipped (would not re-parse): {path}",
-                      file=sys.stderr)
-            print(
-                f"applied {outcome.edits_applied} fix(es) in "
-                f"{len(outcome.files_changed)} file(s)"
-            )
-            assert outcome.report_after is not None
-            report = outcome.report_after
-        else:
-            report = lint_paths(args.paths, jobs=args.jobs)
+        report = lint_paths(args.paths)
         if args.update_baseline:
             Baseline.from_report(report).save(args.baseline)
             print(
@@ -522,19 +477,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
     if args.output_format == "json":
         print(report.to_json())
-    elif args.output_format == "sarif":
-        print(json.dumps(to_sarif(report), indent=2, sort_keys=True))
-    elif args.output_format == "github":
-        rendered = report.format_github()
-        if rendered:
-            print(rendered)
     else:
         print(report.format_text())
     stale_failure = bool(args.fail_on_stale and report.stale_suppressions)
-    if stale_failure and args.output_format in ("text", "github"):
+    if stale_failure and args.output_format == "text":
         print(
             f"{len(report.stale_suppressions)} stale suppression(s) "
-            "with --fail-on-stale; strip them with `repro lint --fix`",
+            "with --fail-on-stale; delete the listed directives",
             file=sys.stderr,
         )
     if comparison is not None:

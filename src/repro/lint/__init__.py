@@ -70,7 +70,7 @@ Suppress a finding with an inline ``# repro-lint: disable=RPR101`` (or
 ``disable-file=`` for the whole file), ideally followed by a short
 ``-- why`` note.  CI ratchets the suppression count and the finding set
 through ``lint-baseline.json`` (``--baseline`` / ``--update-baseline``),
-and ``repro lint --fix`` applies the safe mechanical rewrites.
+and ``--fail-on-stale`` fails on suppressions that match no finding.
 """
 
 from repro.lint.baseline import Baseline, BaselineComparison
@@ -95,7 +95,6 @@ from repro.lint.engine import (
     register_rule,
     ruleset_codes,
 )
-from repro.lint.fixers import apply_fixes
 from repro.lint.index import ProjectIndex, build_index
 from repro.lint.naming import Dimension, infer_dimension
 from repro.lint.parity import PAIRS, FunctionRef, ParityPair
@@ -108,7 +107,6 @@ from repro.lint.purity import (
     load_manifest,
     parse_manifest,
 )
-from repro.lint.sarif import to_sarif
 
 __all__ = [
     "ENGINE_VERSION",
@@ -134,7 +132,6 @@ __all__ = [
     "analyze_arrays",
     "analyze_module",
     "analyze_purity",
-    "apply_fixes",
     "build_call_graph",
     "build_index",
     "certify",
@@ -146,5 +143,4 @@ __all__ = [
     "parse_manifest",
     "register_rule",
     "ruleset_codes",
-    "to_sarif",
 ]

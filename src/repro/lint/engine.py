@@ -22,8 +22,8 @@ line suppresses the code for the whole file.  ``disable=all`` works in
 both positions.  Unknown codes in a suppression are reported as
 ``RPR902``, and suppressions that no longer match any live finding are
 reported as *stale* (``RPR903``, informational by default;
-``repro lint --fail-on-stale`` gates on them and ``--fix`` strips
-them) — so suppressions cannot rot silently in either direction.
+``repro lint --fail-on-stale`` gates on them) — so suppressions cannot
+rot silently in either direction.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ __all__ = [
     "ruleset_codes",
 ]
 
-#: Version of the analysis engine, recorded in JSON/SARIF reports and in
+#: Version of the analysis engine, recorded in JSON reports and in
 #: baseline files so a stale baseline is detected instead of silently
 #: matching against different semantics.  Bump on any change to rule
 #: behaviour or diagnostic messages.
@@ -70,7 +70,7 @@ UNKNOWN_SUPPRESSION_CODE = "RPR902"
 #: Code attached to suppression comments that no longer suppress a live
 #: finding.  Reported out of band (``LintReport.stale_suppressions``),
 #: so a stale note never fails a default run — ``--fail-on-stale`` opts
-#: into gating on them and ``--fix`` strips them.
+#: into gating on them.
 STALE_SUPPRESSION_CODE = "RPR903"
 
 _CODE_RE = re.compile(r"^RPR\d{3}$")
@@ -452,7 +452,7 @@ class LintReport:
             lines.append("")
             lines.append(
                 f"{len(self.stale_suppressions)} stale suppression(s) "
-                "(match no finding; remove with --fix):"
+                "(match no finding; delete the directives):"
             )
             lines.extend(
                 f"  {diag.format_text()}" for diag in self.stale_suppressions
@@ -462,25 +462,6 @@ class LintReport:
                 f"checked {self.files_checked} file(s) in "
                 f"{self.elapsed_seconds:.2f}s"
             )
-        return "\n".join(lines)
-
-    def format_github(self) -> str:
-        """GitHub Actions workflow commands — one annotation per finding.
-
-        Findings render as ``::error`` and stale-suppression notes as
-        ``::notice``, so a PR touched by the lint job shows each
-        finding inline at its file/line without any SARIF upload round
-        trip.  Escaping follows the workflow-command rules: ``%``,
-        ``\\r``, ``\\n`` in all fields; ``:`` and ``,`` additionally in
-        property values.
-        """
-        lines = [
-            _github_command("error", diag) for diag in self.diagnostics
-        ]
-        lines.extend(
-            _github_command("notice", diag)
-            for diag in self.stale_suppressions
-        )
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -499,29 +480,6 @@ class LintReport:
         if self.elapsed_seconds is not None:
             payload["elapsed_seconds"] = round(self.elapsed_seconds, 3)
         return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _github_escape_data(text: str) -> str:
-    return text.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
-
-
-def _github_escape_property(text: str) -> str:
-    return (
-        _github_escape_data(text).replace(":", "%3A").replace(",", "%2C")
-    )
-
-
-def _github_command(level: str, diag: Diagnostic) -> str:
-    properties = ",".join(
-        f"{key}={_github_escape_property(value)}"
-        for key, value in (
-            ("file", diag.path),
-            ("line", str(diag.line)),
-            ("col", str(diag.col)),
-            ("title", diag.code),
-        )
-    )
-    return f"::{level} {properties}::{_github_escape_data(diag.message)}"
 
 
 def _iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -602,55 +560,6 @@ def lint_source(
     return report
 
 
-def _check_modules(
-    modules: Sequence[ModuleContext],
-    per_module: Sequence[Rule],
-    used: dict[str, set[SuppressionEntry]],
-) -> set[Diagnostic]:
-    """Run per-module rules over ``modules``, honouring suppressions.
-
-    ``used`` (keyed by display path so worker results merge across
-    process boundaries) collects the suppression entries that matched a
-    finding; the caller turns the complement into stale notes.
-    """
-    out: set[Diagnostic] = set()
-    for ctx in modules:
-        for rule in per_module:
-            if ctx.is_test_code and not rule.run_on_tests:
-                continue
-            for diag in rule.check_module(ctx):
-                entry = ctx.suppressions.match(diag.line, diag.code)
-                if entry is None:
-                    out.add(diag)
-                else:
-                    used[ctx.display_path].add(entry)
-    return out
-
-
-def _check_project(
-    modules: Sequence[ModuleContext],
-    project: Sequence[Rule],
-    used: dict[str, set[SuppressionEntry]],
-) -> set[Diagnostic]:
-    """Run project rules (always in the parent process)."""
-    out: set[Diagnostic] = set()
-    by_display = {ctx.display_path: ctx for ctx in modules}
-    for rule in project:
-        assert isinstance(rule, ProjectRule)
-        for diag in rule.check_project(modules):
-            owner = by_display.get(diag.path)
-            entry = (
-                None
-                if owner is None
-                else owner.suppressions.match(diag.line, diag.code)
-            )
-            if owner is None or entry is None:
-                out.add(diag)
-            else:
-                used[owner.display_path].add(entry)
-    return out
-
-
 def _stale_notes(
     modules: Sequence[ModuleContext],
     used: dict[str, set[SuppressionEntry]],
@@ -676,14 +585,6 @@ def _stale_notes(
     return stale
 
 
-def _attach_index(modules: Sequence[ModuleContext]) -> None:
-    from repro.lint.index import build_index
-
-    index = build_index([ctx.tree for ctx in modules])
-    for ctx in modules:
-        ctx.index = index
-
-
 def _run_rules(
     modules: Sequence[ModuleContext], rules: Sequence[Rule]
 ) -> tuple[list[Diagnostic], list[Diagnostic]]:
@@ -693,118 +594,42 @@ def _run_rules(
     findings, plus one :data:`STALE_SUPPRESSION_CODE` note per
     suppression slot that matched no finding anywhere in the run.
     """
-    _attach_index(modules)
+    from repro.lint.index import build_index
+
+    index = build_index([ctx.tree for ctx in modules])
+    for ctx in modules:
+        ctx.index = index
     # A set: chained comparisons can trip the same rule twice at one
     # position; one finding per (position, code, message) is enough.
+    out: set[Diagnostic] = set()
     used: dict[str, set[SuppressionEntry]] = {
         ctx.display_path: set() for ctx in modules
     }
     per_module = [r for r in rules if not isinstance(r, ProjectRule)]
     project = [r for r in rules if isinstance(r, ProjectRule)]
-    out = _check_modules(modules, per_module, used)
-    out |= _check_project(modules, project, used)
-    stale = _stale_notes(modules, used)
-    return sorted(out, key=Diagnostic.sort_key), stale
-
-
-def _lint_worker(
-    payload: tuple[int, int, list[tuple[str, str, str]]],
-) -> tuple[
-    list[Diagnostic], dict[str, list[SuppressionEntry]]
-]:
-    """One ``--jobs`` child: per-module rules over an interleaved chunk.
-
-    Every worker re-parses the full file set (parsing is cheap; the
-    dataflow/array analyses the per-module rules trigger are the
-    expensive part) so the cross-module signature index each child
-    builds is identical to the parent's.  Project rules always run in
-    the parent.  Module-level so it pickles under spawn.
-    """
-    chunk_index, jobs, files = payload
-    trees: list[ast.Module] = []
-    chunk: list[ModuleContext] = []
-    position = 0
-    for path_str, display, source in files:
-        try:
-            tree = ast.parse(source, filename=path_str)
-        except SyntaxError:
-            continue  # the parent already reported RPR901
-        trees.append(tree)
-        if position % jobs == chunk_index:
-            # Tokenize/suppression work only for this worker's share;
-            # the other trees are parsed solely to reproduce the
-            # parent's cross-module signature index.
-            comments = tuple(_iter_comments(source))
-            suppressions, _unknown = parse_suppressions(
-                source, comments=comments
+    for ctx in modules:
+        for rule in per_module:
+            if ctx.is_test_code and not rule.run_on_tests:
+                continue
+            for diag in rule.check_module(ctx):
+                entry = ctx.suppressions.match(diag.line, diag.code)
+                if entry is None:
+                    out.add(diag)
+                else:
+                    used[ctx.display_path].add(entry)
+    by_display = {ctx.display_path: ctx for ctx in modules}
+    for rule in project:
+        for diag in rule.check_project(modules):
+            owner = by_display.get(diag.path)
+            entry = (
+                None
+                if owner is None
+                else owner.suppressions.match(diag.line, diag.code)
             )
-            chunk.append(
-                ModuleContext(
-                    path=Path(path_str),
-                    display_path=display,
-                    source=source,
-                    tree=tree,
-                    suppressions=suppressions,
-                    comments=comments,
-                )
-            )
-        position += 1
-    from repro.lint.index import build_index
-
-    index = build_index(trees)
-    for ctx in chunk:
-        ctx.index = index
-    per_module = [
-        rule for rule in all_rules() if not isinstance(rule, ProjectRule)
-    ]
-    used: dict[str, set[SuppressionEntry]] = {
-        ctx.display_path: set() for ctx in chunk
-    }
-    diagnostics = _check_modules(chunk, per_module, used)
-    return (
-        sorted(diagnostics, key=Diagnostic.sort_key),
-        {
-            display: sorted(
-                entries, key=lambda e: (e.line, e.kind, e.code)
-            )
-            for display, entries in used.items()
-        },
-    )
-
-
-def _run_rules_parallel(
-    modules: Sequence[ModuleContext], jobs: int
-) -> tuple[list[Diagnostic], list[Diagnostic]]:
-    """``--jobs N`` execution: fan per-module rules out over processes.
-
-    Interleaved chunks (``modules[i::n]``) balance the heavy files
-    (sorted directory walks cluster big modules together) and the final
-    sort restores a deterministic finding order regardless of worker
-    completion order.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    files = [
-        (str(ctx.path), ctx.display_path, ctx.source) for ctx in modules
-    ]
-    n = max(1, min(jobs, len(modules)))
-    used: dict[str, set[SuppressionEntry]] = {
-        ctx.display_path: set() for ctx in modules
-    }
-    out: set[Diagnostic] = set()
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        results = list(
-            pool.map(_lint_worker, [(i, n, files) for i in range(n)])
-        )
-    for diagnostics, worker_used in results:
-        out.update(diagnostics)
-        for display, entries in worker_used.items():
-            used[display].update(entries)
-    _attach_index(modules)
-    project = [
-        rule for rule in all_rules() if isinstance(rule, ProjectRule)
-    ]
-    out |= _check_project(modules, project, used)
+            if owner is None or entry is None:
+                out.add(diag)
+            else:
+                used[owner.display_path].add(entry)
     stale = _stale_notes(modules, used)
     return sorted(out, key=Diagnostic.sort_key), stale
 
@@ -840,16 +665,11 @@ def lint_paths(
     paths: Sequence[str | Path],
     root: str | Path | None = None,
     rules: Sequence[Rule] | None = None,
-    jobs: int = 1,
 ) -> LintReport:
     """Lint files/directories and return the aggregated report.
 
     ``root`` anchors the relative display paths (defaults to the current
     working directory).  Directories are walked recursively for ``*.py``.
-    ``jobs`` > 1 fans per-module rules out over worker processes — only
-    with the default ruleset (custom rule objects may not pickle); a
-    filtered ``rules`` argument falls back to serial execution.  Finding
-    order is deterministic either way.
     """
     import time
 
@@ -863,11 +683,8 @@ def lint_paths(
     report.suppression_count = sum(
         ctx.suppressions.count() for ctx in modules
     )
-    if jobs > 1 and rules is None and len(modules) > 1:
-        diagnostics, stale = _run_rules_parallel(modules, jobs)
-    else:
-        selected = all_rules() if rules is None else tuple(rules)
-        diagnostics, stale = _run_rules(modules, selected)
+    selected = all_rules() if rules is None else tuple(rules)
+    diagnostics, stale = _run_rules(modules, selected)
     report.diagnostics.extend(diagnostics)
     report.diagnostics.sort(key=Diagnostic.sort_key)
     report.stale_suppressions = stale

@@ -15,10 +15,9 @@ re-run the ``repro verify --batch`` differential suite, and refresh the
 pin in the same commit (``python -m repro.lint.parity --print``).
 
 The registry also records which schedulers each pair *covers*;
-``python -m repro.lint.parity --coverage`` asserts every scheduler in
-``repro.sched.vectorized.SCHEDULER_KINDS`` is reached by at least one
-pair (the nightly CI step), so a new batch kernel cannot land without
-entering the parity contract.
+``tests/lint/test_parity.py`` asserts the covered set equals
+``repro.sched.vectorized.SCHEDULER_KINDS``, so a new batch kernel cannot
+land without entering the parity contract.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ class ParityPair:
 
 
 #: The machine-checked doctrine contract.  Every scalar decision or
-#: predictor function with a vectorized twin is listed; the nightly
-#: coverage check closes the loop against ``SCHEDULER_KINDS``.
+#: predictor function with a vectorized twin is listed; the coverage
+#: test closes the loop against ``SCHEDULER_KINDS``.
 PAIRS: tuple[ParityPair, ...] = (
     ParityPair(
         name="compute-plan",
@@ -695,7 +694,7 @@ if __name__ != "__main__":
 
 
 # ---------------------------------------------------------------------------
-# CLI: pin generation and coverage assertion
+# CLI: pin generation
 # ---------------------------------------------------------------------------
 
 
@@ -730,31 +729,6 @@ def _print_pins(root: str) -> int:
     return status
 
 
-def _check_coverage() -> int:
-    # Imported lazily so plain lint runs never pay the numpy import.
-    from repro.lint.coverage import check_coverage
-    from repro.sched.vectorized import SCHEDULER_KINDS
-
-    covered: set[str] = set()
-    for pair in PAIRS:
-        covered.update(pair.covers)
-    return check_coverage(
-        required=SCHEDULER_KINDS,
-        covered=covered,
-        describe_missing=lambda name: (
-            f"scheduler {name!r} has a batch kernel but no parity "
-            "pair covers it; add one to repro/lint/parity.py"
-        ),
-        describe_extra=lambda name: (
-            f"parity registry covers unknown scheduler {name!r}"
-        ),
-        success_message=(
-            f"parity registry covers all {len(SCHEDULER_KINDS)} batch "
-            f"schedulers via {len(PAIRS)} pairs"
-        ),
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     import argparse
 
@@ -769,11 +743,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="emit the current _PINNED literal (paste into parity.py)",
     )
     parser.add_argument(
-        "--coverage",
-        action="store_true",
-        help="assert every batch scheduler is covered by a parity pair",
-    )
-    parser.add_argument(
         "--root",
         default=".",
         help="repository root containing src/ (default: cwd)",
@@ -781,9 +750,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     options = parser.parse_args(argv)
     if options.print_pins:
         return _print_pins(options.root)
-    if options.coverage:
-        return _check_coverage()
-    parser.error("one of --print / --coverage is required")
+    parser.error("--print is required")
     return 2
 
 

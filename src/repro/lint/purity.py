@@ -28,10 +28,9 @@ is the same trust boundary as the naming vocabulary that powers the
 dimension checker — the certifier is exactly as strong as its tables,
 and extending a table strengthens every closure at once.
 
-CLI: ``python -m repro.lint.purity --coverage`` (the nightly gate —
-every manifest root must resolve *and* certify) and ``--report``
-(human-readable certification report).  ``repro lint --certify`` and
-``repro lint --explain-path CODE:FUNC`` reuse the same machinery.
+CLI: ``repro lint --certify`` prints the certification report and
+fails unless every manifest root resolves *and* certifies; ``repro lint
+--explain-path CODE:FUNC`` prints the call chain from a root to a taint.
 """
 
 from __future__ import annotations
@@ -39,9 +38,8 @@ from __future__ import annotations
 import ast
 import dataclasses
 import enum
-import json
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.lint.callgraph import (
     CallGraph,
@@ -689,29 +687,6 @@ class CertificationReport:
     def certified_refs(self) -> tuple[str, ...]:
         return tuple(root.ref for root in self.roots if root.ok)
 
-    def to_json(self) -> str:
-        payload: dict[str, Any] = {
-            "manifest": self.manifest_path,
-            "ok": self.ok,
-            "roots": [
-                {
-                    "ref": root.ref,
-                    "resolved": root.key,
-                    "ok": root.ok,
-                    "closure": [
-                        {
-                            "function": cert.key,
-                            "classification": cert.classification.value,
-                            "taints": list(cert.taints),
-                        }
-                        for cert in root.closure
-                    ],
-                }
-                for root in self.roots
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
     def format_text(self) -> str:
         lines = [f"purity certification ({self.manifest_path})"]
         for root in self.roots:
@@ -839,52 +814,8 @@ def format_chain(
 
 
 # ---------------------------------------------------------------------------
-# CLI (python -m repro.lint.purity)
+# CLI (repro lint --certify / --explain-path)
 # ---------------------------------------------------------------------------
-
-
-def _load_tree(root: str) -> list[ModuleContext]:
-    from repro.lint.engine import SYNTAX_ERROR_CODE, load_modules
-
-    src = Path(root) / "src"
-    paths: list[Path] = [src if src.is_dir() else Path(root)]
-    modules, extras = load_modules(paths, root=Path(root))
-    broken = [d for d in extras if d.code == SYNTAX_ERROR_CODE]
-    if broken:
-        rendered = "; ".join(d.format_text() for d in broken)
-        raise LintError(f"cannot parse tree for certification: {rendered}")
-    return modules
-
-
-def _check_purity_coverage(root: str) -> int:
-    """Nightly gate: every manifest root resolves *and* certifies."""
-    from repro.lint.coverage import check_coverage
-
-    manifest_path = Path(root).resolve() / MANIFEST_NAME
-    if not manifest_path.is_file():
-        print(f"no {MANIFEST_NAME} at {manifest_path}")
-        return 1
-    manifest = parse_manifest(
-        manifest_path.read_text(encoding="utf-8"), path=manifest_path
-    )
-    modules = _load_tree(root)
-    report = certify(analyze(modules), manifest)
-    return check_coverage(
-        required=manifest.hash_closure_roots,
-        covered=report.certified_refs,
-        describe_missing=lambda ref: (
-            f"hash-closure root {ref!r} is named in purity-roots.toml "
-            "but is not certified deterministic; run `repro lint "
-            "--certify` for the taint detail"
-        ),
-        describe_extra=lambda ref: (
-            f"certification reports unknown hash-closure root {ref!r}"
-        ),
-        success_message=(
-            f"purity certification covers all "
-            f"{len(manifest.hash_closure_roots)} hash-closure root(s)"
-        ),
-    )
 
 
 def _load_lint_paths(paths: Sequence[str | Path]) -> list[ModuleContext]:
@@ -976,49 +907,3 @@ def explain_cli(spec: str, paths: Sequence[str | Path]) -> int:
         return 0
     print(format_chain(analysis, chain, site))
     return 1
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint.purity",
-        description="Hash-closure purity certification utilities.",
-    )
-    parser.add_argument(
-        "--coverage",
-        action="store_true",
-        help="assert every purity-roots.toml root is certified "
-        "deterministic (the nightly gate)",
-    )
-    parser.add_argument(
-        "--report",
-        action="store_true",
-        help="print the full certification report",
-    )
-    parser.add_argument(
-        "--root",
-        default=".",
-        help="repository root containing src/ and purity-roots.toml "
-        "(default: cwd)",
-    )
-    options = parser.parse_args(argv)
-    if options.coverage:
-        return _check_purity_coverage(options.root)
-    if options.report:
-        manifest_path = Path(options.root).resolve() / MANIFEST_NAME
-        if not manifest_path.is_file():
-            print(f"no {MANIFEST_NAME} at {manifest_path}")
-            return 1
-        manifest = parse_manifest(
-            manifest_path.read_text(encoding="utf-8"), path=manifest_path
-        )
-        report = certify(analyze(_load_tree(options.root)), manifest)
-        print(report.format_text())
-        return 0 if report.ok else 1
-    parser.error("one of --coverage / --report is required")
-    return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(main())

@@ -23,7 +23,8 @@ Three boundaries declared in ``purity-roots.toml`` (see
 All closure rules stay silent for roots that do not resolve in the
 current module set: a partial ``repro lint src/repro/lint`` run is
 indistinguishable from a typo here, so unresolved roots are owned by
-the nightly ``python -m repro.lint.purity --coverage`` gate instead.
+``repro lint --certify``, which fails unless every root resolves and
+certifies.
 
 The whole-program analysis is built once per engine run and shared by
 every rule in this family (see :data:`ANALYSIS_BUILDS`, pinned by the
@@ -114,7 +115,7 @@ class HashClosureRule(ProjectRule):
         for ref in manifest.hash_closure_roots:
             key = analysis.graph.resolve_ref(ref)
             if key is None:
-                continue  # the --coverage gate owns unresolved roots
+                continue  # --certify owns unresolved roots
             for member in sorted(analysis.graph.reachable([key])):
                 node = analysis.graph.nodes[member]
                 for site in analysis.direct.get(member, ()):

@@ -253,8 +253,16 @@ class TestProfilePredictor:
             covered += duration
         assert covered == t1 - t0
         # Attribution: the first segment starts at t0, so it must be
-        # charged to the bin containing t0.
-        first_bin = min(int((t0 % period) / bin_width), n_bins - 1)
+        # charged to the bin containing t0 — unless t0 sits on that
+        # bin's right edge as the walk computes it ((k + 1) * bin_width,
+        # reachable when the division rounds down an ulp, e.g. t0 =
+        # 37 * (690.9 / 48)): the bin then holds none of the window, and
+        # zero-length segments are never yielded, so the next bin is
+        # charged.
+        position = t0 % period
+        first_bin = min(int(position / bin_width), n_bins - 1)
+        if (first_bin + 1) * bin_width <= position:
+            first_bin = (first_bin + 1) % n_bins
         assert segments[0][0] == first_bin
 
     def test_segments_empty_below_epsilon(self):

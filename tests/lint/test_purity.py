@@ -19,7 +19,6 @@ from repro.lint.purity import (
     parse_manifest,
     ref_matches,
 )
-from repro.lint.purity import _check_purity_coverage
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -378,17 +377,6 @@ class TestCertify:
         assert not report.ok
         assert "UNRESOLVED" in report.format_text()
 
-    def test_json_rendering_round_trips(self):
-        import json
-
-        analysis = analysis_of(("src/pkg/x.py", "def f():\n    return 1\n"))
-        manifest = PurityManifest(
-            path=None, hash_closure_roots=("pkg/x.py::f",)
-        )
-        payload = json.loads(certify(analysis, manifest).to_json())
-        assert payload["ok"] is True
-        assert payload["roots"][0]["resolved"] == "src/pkg/x.py::f"
-
 
 class TestExplainChain:
     def test_chain_reaches_taint_site(self):
@@ -495,24 +483,6 @@ class TestMutation:
         assert "canonical_value" in message
         assert "wall-clock" in message
         assert "--explain-path" in message
-
-
-class TestCoverageGate:
-    def test_certified_tree_passes(self, tmp_path, capsys):
-        _build_tree(tmp_path, inject=False)
-        assert _check_purity_coverage(str(tmp_path)) == 0
-        out = capsys.readouterr().out
-        assert "covers all 1 hash-closure root(s)" in out
-
-    def test_tainted_tree_fails(self, tmp_path, capsys):
-        _build_tree(tmp_path, inject=True)
-        assert _check_purity_coverage(str(tmp_path)) == 1
-        out = capsys.readouterr().out
-        assert "not certified deterministic" in out
-
-    def test_missing_manifest_fails(self, tmp_path, capsys):
-        assert _check_purity_coverage(str(tmp_path)) == 1
-        assert "no purity-roots.toml" in capsys.readouterr().out
 
 
 class TestExplainCli:

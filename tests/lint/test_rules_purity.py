@@ -285,29 +285,3 @@ class TestWorkerCapturedRng:
         )
         assert "RPR509" not in codes
 
-
-class TestJobsDeterminism:
-    def test_parallel_findings_match_serial(self, tmp_path):
-        """``--jobs N`` must produce byte-identical findings."""
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "one.py").write_text(
-            "import random\n\n\ndef draw():\n    return random.random()\n",
-            encoding="utf-8",
-        )
-        (pkg / "two.py").write_text(
-            'def save(path, text):\n    with open(path, "w") as handle:\n'
-            "        handle.write(text)\n",
-            encoding="utf-8",
-        )
-        (pkg / "three.py").write_text(
-            "def clean(x):\n    return x + 1\n", encoding="utf-8"
-        )
-        serial = lint_paths([pkg], jobs=1)
-        parallel = lint_paths([pkg], jobs=2)
-        assert serial.diagnostics == parallel.diagnostics
-        assert serial.diagnostics, "fixture should produce findings"
-        assert (
-            serial.stale_suppressions == parallel.stale_suppressions
-        )
-        assert serial.suppression_count == parallel.suppression_count

@@ -118,7 +118,6 @@ class TestLintCommand:
         assert args.output_format == "text"
         assert args.baseline is None
         assert not args.update_baseline
-        assert not args.fix
 
     def test_clean_tree_exits_zero(self, capsys, tmp_path):
         clean = tmp_path / "clean.py"
