@@ -68,7 +68,9 @@ __all__ = [
 #: rules and both worker rules all share it).
 ANALYSIS_BUILDS = 0
 
-_CACHE: dict[tuple[int, ...], PurityAnalysis] = {}
+_CACHE: dict[
+    tuple[int, ...], tuple[tuple[ModuleContext, ...], PurityAnalysis]
+] = {}
 
 
 def shared_analysis(modules: Sequence[ModuleContext]) -> PurityAnalysis:
@@ -77,17 +79,18 @@ def shared_analysis(modules: Sequence[ModuleContext]) -> PurityAnalysis:
     Keyed by the identity of the context objects: within one engine run
     every project rule receives the same list, so the fixed point is
     computed once.  Only the latest entry is retained (a fresh run
-    means fresh contexts).
+    means fresh contexts).  The entry holds its contexts, so no later
+    run's contexts can reuse their ids and be served a stale analysis.
     """
     global ANALYSIS_BUILDS
     key = tuple(id(ctx) for ctx in modules)
-    analysis = _CACHE.get(key)
-    if analysis is None:
+    entry = _CACHE.get(key)
+    if entry is None:
         ANALYSIS_BUILDS += 1
-        analysis = analyze(modules)
+        entry = (tuple(modules), analyze(modules))
         _CACHE.clear()
-        _CACHE[key] = analysis
-    return analysis
+        _CACHE[key] = entry
+    return entry[1]
 
 
 def _manifest_for(
