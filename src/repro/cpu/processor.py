@@ -32,6 +32,7 @@ class Processor:
         self._idle_power = float(idle_power)
         self._overhead = overhead or SwitchingOverhead()
         self._current: Optional[FrequencyLevel] = None
+        self._current_index = -1  # scale index of _current (-1 while idle)
         self._busy_time = [0.0] * len(scale)
         self._idle_time = 0.0
         self._switches = 0
@@ -90,6 +91,7 @@ class Processor:
             raise ValueError(f"{level!r} is not a level of {self._scale!r}")
         previous = self._current
         self._current = level
+        self._current_index = -1 if level is None else self._scale.index_of(level)
         if (
             previous is None
             or level is None
@@ -108,7 +110,7 @@ class Processor:
         if self._current is None:
             self._idle_time += duration
         else:
-            self._busy_time[self._scale.index_of(self._current)] += duration
+            self._busy_time[self._current_index] += duration
 
     # -- statistics --------------------------------------------------------------
 

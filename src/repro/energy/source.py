@@ -44,6 +44,9 @@ __all__ = [
 #: the squared cosine has period ``pi * 70pi = 70 pi^2``.
 SOLAR_ENVELOPE_PERIOD: float = 70.0 * math.pi * math.pi
 
+#: Quanta of normal draws a :class:`SolarStochasticSource` takes at once.
+_DRAW_CHUNK = 256
+
 
 class EnergySource(abc.ABC):
     """Abstract piecewise-constant ambient energy source.
@@ -92,16 +95,21 @@ class EnergySource(abc.ABC):
         total = 0.0
         t = t0
         while t < t1 - EPSILON:
-            boundary = self.next_boundary(t)
+            power, boundary = self._piece(t)
             if boundary <= t:  # defensive: a boundary must advance time
                 raise RuntimeError(
                     f"{type(self).__name__}.next_boundary({t!r}) = {boundary!r} "
                     "does not advance time"
                 )
             segment_end = min(boundary, t1)
-            total += self.power(t) * (segment_end - t)
+            total += power * (segment_end - t)
             t = segment_end
         return total
+
+    def _piece(self, t: float) -> tuple[float, float]:
+        """``(power(t), next_boundary(t))``: the constant piece at ``t``."""
+        boundary = self.next_boundary(t)
+        return self.power(t), boundary
 
     def sample(self, t0: float, t1: float, step: float = 1.0) -> np.ndarray:
         """Power sampled on a regular grid — convenience for plotting."""
@@ -147,7 +155,12 @@ class ConstantSource(EnergySource):
 
 
 class _QuantizedSource(EnergySource):
-    """Base for sources that are constant on a regular quantum grid."""
+    """Base for sources that are constant on a regular quantum grid.
+
+    Subclasses implement :meth:`_quantum_power`, the power during one
+    quantum; :meth:`power` and the :meth:`energy` walk look quanta up by
+    index.
+    """
 
     def __init__(self, quantum: float) -> None:
         if quantum <= 0 or not math.isfinite(quantum):
@@ -163,10 +176,23 @@ class _QuantizedSource(EnergySource):
         _check_time(t)
         # Nudge by EPSILON so that a query *at* a boundary (possibly with
         # float noise just below it) lands in the quantum that starts there.
-        return max(0, int(math.floor((t + EPSILON) / self._quantum)))
+        index = math.floor((t + EPSILON) / self._quantum)
+        return index if index > 0 else 0
 
     def next_boundary(self, t: float) -> float:
         return (self._index(t) + 1) * self._quantum
+
+    @abc.abstractmethod
+    def _quantum_power(self, index: int) -> float:
+        """Power during quantum ``index``."""
+
+    def power(self, t: float) -> float:
+        return self._quantum_power(self._index(t))
+
+    def _piece(self, t: float) -> tuple[float, float]:
+        # One index serves the quantum's power and its end.
+        index = self._index(t)
+        return self._quantum_power(index), (index + 1) * self._quantum
 
 
 class SolarStochasticSource(_QuantizedSource):
@@ -222,11 +248,11 @@ class SolarStochasticSource(_QuantizedSource):
         self._rectify = rectify
         self._envelope_period = float(envelope_period)
         self._rng = np.random.default_rng(self._seed)
-        self._draws: list[float] = []
-        # The simulator queries the same quantum several times per
-        # segment; memoize the last computed (index, power) pair.
-        self._cached_index = -1
-        self._cached_power = 0.0
+        # Per-quantum powers, computed once each and in index order (the
+        # normal draws must be consumed in order): the simulator reads
+        # each quantum at least twice, while running and in the result's
+        # harvested-energy walk.
+        self._powers: list[float] = []
 
     @property
     def seed(self) -> int:
@@ -244,32 +270,25 @@ class SolarStochasticSource(_QuantizedSource):
     def envelope_period(self) -> float:
         return self._envelope_period
 
-    def _draw(self, index: int) -> float:
-        """Rectified normal draw for quantum ``index`` (cached, in-order)."""
-        while len(self._draws) <= index:
-            n = float(self._rng.standard_normal())
-            if self._rectify == "abs":
-                n = abs(n)
-            elif self._rectify == "clamp":
-                n = max(n, 0.0)
-            self._draws.append(n)
-        return self._draws[index]
-
     def _envelope(self, t: float) -> float:
         # cos^2(t / (envelope_period / pi)); with the default period the
         # argument is t / 70pi exactly as in eq. (13).
         c = math.cos(math.pi * t / self._envelope_period)
         return c * c
 
-    def power(self, t: float) -> float:
-        index = self._index(t)
-        if index == self._cached_index:
-            return self._cached_power
-        midpoint = (index + 0.5) * self.quantum
-        value = self._amplitude * self._draw(index) * self._envelope(midpoint)
-        self._cached_index = index
-        self._cached_power = value
-        return value
+    def _quantum_power(self, index: int) -> float:
+        powers = self._powers
+        while len(powers) <= index:
+            # The next quanta's draws in one call: a generator's batched
+            # draws equal its one-at-a-time draws.
+            for n in self._rng.standard_normal(_DRAW_CHUNK).tolist():
+                if self._rectify == "abs":
+                    n = abs(n)
+                elif self._rectify == "clamp":
+                    n = max(n, 0.0)
+                midpoint = (len(powers) + 0.5) * self.quantum
+                powers.append(self._amplitude * n * self._envelope(midpoint))
+        return powers[index]
 
     def mean_power(self) -> float:
         """Closed-form long-run mean (envelope averages to 1/2)."""
@@ -363,8 +382,7 @@ class MarkovWeatherSource(_QuantizedSource):
         c = math.cos(math.pi * t / self._envelope_period)
         return c * c
 
-    def power(self, t: float) -> float:
-        index = self._index(t)
+    def _quantum_power(self, index: int) -> float:
         midpoint = (index + 0.5) * self.quantum
         base = self._clear_power * self._envelope(midpoint)
         return base if self._state(index) else base * self._cloudy_factor
@@ -499,8 +517,7 @@ class TraceSource(_QuantizedSource):
         self._powers = values
         self._cyclic = bool(cyclic)
 
-    def power(self, t: float) -> float:
-        index = self._index(t)
+    def _quantum_power(self, index: int) -> float:
         if self._cyclic:
             index %= self._powers.size
         elif index >= self._powers.size:

@@ -3,10 +3,12 @@
 SimPy is not available in this offline environment, so the repository ships
 its own kernel.  It is intentionally small: a monotonic clock plus a binary
 heap of :class:`ScheduledEvent` entries with deterministic tie-breaking
-(time, then priority, then insertion order).  The harvesting simulator in
-:mod:`repro.sim.simulator` is built on top of it, and the kernel is generic
-enough to be reused for other event-driven models (see the unit tests for a
-standalone M/M/1-style example).
+(time, then priority, then insertion order).  The kernel is generic enough
+to be reused for other event-driven models (see the unit tests for a
+standalone M/M/1-style example).  The harvesting simulator in
+:mod:`repro.sim.simulator` schedules all of its events before the first
+one fires, so it keeps them in one list presorted in this queue's pop
+order and shares only :func:`event_time`, the scheduling-time checks.
 """
 
 # The event queue orders and dispatches instants *exactly* (total order
@@ -23,7 +25,26 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.timeutils import EPSILON
 
-__all__ = ["SimulationClock", "ScheduledEvent", "EventQueue"]
+__all__ = ["SimulationClock", "ScheduledEvent", "EventQueue", "event_time"]
+
+
+def event_time(time: float, now: float) -> float:
+    """The instant an event requested at ``time`` is scheduled for.
+
+    ``time`` must not lie in the past (tolerance
+    :data:`~repro.timeutils.EPSILON`; slightly-past times are snapped to
+    ``now``) and must not be NaN; either raises :class:`ValueError`.
+    """
+    if math.isnan(time):
+        raise ValueError("cannot schedule an event at NaN")
+    if time < now:
+        if time < now - EPSILON:
+            raise ValueError(
+                f"cannot schedule into the past: now={now!r}, "
+                f"requested {time!r}"
+            )
+        time = now
+    return float(time)
 
 
 class SimulationClock:
@@ -142,17 +163,8 @@ class EventQueue:
         :data:`~repro.timeutils.EPSILON`; slightly-past times are snapped to
         "now").
         """
-        if math.isnan(time):
-            raise ValueError("cannot schedule an event at NaN")
-        if time < self.now:
-            if time < self.now - EPSILON:
-                raise ValueError(
-                    f"cannot schedule into the past: now={self.now!r}, "
-                    f"requested {time!r}"
-                )
-            time = self.now
         event = ScheduledEvent(
-            time=float(time),
+            time=event_time(time, self.now),
             priority=priority,
             sequence=next(self._counter),
             kind=kind,

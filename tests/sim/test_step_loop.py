@@ -1,0 +1,144 @@
+"""The scalar simulator's step loop: event order and source queries."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.energy.predictor import ProfilePredictor
+from repro.energy.storage import IdealStorage
+from repro.experiments.common import PaperSetup
+from repro.sched.registry import make_scheduler
+from repro.sim.engine import EventQueue
+from repro.sim.simulator import (
+    HarvestingRtSimulator,
+    SimulationConfig,
+    _event_rows,
+)
+from repro.tasks.task import PeriodicTask, TaskSet
+from repro.timeutils import EPSILON
+
+HORIZON = 12.0
+
+#: Deadlines on, just inside and just beyond the ``horizon + EPSILON``
+#: judging cut, besides ordinary ones.
+DEADLINE_OFFSETS = (0.0, 0.5 * EPSILON, 2.0 * EPSILON)
+
+tasks = st.builds(
+    lambda period, first_release, deadline: PeriodicTask(
+        period=period,
+        wcet=0.5,
+        relative_deadline=deadline,
+        first_release=first_release,
+    ),
+    period=st.sampled_from((1.0, 2.0, 3.0, 4.0, 6.0)),
+    first_release=st.sampled_from((0.0, 0.0, 1.0, 2.0, 0.5)),
+    deadline=st.one_of(
+        st.sampled_from((1.0, 2.0, 3.0, 4.0, 6.0)),
+        st.sampled_from(DEADLINE_OFFSETS).map(lambda off: HORIZON + off),
+    ),
+)
+
+
+def popped_the_old_way(jobs, horizon):
+    """(time, kind, job) in the order an EventQueue seeded per job pops."""
+    queue = EventQueue()
+    for job in jobs:
+        queue.schedule(job.release, "release", payload=job, priority=1)
+        if job.absolute_deadline <= horizon + EPSILON:
+            queue.schedule(
+                job.absolute_deadline, "deadline", payload=job, priority=0
+            )
+    return [(e.time, e.kind, e.payload) for e in queue.drain()]
+
+
+class TestEventRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(tasks, min_size=1, max_size=5),
+        st.sampled_from((HORIZON, HORIZON - 1.0, HORIZON + 0.5)),
+        st.data(),
+    )
+    def test_rows_match_event_queue_pop_order(self, task_list, horizon, data):
+        jobs = TaskSet(task_list).jobs(horizon)
+        # The insertion index breaks ties, so any job order must match.
+        jobs = data.draw(st.permutations(jobs))
+        expected = popped_the_old_way(jobs, horizon)
+        rows = _event_rows(jobs, horizon)
+        assert [(t, kind) for t, kind, _ in rows] == [
+            (t, kind) for t, kind, _ in expected
+        ]
+        assert all(
+            got is want for (_, _, got), (_, _, want) in zip(rows, expected)
+        )
+
+    def test_coincident_instants_put_deadlines_first(self):
+        task = PeriodicTask(period=2.0, wcet=0.5)
+        rows = _event_rows(TaskSet([task]).jobs(4.0), 4.0)
+        assert [(t, kind, job.index) for t, kind, job in rows] == [
+            (0.0, "release", 0),
+            (2.0, "deadline", 0),
+            (2.0, "release", 1),
+            (4.0, "deadline", 1),
+        ]
+
+
+class _QueryCounter:
+    def __init__(self, source):
+        self.power = 0
+        self.index = 0
+        power, index = source.power, source._index
+
+        def counted_power(t):
+            self.power += 1
+            return power(t)
+
+        def counted_index(t):
+            self.index += 1
+            return index(t)
+
+        source.power = counted_power
+        source._index = counted_index
+
+
+class TestSourceQueries:
+    def test_one_power_read_per_step(self):
+        setup = PaperSetup(horizon=2000.0)
+        scale = setup.scale()
+        source = setup.source(0)
+        counter = _QueryCounter(source)
+        sim = HarvestingRtSimulator(
+            taskset=setup.taskset(0, 0.4),
+            source=source,
+            storage=IdealStorage(capacity=50.0),
+            scheduler=make_scheduler("ea-dvfs", scale),
+            predictor=ProfilePredictor(),
+            config=SimulationConfig(horizon=setup.horizon),
+        )
+        steps = 0
+        segment_end = sim._segment_end
+
+        def counted_segment_end(*args):
+            nonlocal steps
+            steps += 1
+            return segment_end(*args)
+
+        at_result = {}
+        build_result = sim._build_result
+
+        def counted_build_result():
+            at_result["power"], at_result["index"] = (
+                counter.power, counter.index
+            )
+            return build_result()
+
+        sim._segment_end = counted_segment_end
+        sim._build_result = counted_build_result
+        result = sim.run()
+
+        assert steps > setup.horizon  # at least one step per quantum
+        assert result.stall_count > 0 and result.switch_count > 0
+        # One read per step plus the initial read.
+        assert at_result["power"] <= steps + 1
+        # The harvested-energy walk: one index per quantum, no power().
+        assert counter.power == at_result["power"]
+        quanta = int(setup.horizon / source.quantum)
+        assert counter.index - at_result["index"] == quanta
