@@ -97,7 +97,6 @@ from repro.lint.engine import (
 )
 from repro.lint.index import ProjectIndex, build_index
 from repro.lint.naming import Dimension, infer_dimension
-from repro.lint.parity import PAIRS, FunctionRef, ParityPair
 from repro.lint.purity import (
     PurityAnalysis,
     PurityClass,
@@ -144,3 +143,17 @@ __all__ = [
     "register_rule",
     "ruleset_codes",
 ]
+
+#: Names served lazily from :mod:`repro.lint.parity`.  Importing that
+#: module here would put it in ``sys.modules`` before
+#: ``python -m repro.lint.parity`` runs it as ``__main__``, which makes
+#: runpy warn about a module executed twice.
+_PARITY_NAMES = frozenset({"PAIRS", "FunctionRef", "ParityPair"})
+
+
+def __getattr__(name: str) -> object:
+    if name in _PARITY_NAMES:
+        from repro.lint import parity
+
+        return getattr(parity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

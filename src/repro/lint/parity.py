@@ -142,6 +142,16 @@ PAIRS: tuple[ParityPair, ...] = (
         ),
     ),
     ParityPair(
+        name="profile-walk-start",
+        scalar=FunctionRef("repro/energy/predictor.py", "profile_segments"),
+        batch=FunctionRef("repro/energy/vectorized.py", "_walk_start"),
+    ),
+    ParityPair(
+        name="profile-walk-one-edge",
+        scalar=FunctionRef("repro/energy/predictor.py", "profile_segments"),
+        batch=FunctionRef("repro/energy/vectorized.py", "_one_edge"),
+    ),
+    ParityPair(
         name="profile-walk",
         scalar=FunctionRef("repro/energy/predictor.py", "profile_segments"),
         batch=FunctionRef("repro/energy/vectorized.py", "_profile_walk"),
@@ -383,7 +393,6 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'select',
             'select',
             'select',
-            'select',
             'sub',
             'le',
         ),
@@ -401,6 +410,7 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'le',
             'ge',
             'neg',
+            'neg',
             'select',
         ),
     },
@@ -411,17 +421,15 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
         ),
         'batch': (
             'sub',
+            'add',
             'neg',
             'eq',
             'div',
             'sub',
             'max',
-            'add',
             'gt',
             'eq',
             'eq',
-            'lt',
-            'add',
             'gt',
             'isinf',
             'div',
@@ -429,8 +437,8 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'max',
             'select',
             'select',
-            'add',
             'gt',
+            'ge',
         ),
     },
     'time-compare': {
@@ -515,6 +523,67 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'select',
         ),
     },
+    'profile-walk-start': {
+        'scalar': (
+            'sub',
+            'le',
+            'mod',
+            'div',
+            'sub',
+            'min',
+            'add',
+            'add',
+            'mul',
+            'sub',
+            'add',
+            'mod',
+            'ge',
+            'gt',
+            'gt',
+            'sub',
+            'add',
+            'add',
+        ),
+        'batch': (
+            'div',
+            'sub',
+            'min',
+        ),
+    },
+    'profile-walk-one-edge': {
+        'scalar': (
+            'sub',
+            'le',
+            'mod',
+            'div',
+            'sub',
+            'min',
+            'add',
+            'add',
+            'mul',
+            'sub',
+            'add',
+            'mod',
+            'ge',
+            'gt',
+            'gt',
+            'sub',
+            'add',
+            'add',
+        ),
+        'batch': (
+            'add',
+            'mul',
+            'sub',
+            'ge',
+            'lt',
+            'add',
+            'mul',
+            'sub',
+            'max',
+            'min',
+        ),
+    },
     'profile-walk': {
         'scalar': (
             'sub',
@@ -537,10 +606,6 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'add',
         ),
         'batch': (
-            'sub',
-            'div',
-            'sub',
-            'min',
             'div',
             'max',
             'add',
@@ -551,6 +616,7 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'max',
             'ge',
             'neg',
+            'eq',
             'isfinite',
             'isfinite',
             'add',
@@ -570,9 +636,16 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'lt',
             'mul',
             'add',
+            'add',
+            'mul',
+            'add',
+            'mul',
+            'add',
+            'add',
             'mul',
             'cumsum',
             'neg',
+            'eq',
         ),
     },
     'profile-observe': {
@@ -594,9 +667,8 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'sub',
             'div',
             'max',
+            'mul',
             'sub',
-            'min',
-            'add',
             'add',
             'div',
             'pow',
@@ -685,10 +757,10 @@ class ParityRule(ProjectRule):
             )
 
 
-# Under ``python -m repro.lint.parity`` this module body runs twice:
-# once as the canonical ``repro.lint.parity`` (imported by the package)
-# and once as ``__main__`` (runpy).  Only the canonical copy registers,
-# or the engine would see a duplicate RPR410.
+# Under ``python -m repro.lint.parity`` this module body runs as
+# ``__main__``, and a later import of ``repro.lint.parity`` (the lint
+# engine's rule loading) runs it again.  Only the canonical copy
+# registers, or the engine would see a duplicate RPR410.
 if __name__ != "__main__":
     register_rule(ParityRule())
 

@@ -91,10 +91,13 @@ def batch_min_feasible_level(
     """
     # One (lanes, levels) comparison; argmax picks the first feasible
     # column, i.e. the slowest feasible level, like the scalar scan.
+    # Speeds ascend, so work / speed never grows along a row: a level is
+    # feasible only if the fastest one is, which makes the last column
+    # the row's "any level fits".
     fits = work[:, None] / speeds <= (window + EPSILON)[:, None]
     window_ok = window >= 0.0  # repro-lint: disable=RPR101 -- exact sign gate, mirrors the scalar raise
     index: IntArray = np.where(
-        window_ok & fits.any(axis=1), fits.argmax(axis=1), -1
+        window_ok & fits[:, -1], fits.argmax(axis=1), -1
     )
     return index
 
@@ -133,15 +136,13 @@ def batch_compute_plan(
     infinite energy degenerates to the immediate-max-speed plan, exactly
     as in the scalar function.
     """
-    n_lanes, n_levels = speeds.shape
-    max_index = n_levels - 1
+    max_index = speeds.shape[1] - 1
     energy = np.where(available_energy < 0.0, 0.0, available_energy)  # repro-lint: disable=RPR101 -- exact clamp mirror
     window = deadline - now
     feasible = batch_min_feasible_level(remaining_work, window, speeds)
     reachable = feasible >= 0
     level_index = np.where(reachable, feasible, max_index)
-    lanes = np.arange(n_lanes)
-    power_n = powers[lanes, level_index]
+    power_n = powers[np.arange(now.shape[0]), level_index]
     power_max = powers[:, max_index]
     # inf / P == inf, so the scalar's isinf() short-circuit computes the
     # same values this division does.
@@ -150,17 +151,15 @@ def batch_compute_plan(
     s1 = np.where(reachable, np.maximum(now, deadline - sr_n), now)
     s2 = np.where(reachable, np.maximum(now, deadline - sr_max), now)
     single_phase = reachable & (s2 - s1 <= EPSILON)
-    plan_level = np.where(single_phase | ~reachable, max_index, level_index)
-    start_at = np.where(reachable, np.where(single_phase, s2, s1), now)
-    switch_at = np.where(reachable & ~single_phase, s2, np.nan)
-    sufficient = single_phase & (s2 - now <= EPSILON)
+    # Unreachable lanes already hold the max level and s1 == s2 == now,
+    # which is their scalar plan.
     return BatchPlan(
-        level=plan_level.astype(np.int64),
+        level=np.where(single_phase, max_index, level_index),
         s1=s1,
         s2=s2,
-        start_at=start_at,
-        switch_at=switch_at,
-        sufficient_energy=sufficient,
+        start_at=np.where(single_phase, s2, s1),
+        switch_at=np.where(reachable & ~single_phase, s2, np.nan),
+        sufficient_energy=single_phase & (s2 - now <= EPSILON),
         deadline_reachable=reachable,
     )
 
@@ -200,51 +199,48 @@ def batch_decide(
     """
     n_lanes = now.shape[0]
     max_index = speeds.shape[1] - 1
-    run = np.ones(n_lanes, dtype=np.bool_)
-    level = np.full(n_lanes, max_index, dtype=np.int64)
-    switch_at = np.full(n_lanes, np.nan)
-    reconsider_at = np.full(n_lanes, np.inf)
+    # np.empty + fill: np.full's Python-level wrapper costs more than
+    # filling these few lanes.
+    level: IntArray = np.empty(n_lanes, dtype=np.int64)
+    level.fill(max_index)
+    switch_at: FloatArray = np.empty(n_lanes)
+    switch_at.fill(np.nan)
+    reconsider_at: FloatArray = np.empty(n_lanes)
+    reconsider_at.fill(np.inf)
+    late = now + EPSILON  # starting later than this means waiting
 
-    def _idle(rows: IntArray, at: FloatArray) -> None:
-        run[rows] = False
-        level[rows] = -1
-        reconsider_at[rows] = at
+    def _idle(wait: BoolArray, at: FloatArray) -> None:
+        np.copyto(level, -1, where=wait)
+        np.copyto(reconsider_at, at, where=wait)
 
     # -- lsa: wait until the max-speed start instant --------------------
     lsa = kind == SCHED_LSA
-    if lsa.any():
+    if np.count_nonzero(lsa):
         # isinf(available) yields start == now here, matching the scalar
         # early return to run-at-max.
         start = np.maximum(
             now, deadline - available_energy / powers[:, max_index]
         )
-        wait = (lsa & (start > now + EPSILON)).nonzero()[0]
-        _idle(wait, start[wait])
+        _idle(lsa & (start > late), start)
 
-    # -- ea-dvfs variants: only their lanes read the slowdown plan ------
+    # -- ea-dvfs variants: the slowdown plan ----------------------------
+    # The plan is evaluated on every lane (one call costs the same for a
+    # few lanes as for all); only the variants' lanes read it.
     ea = kind == SCHED_EA_DVFS
     noslow = kind == SCHED_EA_DVFS_NOSLOWDOWN
-    rows = (ea | noslow).nonzero()[0]
-    if rows.size:
-        if rows.size < n_lanes:
-            now, deadline, remaining_work = (
-                now[rows], deadline[rows], remaining_work[rows]
-            )
-            available_energy, storage_full = (
-                available_energy[rows], storage_full[rows]
-            )
-            speeds, powers = speeds[rows], powers[rows]
-            ea, noslow = ea[rows], noslow[rows]
+    n_ea = np.count_nonzero(ea)
+    n_noslow = np.count_nonzero(noslow)
+    if n_ea or n_noslow:
         plan = batch_compute_plan(
             now, deadline, remaining_work, available_energy, speeds, powers
         )
-        if ea.any():
+        if n_ea:
             # ea-dvfs (with the slowdown phase).  Full storage fast path
             # and unreachable deadlines both run at max speed — the
             # preset default.
             pending = ea & ~storage_full & plan.deadline_reachable
-            wait = pending & (plan.start_at > now + EPSILON)
-            _idle(rows[wait], plan.start_at[wait])
+            wait = pending & (plan.start_at > late)
+            _idle(wait, plan.start_at)
             # A single-phase plan (NaN switch_at) runs at its level.  A
             # degenerate switch instant (reached within the scalar 1e-6
             # guard) runs at max immediately — the preset default; the
@@ -252,9 +248,9 @@ def batch_decide(
             planned = (
                 pending & ~wait & ~batch_time_le(plan.switch_at, now, eps=1e-6)
             )
-            level[rows[planned]] = plan.level[planned]
-            switch_at[rows[planned]] = plan.switch_at[planned]
-        if noslow.any():
+            np.copyto(level, plan.level, where=planned)
+            np.copyto(switch_at, plan.switch_at, where=planned)
+        if n_noslow:
             # ea-dvfs without slowdown: delayed max-speed start.
             fallback = np.where(
                 np.isinf(available_energy),
@@ -264,12 +260,12 @@ def batch_decide(
                 ),
             )
             start = np.where(plan.deadline_reachable, plan.s2, fallback)
-            wait = noslow & (start > now + EPSILON)
-            _idle(rows[wait], start[wait])
+            _idle(noslow & (start > late), start)
 
     # -- edf: always run the earliest deadline at max speed -------------
     # (the preset default: run=True, level=max)
 
     return BatchDecision(
-        run=run, level=level, switch_at=switch_at, reconsider_at=reconsider_at
+        run=level >= 0, level=level, switch_at=switch_at,
+        reconsider_at=reconsider_at,
     )

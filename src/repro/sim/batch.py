@@ -497,6 +497,10 @@ class _BatchCore:
         max_ev = max(1, max(lane.ev_time.shape[0] for lane in self.lanes))
         # -- static tables (padded; pads are inert: time=inf, rank=max) --
         self.horizon = np.asarray([la.horizon for la in self.lanes])
+        # Cap on each lane's next segment end: its horizon while it is
+        # active, -inf once it leaves, so inactive lanes end every step
+        # where they are (see _segment_end).
+        self._end_cap = self.horizon.copy()
         self.miss_drop = np.asarray(
             [la.miss_drop for la in self.lanes], dtype=np.bool_
         )
@@ -655,7 +659,9 @@ class _BatchCore:
         self.level = np.full(n, -1, dtype=np.int64)
         self.switch_at = np.full(n, np.nan)
         self.stalled = np.zeros(n, dtype=np.bool_)
-        self.stalled_until = np.zeros(n)
+        # +inf on lanes that are not stalled, so the stall window enters
+        # the segment end and the expiry test without a mask.
+        self.stalled_until = np.full(n, INFINITY)
         self.stall_started = np.zeros(n)
         self.stall_count = np.zeros(n, dtype=np.int64)
         self.stall_time = np.zeros(n)
@@ -688,32 +694,38 @@ class _BatchCore:
 
     # -- ready-queue maintenance (EdfReadyQueue, incremental) -------------
 
-    def _ready_push(self, lanes: IntArray, jobs: IntArray) -> None:
+    def _ready_push(
+        self, lanes: IntArray, jobs: IntArray, cells: IntArray
+    ) -> None:
         """ready.push: record the ranks and update the per-lane minimum.
 
-        A lane may push several jobs at once.  ``np.minimum.at`` folds
+        ``cells`` are the pairs' flat indices into the job tables.  A
+        lane may push several jobs at once.  ``np.minimum.at`` folds
         every pushed rank into the minimum; ranks are distinct within a
         lane, so the pushed job whose rank now equals the minimum is the
         new EDF-earliest job.
         """
-        ranks = self.jrank[lanes, jobs]
-        self.jready_rank[lanes, jobs] = ranks
+        ranks = self.jrank.take(cells)
+        self.jready_rank.put(cells, ranks)
         np.minimum.at(self.best_rank, lanes, ranks)
         won = self.best_rank[lanes] == ranks
         self.best_job[lanes[won]] = jobs[won]
 
-    def _ready_remove(self, lanes: IntArray, jobs: IntArray) -> None:
+    def _ready_remove(
+        self, lanes: IntArray, jobs: IntArray, cells: IntArray
+    ) -> None:
         """ready.remove: rescan only the lanes that lost their minimum.
 
-        All removals land before the rescan, so a lane removing several
-        jobs at once is rescanned (once) over its final ready set.
+        ``cells`` are the pairs' flat indices into the job tables.  All
+        removals land before the rescan, so a lane removing several jobs
+        at once is rescanned (once) over its final ready set.
         """
-        self.jready_rank[lanes, jobs] = _NO_JOB
+        self.jready_rank.put(cells, _NO_JOB)
         rescan = lanes[self.best_job[lanes] == jobs]
         if rescan.size:
-            rows = self.jready_rank[rescan]
-            nxt = np.argmin(rows, axis=1)
-            ranks = rows[np.arange(rescan.shape[0]), nxt]
+            rows = self.jready_rank.take(rescan, axis=0)
+            nxt = rows.argmin(axis=1)
+            ranks = np.minimum.reduce(rows, axis=1)
             self.best_rank[rescan] = ranks
             self.best_job[rescan] = np.where(ranks < _NO_JOB, nxt, -1)
 
@@ -724,12 +736,17 @@ class _BatchCore:
             if self.errors[i] is None:
                 self.errors[i] = message
         self.active[lanes] = False
+        self._end_cap[lanes] = -INFINITY
 
     # -- vectorized source (mirrors repro.energy.source) ------------------
 
     def _quant_index(self, t: FloatArray) -> IntArray:
-        """_QuantizedSource._index: max(0, floor((t + EPS) / quantum))."""
-        raw = np.floor((t + EPSILON) / self.src_quantum)
+        """_QuantizedSource._index: max(0, floor((t + EPS) / quantum)).
+
+        Truncation (``astype``) and floor differ only below zero, where
+        the clamp maps both to 0.
+        """
+        raw = (t + EPSILON) / self.src_quantum
         index: IntArray = np.maximum(0, raw.astype(np.int64))
         return index
 
@@ -750,9 +767,8 @@ class _BatchCore:
                 self._fail(over, "solar power table exceeded")
                 quant = quant.copy()
                 quant[over] = False
-            table = np.take(
-                self.src_qpowers,
-                self._quant_row + np.minimum(index, self.src_qpowers.shape[1] - 1),
+            table = self.src_qpowers.take(
+                self._quant_row + np.minimum(index, self.src_qpowers.shape[1] - 1)
             )
             power = np.where(quant, table, power)
             boundary = np.where(
@@ -793,17 +809,17 @@ class _BatchCore:
         kind = self.src_kind[lanes]
         total = np.zeros(lanes.shape[0])
         const = kind == _SRC_CONST
-        if const.any():
+        if np.count_nonzero(const):
             total[const] = self.src_const[lanes[const]] * np.maximum(
                 0.0, t1[const] - t0[const]
             )
         quant = kind == _SRC_QUANTIZED
-        if quant.any():
+        if np.count_nonzero(quant):
             total[quant] = self._quantized_energy(
                 lanes[quant], t0[quant], t1[quant]
             )
         day = kind == _SRC_DAYNIGHT
-        if day.any():
+        if np.count_nonzero(day):
             total[day] = self._daynight_energy(
                 lanes[day], t0[day], t1[day]
             )
@@ -821,7 +837,7 @@ class _BatchCore:
         total = np.zeros(lanes.shape[0])
         t = t0.copy()
         stepping = t < t1 - EPSILON
-        while stepping.any():
+        while np.count_nonzero(stepping):
             position = np.mod(t + phase + EPSILON, cycle)
             in_day = position < day_length
             boundary = np.where(
@@ -872,7 +888,7 @@ class _BatchCore:
         idx = np.minimum(kk, width - 1)
         # Flat-index gather: same elements as the 2-D fancy index, ~2x
         # faster on the row-block shapes this walk produces.
-        power = np.take(self.src_qpowers, lanes[:, None] * width + idx)
+        power = self.src_qpowers.take(lanes[:, None] * width + idx)
         contribution = np.where(live, power * (seg_end - tstart), 0.0)
         # np.cumsum accumulates strictly left-to-right (verified by the
         # kernel property tests), i.e. it rounds once per segment in walk
@@ -933,6 +949,7 @@ class _BatchCore:
             count = int(np.count_nonzero(self.active))
             if count != n_live:  # lanes only ever leave the active set
                 left = (live & ~self.active).nonzero()[0]
+                self._end_cap[left] = -INFINITY
                 live = self.active.copy()
                 n_live = count
                 if on_finish is not None and not on_finish(left):
@@ -945,11 +962,16 @@ class _BatchCore:
             # The next _segment_end runs at this same t (events and
             # decisions do not move time), so it reuses this source state.
             harvest, boundary = self._post_segment(segment, actual)
-            advanced = duration > EPSILON
-            self.stagnant = np.where(advanced, 0, self.stagnant + 1)
-            stuck = (self.active & (self.stagnant > 1000)).nonzero()[0]
-            if stuck.size:
-                self._fail(stuck, "stagnation guard")
+            # Only active lanes count steps without progress (the others
+            # never move), so the guard needs no mask until some count
+            # passes its bound.
+            self.stagnant = np.where(
+                duration > EPSILON, 0, self.stagnant + self.active
+            )
+            if np.maximum.reduce(self.stagnant) > 1000:
+                stuck = (self.active & (self.stagnant > 1000)).nonzero()[0]
+                if stuck.size:
+                    self._fail(stuck, "stagnation guard")
 
     def _process_due_events(self) -> None:
         """Simulator._process_due_events: pop while peek <= t + EPSILON.
@@ -965,7 +987,6 @@ class _BatchCore:
         scatter-safe.  Another pass runs only while some lane filled its
         whole window.
         """
-        window = self.EVENT_WINDOW
         width = self.ev_time.shape[1]
         now = self.t + EPSILON
         while True:
@@ -975,48 +996,56 @@ class _BatchCore:
             ptr = self.ev_ptr[due_lanes]
             row = due_lanes * width
             cells = (row + ptr)[:, None] + self._ev_window
-            due = np.take(self.ev_time, cells) <= now[due_lanes, None]
-            taken = np.count_nonzero(due, axis=1)
+            due = self.ev_time.take(cells) <= now[due_lanes][:, None]
+            taken = due.sum(axis=1)
             lanes = due_lanes[due.nonzero()[0]]
             cells = cells[due]
-            jobs = np.take(self.ev_job, cells)
-            is_dl = np.take(self.ev_is_deadline, cells)
+            jobs = self.ev_job.take(cells)
+            is_dl = self.ev_is_deadline.take(cells)
+            job_cells = self._job_row[lanes] + jobs
             released = ~is_dl
             rel_lanes = lanes[released]
             if rel_lanes.size:
-                rel_jobs = jobs[released]
-                self.jstate[rel_lanes, rel_jobs] = _READY  # mark_released
-                self._ready_push(rel_lanes, rel_jobs)
+                rel_cells = job_cells[released]
+                self.jstate.put(rel_cells, _READY)  # mark_released
+                self._ready_push(rel_lanes, jobs[released], rel_cells)
                 self.need_decision[rel_lanes] = True
             dl_lanes = lanes[is_dl]
             if dl_lanes.size:
-                self._on_deadlines(dl_lanes, jobs[is_dl])
+                self._on_deadlines(dl_lanes, jobs[is_dl], job_cells[is_dl])
             moved = ptr + taken
             self.ev_ptr[due_lanes] = moved
-            self.next_ev[due_lanes] = np.take(self.ev_time, row + moved)
-            if taken.max() < window:
+            self.next_ev[due_lanes] = self.ev_time.take(row + moved)
+            # Due events form a prefix of each window, so a lane filled
+            # its whole window exactly when its last event was due.
+            if not np.count_nonzero(due[:, -1]):
                 return
 
-    def _on_deadlines(self, lanes: IntArray, jobs: IntArray) -> None:
+    def _on_deadlines(
+        self, lanes: IntArray, jobs: IntArray, cells: IntArray
+    ) -> None:
         """Simulator._on_deadline for many (lane, job) pairs at once.
 
+        ``cells`` are the pairs' flat indices into the job tables.
         Finished jobs are skipped.  Each job has one deadline event, so
         none of these can have been counted already.
         """
-        judged = self.jstate[lanes, jobs] <= _READY  # not finished
+        judged = self.jstate.take(cells) <= _READY  # not finished
         lanes = lanes[judged]
         if lanes.size == 0:
             return
         jobs = jobs[judged]
-        self.jmiss_counted[lanes, jobs] = True
+        cells = cells[judged]
+        self.jmiss_counted.put(cells, True)
         np.add.at(self.missed_count, lanes, 1)
         # CONTINUE lanes: only the count changes.
         drop = self.miss_drop[lanes]
         lanes = lanes[drop]
         jobs = jobs[drop]
+        cells = cells[drop]
         if lanes.size:
-            self.jstate[lanes, jobs] = _MISSED  # mark_missed
-            self._ready_remove(lanes, jobs)
+            self.jstate.put(cells, _MISSED)  # mark_missed
+            self._ready_remove(lanes, jobs, cells)
             self._clear_plan(lanes[self.running[lanes] == jobs])
             self.need_decision[lanes] = True
 
@@ -1029,16 +1058,16 @@ class _BatchCore:
         # EdfReadyQueue.peek: min (deadline, release, counter) == the
         # incrementally maintained per-lane minimum static rank.
         has_job = self.best_rank[lanes] < _NO_JOB
-        if not has_job.all():
+        if np.count_nonzero(has_job) < lanes.size:
             # Decision.idle() for empty queues.
             self._apply_idle(lanes[~has_job], INFINITY)
             lanes = lanes[has_job]
             if lanes.size == 0:
                 return
         job = self.best_job[lanes]
+        job_cells = self._job_row[lanes] + job
         now = self.t[lanes]
-        deadline = self.jdeadline[lanes, job]
-        work = self.jremaining[lanes, job]
+        deadline = self.jdeadline.take(job_cells)
         stored = self.stored[lanes]
         # EnergyOutlook.available_until(now, deadline), split by the
         # lane's predictor kind: the oracle integrates the source over
@@ -1072,44 +1101,38 @@ class _BatchCore:
                     self.pred_bin_est,
                     rows=pl,
                 )
-        available = np.where(deadline_passed, stored, stored + predicted)
-        storage_full = stored >= self._full_level[lanes]  # is_full
         decision = batch_decide(
             self.kind[lanes],
             now,
             deadline,
-            work,
-            available,
-            storage_full,
-            self.speeds[lanes],
-            self.powers[lanes],
+            self.jremaining.take(job_cells),
+            np.where(deadline_passed, stored, stored + predicted),
+            stored >= self._full_level[lanes],  # is_full
+            self.speeds.take(lanes, axis=0),
+            self.powers.take(lanes, axis=0),
         )
-        idle = ~decision.run
-        if idle.any():
-            self._apply_idle(lanes[idle], decision.reconsider_at[idle])
-        go = decision.run.nonzero()[0]
-        if go.size == 0:
-            return
-        run_lanes = lanes[go]
-        run_jobs = job[go]
-        new_level = decision.level[go]
+        # _apply_decision for every lane at once: idle lanes carry level
+        # -1 and a NaN switch, running lanes a +inf reconsider instant.
+        run = decision.run
+        new_level = decision.level
         if self._job_detail:
             # note_started (idempotent first dispatch)
-            first = self.jfirst[run_lanes, run_jobs]
-            self.jfirst[run_lanes, run_jobs] = np.where(
-                np.isnan(first), now[go], first
-            )
-        self.running[run_lanes] = run_jobs
-        self.switch_at[run_lanes] = decision.switch_at[go]
+            go = run.nonzero()[0]
+            cells = job_cells[go]
+            first = self.jfirst.take(cells)
+            self.jfirst.put(cells, np.where(np.isnan(first), now[go], first))
         # _set_processor_level: a switch is counted only between two real
         # levels with different speeds (distinct indices here — covered
-        # scales have speed gaps far above EPSILON).
-        old_level = self.level[run_lanes]
-        switched = (old_level >= 0) & (old_level != new_level)
-        self.switch_count[run_lanes[switched]] += 1
-        self.level[run_lanes] = new_level
-        self.has_decision[run_lanes] = True
-        self.dec_reconsider[run_lanes] = decision.reconsider_at[go]
+        # scales have speed gaps far above EPSILON); idling is free.
+        old_level = self.level[lanes]
+        self.switch_count[lanes] += (
+            (old_level >= 0) & (new_level >= 0) & (old_level != new_level)
+        )
+        self.running[lanes] = np.where(run, job, -1)
+        self.level[lanes] = new_level
+        self.switch_at[lanes] = decision.switch_at
+        self.has_decision[lanes] = True
+        self.dec_reconsider[lanes] = decision.reconsider_at
 
     def _apply_idle(
         self, lanes: IntArray, reconsider: Union[FloatArray, float]
@@ -1132,34 +1155,36 @@ class _BatchCore:
         ``harvest``/``boundary`` are the source state at ``t``.  Each
         candidate enters the running minimum through masked in-place
         ``np.minimum`` updates; a minimum is exact, so the result equals
-        the scalar chain of ``min()`` calls whatever the order.  Two
-        candidates need no mask: ``dec_reconsider`` is +inf on every lane
+        the scalar chain of ``min()`` calls whatever the order.  Three
+        candidates need no mask: ``stalled_until`` is +inf on every lane
+        that is not stalled, ``dec_reconsider`` is +inf on every lane
         without a decision (stalled lanes included), and ``switch_at`` is
         NaN on every lane without a planned switch, which ``np.fmin``
-        skips.  Returns the end and the per-lane quantities the rest of
-        the step reuses.
+        skips.  Inactive lanes start from a -inf cap (``_end_cap``), so
+        their end is ``t`` and they do not move.  Returns the end and the
+        per-lane quantities the rest of the step reuses.
         """
         t = self.t
         running = self.running >= 0
         # Idle lanes read level 0 / job 0; every use masks them out.
         level_cells = self._level_row + np.maximum(self.level, 0)
         job_cells = self._job_row + np.maximum(self.running, 0)
-        speed = np.take(self.speeds, level_cells)
-        actual = np.take(self.jremaining_actual, job_cells)
-        end = np.minimum(self.horizon, self.next_ev)
+        speed = self.speeds.take(level_cells)
+        actual = self.jremaining_actual.take(job_cells)
+        end = np.minimum(self._end_cap, self.next_ev)
         np.minimum(end, boundary, out=end)
-        np.minimum(end, self.stalled_until, out=end, where=self.stalled)
+        np.minimum(end, self.stalled_until, out=end)
         np.minimum(end, self.dec_reconsider, out=end)
         np.fmin(end, self.switch_at, out=end)
         # Running: completion instant (no switching dead time in covered
         # scenarios).
         completion = t + actual / np.maximum(speed, 1e-12)
         np.minimum(end, completion, out=end, where=running)
-        draw = np.where(running, np.take(self.powers, level_cells), 0.0)
+        draw = np.where(running, self.powers.take(level_cells), 0.0)
         # storage.time_to_empty(harvest, draw): infinite unless the net
         # rate is below -EPSILON (the masked divide leaves +inf there).
         rate = harvest - draw
-        time_to_empty = np.full(self.n, INFINITY)
+        time_to_empty = self._inf.copy()
         np.divide(self.stored, -rate, out=time_to_empty, where=rate < -EPSILON)
         np.maximum(time_to_empty, 0.0, out=time_to_empty)
         empty_at = t + time_to_empty
@@ -1181,73 +1206,64 @@ class _BatchCore:
     ) -> tuple[FloatArray, FloatArray]:
         """Simulator._advance_to: storage/processor/job accounting.
 
-        Runs over every lane at once: a lane that does not move gets a
-        zero span, so every sum it takes part in adds exactly ``0.0``
-        and its state is unchanged.  Returns the step durations and each
+        Runs over every lane at once: a lane that does not move (every
+        inactive lane among them, see :meth:`_segment_end`) has a zero
+        duration, so every sum it takes part in adds exactly ``0.0`` and
+        its state is unchanged.  Returns the step durations and each
         lane's remaining true work of its running job after the step.
         """
-        duration = end - self.t  # _segment_end never ends before t
-        moving = self.active & (duration > 0.0)  # repro-lint: disable=RPR101 -- exact scalar gate mirror
-        if not moving.any():
-            return duration, seg.actual
-        span = np.where(moving, duration, 0.0)
+        # _segment_end never ends before t, so span is 0.0 or positive,
+        # the scalar's gate for moving at all.
+        span = end - self.t
+        if not np.count_nonzero(span):
+            return span, seg.actual
         # IdealStorage._advance_finite (+ _saturate)
         proposed = self.stored + seg.rate * span
         negative = proposed < 0.0  # repro-lint: disable=RPR101 -- exact scalar clamp mirror
-        if negative.any():
+        if np.count_nonzero(negative):
             impossible = negative & (
                 proposed < -1e-6 * np.maximum(1.0, np.abs(self.stored))
             )
-            if impossible.any():
+            if np.count_nonzero(impossible):
                 self._fail(impossible.nonzero()[0], "storage drained below zero")
             proposed = np.where(negative, 0.0, proposed)
         full = proposed > self.capacity
-        if full.any():
+        if np.count_nonzero(full):
             self.total_overflow[full] += proposed[full] - self.capacity[full]
         np.minimum(proposed, self.capacity, out=self.stored)
         self.total_drawn += seg.draw * span
         if self._has_online:
-            self._observe(moving, duration, seg.harvest, end)
+            self._observe(span, seg.harvest, end)
         # Processor.account_time
         busy_span = np.where(seg.running, span, 0.0)
         self.idle_time += span - busy_span
-        np.put(
-            self.busy,
-            seg.level_cells,
-            np.take(self.busy, seg.level_cells) + busy_span,
-        )
+        self.busy.put(seg.level_cells, self.busy.take(seg.level_cells) + busy_span)
         # Job.execute at the current level (dead time never occurs:
         # switching overhead is zero in covered scenarios)
         work = seg.speed * busy_span
         overrun = work > seg.actual + EPSILON
-        if overrun.any():  # pragma: no cover - defensive guard
+        if np.count_nonzero(overrun):  # pragma: no cover - defensive guard
             self._fail(overrun.nonzero()[0], "job budget overrun")
         remaining = seg.actual - work
         below = remaining < -1e-6  # snap_nonnegative(…, eps=1e-6)
-        if below.any():  # pragma: no cover - defensive guard
+        if np.count_nonzero(below):  # pragma: no cover - defensive guard
             self._fail(below.nonzero()[0], "negative residual work")
         actual = np.where(remaining < 0.0, 0.0, remaining)
-        np.put(self.jremaining_actual, seg.job_cells, actual)
-        np.put(
-            self.jremaining,
+        self.jremaining_actual.put(seg.job_cells, actual)
+        self.jremaining.put(
             seg.job_cells,
-            np.maximum(0.0, np.take(self.jremaining, seg.job_cells) - work),
+            np.maximum(0.0, self.jremaining.take(seg.job_cells) - work),
         )
         if self._job_detail:
-            np.put(
-                self.jenergy,
+            self.jenergy.put(
                 seg.job_cells,
-                np.take(self.jenergy, seg.job_cells) + seg.draw * busy_span,
+                self.jenergy.take(seg.job_cells) + seg.draw * busy_span,
             )
-        self.t = np.where(moving, end, self.t)
-        return duration, actual
+        self.t = end
+        return span, actual
 
     def _observe(
-        self,
-        moving: BoolArray,
-        duration: FloatArray,
-        harvest: FloatArray,
-        end: FloatArray,
+        self, duration: FloatArray, harvest: FloatArray, end: FloatArray
     ) -> None:
         """predictor.observe(t, end, harvest * duration) for moving lanes.
 
@@ -1257,7 +1273,7 @@ class _BatchCore:
         (_segment_end cuts there), so harvest * duration is the exact
         realized integral, as in the scalar call.
         """
-        ol = (moving & self._observe_mask & (duration > EPSILON)).nonzero()[0]
+        ol = (self._observe_mask & (duration > EPSILON)).nonzero()[0]
         if ol.size == 0:
             return
         odur = duration[ol]
@@ -1266,7 +1282,7 @@ class _BatchCore:
         if self._has_span:
             okind = self.pred_kind[ol]
             mean_m = okind == _PRED_MEAN
-            if mean_m.any():
+            if np.count_nonzero(mean_m):
                 ml = ol[mean_m]
                 self.pred_estimate[ml] = batch_mean_observe(
                     self.pred_estimate[ml],
@@ -1275,7 +1291,7 @@ class _BatchCore:
                     oenergy[mean_m],
                 )
             last_m = okind == _PRED_LAST
-            if last_m.any():
+            if np.count_nonzero(last_m):
                 self.pred_estimate[ol[last_m]] = batch_last_observe(
                     odur[last_m], oenergy[last_m]
                 )
@@ -1307,43 +1323,44 @@ class _BatchCore:
         """
         t = self.t
         harvest, boundary = self._src_state(t)
-        # stall expiry
-        expired = (
-            self.active & self.stalled & (t >= self.stalled_until - EPSILON)
-        ).nonzero()[0]
-        if expired.size:
-            self.stalled[expired] = False
-            self.stall_time[expired] += t[expired] - self.stall_started[expired]
-            self.need_decision[expired] = True
+        # stall expiry (stalled_until is +inf on lanes that are not stalled)
+        if np.count_nonzero(self.stalled):
+            expired = (
+                self.active & (t >= self.stalled_until - EPSILON)
+            ).nonzero()[0]
+            if expired.size:
+                self.stalled[expired] = False
+                self.stalled_until[expired] = INFINITY
+                self.stall_time[expired] += (
+                    t[expired] - self.stall_started[expired]
+                )
+                self.need_decision[expired] = True
         was_running = seg.running
         # completion: residual true work below the 1e-7 threshold
         done = (self.active & was_running & (actual <= 1e-7)).nonzero()[0]
         if done.size:
             jobs = self.running[done]
-            self.jremaining_actual[done, jobs] = 0.0
-            self.jstate[done, jobs] = _COMPLETED
+            cells = self._job_row[done] + jobs
+            self.jremaining_actual.put(cells, 0.0)
+            self.jstate.put(cells, _COMPLETED)
             if self._job_detail:
-                self.jcompletion[done, jobs] = t[done]
-            self._ready_remove(done, jobs)
+                self.jcompletion.put(cells, t[done])
+            self._ready_remove(done, jobs, cells)
             self.completed_count[done] += 1
             self._clear_plan(done)
         # depletion: empty storage and negative net flow -> stall (the
         # level, hence the draw, is unchanged since _segment_end)
-        depleted = (
-            self.active
-            & (self.running >= 0)
-            & (self.stored <= EPSILON)
-            & (harvest - seg.draw < -EPSILON)
-        ).nonzero()[0]
-        if depleted.size:
-            # _enter_stall: retry at the next source boundary or after
-            # the (default 1.0) retry interval, whichever is sooner.
-            resume = np.minimum(boundary[depleted], t[depleted] + 1.0)
-            self.stall_count[depleted] += 1
-            self.stall_started[depleted] = t[depleted]
-            self.stalled[depleted] = True
-            self.stalled_until[depleted] = resume
-            self._drop_plan(depleted)
+        empty = self.stored <= EPSILON
+        if np.count_nonzero(empty):
+            self._enter_stall(
+                (
+                    empty
+                    & self.active
+                    & (self.running >= 0)
+                    & (harvest - seg.draw < -EPSILON)
+                ).nonzero()[0],
+                boundary,
+            )
         # planned speed-up reached: only lanes still running keep a
         # planned switch (completion and stalls drop the plan), and a
         # NaN switch_at compares False
@@ -1361,6 +1378,18 @@ class _BatchCore:
             self.best_rank < _NO_JOB
         )
         return harvest, boundary
+
+    def _enter_stall(self, lanes: IntArray, boundary: FloatArray) -> None:
+        """_enter_stall: retry at the next source boundary or after the
+        (default 1.0) retry interval, whichever is sooner."""
+        if lanes.size == 0:
+            return
+        t = self.t[lanes]
+        self.stall_count[lanes] += 1
+        self.stall_started[lanes] = t
+        self.stalled[lanes] = True
+        self.stalled_until[lanes] = np.minimum(boundary[lanes], t + 1.0)
+        self._drop_plan(lanes)
 
     # -- result extraction -------------------------------------------------
 

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.batch as batch
+from repro.analysis.parallel import RunSpec
 from repro.energy.predictor import (
     LastValuePredictor,
     MeanPowerPredictor,
@@ -23,16 +25,21 @@ from repro.energy.predictor import (
     _snap_tail,
     profile_segments,
 )
+import repro.energy.vectorized as vectorized
 from repro.energy.vectorized import (
     _ladder_durations,
     _libm_pow,
+    _one_edge,
     _profile_walk,
+    _walk_start,
     batch_last_observe,
     batch_mean_observe,
     batch_profile_observe,
     batch_profile_predict,
     batch_span_predict,
 )
+from repro.experiments.common import PaperSetup
+from repro.experiments.fig8_fig9 import DEFAULT_FRACTIONS, REFERENCE_CAPACITY
 from repro.timeutils import EPSILON
 
 # Heterogeneous lane parameter pools (mirrors the worlds the batch
@@ -284,17 +291,23 @@ class TestProfileKernels:
         lanes = _ProfileLanes()
         for t0, t1 in ((1.3, 55.9), (0.0, 40.0), (2.5 - 1e-15, 5.0)):
             n = len(lanes.scalars)
+            position, first = _walk_start(
+                np.full(n, t0), lanes.period, lanes.bin_width, lanes.n_bins
+            )
             index, duration = _profile_walk(
-                np.full(n, t0),
-                np.full(n, t1),
-                lanes.period,
+                np.full(n, t1 - t0),
+                position,
+                first,
                 lanes.bin_width,
                 lanes.n_bins,
             )
             for i, q in enumerate(lanes.scalars):
-                cells = duration[i].nonzero()[0]
+                steps = duration[:, i].nonzero()[0]
                 walked = list(
-                    zip(index[i, cells].tolist(), duration[i, cells].tolist())
+                    zip(
+                        index[steps, i].tolist(),
+                        duration[steps, i].tolist(),
+                    )
                 )
                 assert walked == list(
                     profile_segments(t0, t1, q.period, q.bin_width, q.n_bins)
@@ -307,12 +320,13 @@ class TestProfileKernels:
         # scalar recurrence instead of reading coverage off the ladder.
         c, e = 0.80317946927987, 1.8959391428711407
         assert c + (e - c) != e
-        ladder = np.asarray([[0.0, c, e, 3.0], [0.0, 1.0, 2.0, 3.0]])
+        ladder = np.asarray([[0.0, c, e, 3.0], [0.0, 1.0, 2.0, 3.0]]).T
         span = np.asarray([2.5, 2.5])
-        ends = ladder[:, 1:] >= span[:, None]
-        last = ends.argmax(axis=1)
+        # Only the last edge (3.0) of either lane reaches the span.
+        ends = np.asarray([[False, False], [False, False], [True, True]])
+        last = np.asarray([2, 2])
         duration = _ladder_durations(ladder, ends, last, span)
-        for row, got in zip(ladder, duration):
+        for row, got in zip(ladder.T, duration.T):
             # profile_segments' loop over the same edges
             expected = []
             covered = 0.0
@@ -325,7 +339,7 @@ class TestProfileKernels:
                     covered += expected[-1]
             assert got[: len(expected)].tolist() == expected
             assert not got[len(expected):].any()
-        assert duration[0, 2] != _snap_tail(e, 2.5)  # the telescoped tail
+        assert duration[2, 0] != _snap_tail(e, 2.5)  # the telescoped tail
 
 
 #: (period, n_bins) pairs whose first bin clamps one ulp below the period.
@@ -413,6 +427,196 @@ class TestProfilePredictProperty:
         )
         for i, p in enumerate(scalars):
             assert predicted[i] == p.predict_energy(t0[i], t1[i])
+
+
+#: (period, n_bins) pools of the one-edge walk tests: one- and two-bin
+#: profiles, the paper's 64 bins, and the pairs whose first bin clamps.
+_ONE_EDGE_PARAMS = (
+    (10.0, 1), (3.3, 1), (10.0, 2), (0.125, 2), (1e3, 4),
+    (690.8861930260637, 64),
+) + _CLAMPING
+
+#: Window shapes: inside the first bin, across one edge, ending exactly on
+#: the first or the second edge, from a clamped last bin, and spanning
+#: several bins (which sends the whole batch down the ladder).
+_ONE_EDGE_SHAPES = ("inside", "cross", "edge1", "edge2", "clamped")
+
+
+@st.composite
+def _one_edge_lanes(draw, shapes=_ONE_EDGE_SHAPES):
+    """Heterogeneous profile lanes with pre-trained bins and one window each."""
+    lanes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        shape = draw(st.sampled_from(shapes))
+        if shape == "clamped":
+            period, width, n_bins = _lane_params(
+                *draw(st.sampled_from(_CLAMPING))
+            )
+            t0 = math.nextafter(period, 0.0)
+        else:
+            period, width, n_bins = _lane_params(
+                *draw(st.sampled_from(_ONE_EDGE_PARAMS))
+            )
+            # Whole periods put the window start on a bin edge, where
+            # exact edge windows are representable.
+            t0 = draw(
+                st.one_of(
+                    st.floats(min_value=0.0, max_value=2000.0),
+                    st.integers(min_value=0, max_value=5).map(
+                        lambda k, period=period: k * period
+                    ),
+                )
+            )
+        position = t0 % period
+        first = min(int(position / width), n_bins - 1)
+        edge = (first + 1) * width - position  # may be <= 0 when clamped
+        fraction = draw(st.floats(min_value=0.01, max_value=0.99))
+        if shape == "inside":
+            span = edge * fraction
+        elif shape == "cross":
+            span = edge + width * fraction
+        elif shape == "edge1":
+            span = edge
+        elif shape == "edge2":
+            span = (first + 2) * width - position
+        elif shape == "clamped":
+            span = width * fraction
+        else:  # "several": 2.5 to 5 bin widths
+            span = width * draw(st.floats(min_value=2.5, max_value=5.0))
+        if span <= EPSILON:  # the callers' gate; keep every lane live
+            span = width * fraction
+        t1 = t0 + span
+        while t1 - t0 > span:  # repro-lint: disable=RPR102 -- exact: t1 rounded up, stay within the shape
+            t1 = math.nextafter(t1, -math.inf)
+        estimates = draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=10.0),
+                min_size=n_bins, max_size=n_bins,
+            )
+        )
+        seen = draw(st.lists(st.booleans(), min_size=n_bins, max_size=n_bins))
+        power = draw(st.floats(min_value=-1.0, max_value=8.0))
+        alpha = draw(st.sampled_from(_ALPHAS))
+        lanes.append((period, n_bins, alpha, estimates, seen, t0, t1, power))
+    return lanes
+
+
+class TestOneEdgeWalkProperty:
+    """The closed-form walk of windows crossing at most one bin edge."""
+
+    @staticmethod
+    def _check(lanes):
+        n = len(lanes)
+        max_bins = max(lane[1] for lane in lanes)
+        rows = np.arange(n, dtype=np.int64)[::-1] + 1  # spare row 0
+        estimates = np.zeros((n + 1, max_bins))
+        seen = np.zeros((n + 1, max_bins), dtype=np.bool_)
+        scalars = []
+        for i, (period, n_bins, alpha, values, flags, _, _, _) in enumerate(lanes):
+            p = ProfilePredictor(period=period, n_bins=n_bins, alpha=alpha)
+            p._estimates[:] = values
+            p._seen[:] = flags
+            estimates[rows[i], :n_bins] = values
+            seen[rows[i], :n_bins] = flags
+            scalars.append(p)
+        t0 = np.asarray([lane[5] for lane in lanes])
+        t1 = np.asarray([lane[6] for lane in lanes])
+        period = np.asarray([p.period for p in scalars])
+        width = np.asarray([p.bin_width for p in scalars])
+        n_bins = np.asarray([p.n_bins for p in scalars], dtype=np.int64)
+        alpha = np.asarray([p.alpha for p in scalars])
+        energy = np.asarray([lane[7] for lane in lanes]) * (t1 - t0)
+        predicted = batch_profile_predict(
+            t0, t1, period, width, n_bins, estimates, rows=rows
+        )
+        batch_profile_observe(
+            t0, t1, period, width, n_bins, alpha, energy, estimates, seen,
+            rows=rows,
+        )
+        for i, p in enumerate(scalars):
+            assert predicted[i] == p.predict_energy(t0[i], t1[i])
+            p.observe(t0[i], t1[i], energy[i])
+            assert estimates[rows[i], : p.n_bins].tolist() == (
+                p.bin_estimates().tolist()
+            )
+            assert seen[rows[i], : p.n_bins].tolist() == p.bin_seen().tolist()
+        assert not seen[0].any() and not estimates[0].any()
+        position, first = _walk_start(t0, period, width, n_bins)
+        return _one_edge(t1 - t0, position, first, width)
+
+    @given(lanes=_one_edge_lanes())
+    @settings(max_examples=150, deadline=None)
+    def test_one_edge_batches_bit_equal_scalar(self, lanes):
+        # Every shape here crosses at most one edge, so the batch takes
+        # the closed form rather than the ladder.
+        assert self._check(lanes) is not None
+
+    @given(lanes=_one_edge_lanes(_ONE_EDGE_SHAPES + ("several",)))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_batches_bit_equal_scalar(self, lanes):
+        self._check(lanes)
+
+    def test_windows_ending_exactly_on_edges(self):
+        # Period 10 in two bins of 5: [0, 5] ends on the first edge and
+        # [2.5, 10] on the second, both exactly.
+        lanes = [
+            (10.0, 2, 0.3, [1.0, 3.0], [True, True], 0.0, 5.0, 2.0),
+            (10.0, 2, 0.3, [1.0, 3.0], [True, False], 2.5, 10.0, 2.0),
+        ]
+        assert self._check(lanes) is not None
+
+    def test_one_bin_profile_compounds_in_walk_order(self):
+        # With one bin the head and the tail land in the same cell: the
+        # tail's update must apply on top of the head's.
+        lanes = [(10.0, 1, 0.3, [2.0], [True], 9.5, 10.25, 4.0)]
+        assert self._check(lanes) is not None
+
+
+class TestProfileWalkPaths:
+    """Which walk each kernel takes on the flagship profile grid."""
+
+    def test_observe_never_walks_the_ladder(self, monkeypatch):
+        # fig8's profile cells observe segments no longer than a source
+        # quantum (1.0), far below a bin (~10.8), so every observe takes
+        # the closed form; predict windows span several bins and take
+        # the ladder.
+        calls = {"observe": 0, "ladder": 0, "ladder_in_observe": 0}
+        inside = []
+        ladder, observe = vectorized._ladder_durations, batch.batch_profile_observe
+
+        def counting_ladder(*args):
+            calls["ladder"] += 1
+            calls["ladder_in_observe"] += bool(inside)
+            return ladder(*args)
+
+        def counting_observe(*args, **kwargs):
+            calls["observe"] += 1
+            inside.append(True)
+            try:
+                return observe(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(vectorized, "_ladder_durations", counting_ladder)
+        monkeypatch.setattr(batch, "batch_profile_observe", counting_observe)
+        setup = PaperSetup(horizon=2000.0, predictor_kind="profile")
+        specs = [
+            RunSpec(
+                scheduler_name=name,
+                utilization=0.4,
+                capacity=fraction * REFERENCE_CAPACITY[0.4],
+                seed=100_000,
+                setup=setup,
+            )
+            for fraction in DEFAULT_FRACTIONS
+            for name in ("lsa", "ea-dvfs")
+        ]
+        results, fallbacks = batch.execute_runspecs(specs)
+        assert len(specs) == 18 and not fallbacks
+        assert all(r is not None for r in results)
+        assert calls["observe"] > 0
+        assert calls["ladder_in_observe"] == 0
+        assert calls["ladder"] > 0  # predict still walks the ladder
 
 
 class TestMeanObserveEdgeCases:

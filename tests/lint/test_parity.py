@@ -8,6 +8,9 @@ kernel edit cannot land without refreshing the pin it invalidates.
 """
 
 import ast
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -199,3 +202,20 @@ class TestCli:
     def test_requires_a_mode(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_module_entry_point_runs_without_runtime_warning(self, capsys):
+        # ``-m`` must find the module not yet imported by its package,
+        # or runpy warns that it executes a second copy.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.lint.parity", "--print", "--root", str(REPO_ROOT)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+        assert main(["--print", "--root", str(REPO_ROOT)]) == 0
+        assert out.stdout == capsys.readouterr().out

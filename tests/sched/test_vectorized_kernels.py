@@ -332,8 +332,9 @@ class TestNumpyAccumulationContract:
     def test_cumsum_accumulates_left_to_right(self, values):
         """``np.cumsum`` rounds once per element in walk order.
 
-        ``repro.sim.batch._quantized_energy`` relies on this to keep
-        batch energy totals bit-equal to the scalar segment walk.
+        ``repro.sim.batch._quantized_energy`` (along rows) and the
+        profile predict ladder (down columns) rely on this to keep batch
+        energy totals bit-equal to the scalar segment walk.
         """
         row = np.asarray(values)
         total = 0.0
@@ -343,6 +344,7 @@ class TestNumpyAccumulationContract:
 
         block = np.tile(row, (3, 1))
         assert (np.cumsum(block, axis=1)[:, -1] == total).all()
+        assert (np.cumsum(block.T.copy(), axis=0)[-1] == total).all()
 
     def test_masked_zero_add_is_identity(self):
         rng = np.random.default_rng(1234)
