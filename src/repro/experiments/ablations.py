@@ -17,12 +17,15 @@ Runners:
 * :func:`run_aet_ablation` — actual execution times below WCET.
 
 Each runner runs its legs as one supervised sweep of :class:`PaperSetup`
-cells; a variant changing more than ``scale()``, ``source()`` or
-``predictor()`` (which the batch core reads) overrides ``run``.
+cells.  A variant overrides the setup's hooks (``taskset()``,
+``storage()``, ``processor()``, ``config()``, ...), which both engines
+read; the batch core falls back, with a named reason, on a hook result
+it does not mirror (lossy storage, a switching-overhead processor).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -32,15 +35,9 @@ from repro.cpu.presets import continuous_approximation, xscale_pxa
 from repro.cpu.processor import Processor
 from repro.energy.predictor import HarvestPredictor, ProfilePredictor
 from repro.energy.source import EnergySource, MarkovWeatherSource
-from repro.energy.storage import EnergyStorage, IdealStorage, NonIdealStorage
+from repro.energy.storage import EnergyStorage, NonIdealStorage
 from repro.experiments.common import PaperSetup, replications, workers
-from repro.sched.registry import make_scheduler
-from repro.sim.simulator import (
-    HarvestingRtSimulator,
-    SimulationConfig,
-    SimulationResult,
-)
-from repro.sim.tracing import TraceKind
+from repro.sim.simulator import SimulationConfig, SimulationResult
 from repro.tasks.task import PeriodicTask, TaskSet
 
 __all__ = [
@@ -70,73 +67,24 @@ class AblationResult:
 
 
 @dataclass(frozen=True)
-class _ScalarOnlySetup(PaperSetup):
-    """Base of the variants only the scalar simulator models: its
-    ``run`` (which the batch core cannot replay) builds
-    :meth:`PaperSetup.run`'s simulator through the hooks below."""
-
-    def _taskset(self, seed: int, utilization: float) -> TaskSet:
-        return self.taskset(seed, utilization)
-
-    def _storage(self, capacity: float) -> EnergyStorage:
-        return IdealStorage(capacity=capacity)
-
-    def _processor(self, scale: FrequencyScale) -> Optional[Processor]:
-        return None
-
-    def _aet_seed(self, seed: int) -> Optional[int]:
-        return None
-
-    def run(
-        self,
-        scheduler_name: str,
-        utilization: float,
-        capacity: float,
-        seed: int,
-        energy_sample_interval: Optional[float] = None,
-    ) -> SimulationResult:
-        """One simulation of the variant's world."""
-        scale = self.scale()
-        source = self.source(seed)
-        simulator = HarvestingRtSimulator(
-            taskset=self._taskset(seed, utilization),
-            source=source,
-            storage=self._storage(capacity),
-            scheduler=make_scheduler(scheduler_name, scale),
-            predictor=self.predictor(source),
-            processor=self._processor(scale),
-            config=SimulationConfig(
-                horizon=self.horizon,
-                trace_kinds=(
-                    (TraceKind.ENERGY,)
-                    if energy_sample_interval is not None else ()
-                ),
-                energy_sample_interval=energy_sample_interval,
-                aet_seed=self._aet_seed(seed),
-            ),
-        )
-        return simulator.run()
-
-
-@dataclass(frozen=True)
-class SwitchOverheadSetup(_ScalarOnlySetup):
+class SwitchOverheadSetup(PaperSetup):
     """A :class:`PaperSetup` whose DVFS transitions cost time and energy."""
 
     overhead: SwitchingOverhead = SwitchingOverhead(time=0.05, energy=0.05)
 
-    def _processor(self, scale: FrequencyScale) -> Processor:
+    def processor(self, scale: FrequencyScale) -> Processor:
         return Processor(scale, overhead=self.overhead)
 
 
 @dataclass(frozen=True)
-class LossyStorageSetup(_ScalarOnlySetup):
+class LossyStorageSetup(PaperSetup):
     """A :class:`PaperSetup` on a :class:`NonIdealStorage`."""
 
     charge_efficiency: float = 0.9
     discharge_efficiency: float = 0.9
     leakage_power: float = 0.02
 
-    def _storage(self, capacity: float) -> EnergyStorage:
+    def storage(self, capacity: float) -> EnergyStorage:
         return NonIdealStorage(
             capacity=capacity,
             charge_efficiency=self.charge_efficiency,
@@ -146,14 +94,14 @@ class LossyStorageSetup(_ScalarOnlySetup):
 
 
 @dataclass(frozen=True)
-class AetSetup(_ScalarOnlySetup):
+class AetSetup(PaperSetup):
     """A :class:`PaperSetup` whose jobs run for less than their WCET:
     each job's demand is drawn from ``[bcet_ratio, 1] * WCET`` with the
     cell's seed."""
 
     bcet_ratio: float = 0.5
 
-    def _taskset(self, seed: int, utilization: float) -> TaskSet:
+    def taskset(self, seed: int, utilization: float) -> TaskSet:
         return TaskSet(
             [
                 PeriodicTask(
@@ -161,12 +109,16 @@ class AetSetup(_ScalarOnlySetup):
                     relative_deadline=t.relative_deadline,
                     name=t.name, bcet_ratio=self.bcet_ratio,
                 )
-                for t in self.taskset(seed, utilization).periodic_tasks()
+                for t in super().taskset(seed, utilization).periodic_tasks()
             ]
         )
 
-    def _aet_seed(self, seed: int) -> int:
-        return seed
+    def config(
+        self, seed: int, energy_sample_interval: Optional[float] = None
+    ) -> SimulationConfig:
+        return dataclasses.replace(
+            super().config(seed, energy_sample_interval), aet_seed=seed
+        )
 
 
 #: The DVFS ladders of the granularity ablation.  All peak at

@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.cpu.dvfs import FrequencyScale
 from repro.cpu.presets import xscale_pxa
+from repro.cpu.processor import Processor
 from repro.energy.predictor import (
     HarvestPredictor,
     LastValuePredictor,
@@ -33,7 +34,7 @@ from repro.energy.predictor import (
     ProfilePredictor,
 )
 from repro.energy.source import EnergySource, SolarStochasticSource
-from repro.energy.storage import IdealStorage
+from repro.energy.storage import EnergyStorage, IdealStorage
 from repro.sched.registry import make_scheduler
 from repro.sim.simulator import (
     HarvestingRtSimulator,
@@ -102,7 +103,7 @@ class PaperSetup:
         """The XScale-like DVFS ladder (section 5.1)."""
         return xscale_pxa(power_unit=self.power_unit)
 
-    def source(self, seed: int) -> SolarStochasticSource:
+    def source(self, seed: int) -> EnergySource:
         """A fresh eq. (13) source realization."""
         return SolarStochasticSource(
             seed=seed + _SOURCE_SEED_OFFSET,
@@ -136,6 +137,28 @@ class PaperSetup:
             seed=seed,
         )
 
+    def storage(self, capacity: float) -> EnergyStorage:
+        """The energy store of one run (initially full)."""
+        return IdealStorage(capacity=capacity)
+
+    def processor(self, scale: FrequencyScale) -> Optional[Processor]:
+        """The processor model; ``None`` is the simulator's default
+        (free DVFS switches)."""
+        return None
+
+    def config(
+        self, seed: int, energy_sample_interval: Optional[float] = None
+    ) -> SimulationConfig:
+        """The simulator knobs of one run."""
+        return SimulationConfig(
+            horizon=self.horizon,
+            trace_kinds=(
+                (TraceKind.ENERGY,) if energy_sample_interval is not None
+                else ()
+            ),
+            energy_sample_interval=energy_sample_interval,
+        )
+
     def run(
         self,
         scheduler_name: str,
@@ -144,7 +167,8 @@ class PaperSetup:
         seed: int,
         energy_sample_interval: Optional[float] = None,
     ) -> SimulationResult:
-        """One complete simulation of this setup.
+        """One complete simulation of this setup, built from the hooks
+        above (the batch core's lane builder reads the same hooks).
 
         The seed controls both the task set and the source realization, so
         different schedulers at the same seed face the *same* world
@@ -152,19 +176,13 @@ class PaperSetup:
         """
         scale = self.scale()
         source = self.source(seed)
-        trace_kinds: tuple[str, ...] = ()
-        if energy_sample_interval is not None:
-            trace_kinds = (TraceKind.ENERGY,)
         simulator = HarvestingRtSimulator(
             taskset=self.taskset(seed, utilization),
             source=source,
-            storage=IdealStorage(capacity=capacity),
+            storage=self.storage(capacity),
             scheduler=make_scheduler(scheduler_name, scale),
             predictor=self.predictor(source),
-            config=SimulationConfig(
-                horizon=self.horizon,
-                trace_kinds=trace_kinds,
-                energy_sample_interval=energy_sample_interval,
-            ),
+            processor=self.processor(scale),
+            config=self.config(seed, energy_sample_interval),
         )
         return simulator.run()

@@ -13,11 +13,10 @@ bitmaps, running job/level, stall windows) in arrays indexed by "lane"
 **Equivalence doctrine** — the batch engine is a *mirror*, not a
 re-derivation: each step performs the same IEEE float64 operations in
 the same order as the scalar code path it shadows (references inline).
-Miss counts, decisions and schedules are therefore bit-exact, and
-energy trajectories agree to the documented tolerance (see
-``docs/batch-simulation.md``; in practice they are bit-equal too).
-This is enforced by :mod:`repro.verify.batch_equivalence` and
-``tests/sim/test_batch_equivalence.py``.
+Counters, decisions, schedules and energy trajectories are therefore
+bit-exact (see ``docs/batch-simulation.md``).  This is enforced by
+:mod:`repro.verify.batch_equivalence` and
+``tests/sim/test_batch_equivalence.py``, which compare with ``==``.
 
 **Coverage** — the core handles the shapes the paper experiments use:
 schedulers ``edf`` / ``lsa`` / ``ea-dvfs`` / ``ea-dvfs-noslowdown``,
@@ -25,15 +24,18 @@ constant / solar-stochastic / day-night sources (unfaulted), finite
 :class:`~repro.energy.storage.IdealStorage`, all four predictors
 (``oracle``, ``profile``, ``mean``, ``last-value`` — online predictor
 state lives in per-lane arrays, updated by the kernels in
-:mod:`repro.energy.vectorized`), both miss policies, zero switching
-overhead, no tracing/sampling.  Everything else (fault plans, infinite
-storage, custom schedulers, per-run energy sampling, setups that
-override ``PaperSetup.run``) is left out of the core: the front-ends
-return ``None`` for such cells with a histogram of the reasons, and the
-caller runs them on the scalar simulator.  This module never does —
-the supervisor routes sweep fallbacks to its scalar runner
-(``SweepReport.fallback_reasons``), ``repro verify --batch`` runs its
-own.
+:mod:`repro.energy.vectorized`), both miss policies, sampled actual
+execution times, zero switching overhead, no tracing/sampling.  The
+one front-end, :func:`execute_runspecs`, builds each lane from the
+same :class:`~repro.experiments.common.PaperSetup` hooks that
+``PaperSetup.run`` builds its simulator from.  Everything else (setups
+that override ``run``, such as fault plans; infinite or lossy storage;
+a processor model; custom schedulers; per-run energy sampling) is left
+out of the core: the front-end returns ``None`` for such cells with a
+histogram of named reasons, and the caller runs them on the scalar
+simulator.  This module never does — the supervisor routes sweep
+fallbacks to its scalar runner (``SweepReport.fallback_reasons``),
+``repro verify --batch`` runs its own.
 """
 
 # repro: float-doctrine -- the RPR4xx bit-exactness rules apply here.
@@ -42,14 +44,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     TYPE_CHECKING,
     Callable,
     NamedTuple,
     Optional,
     Sequence,
-    TypeVar,
     Union,
 )
 
@@ -88,30 +89,27 @@ from repro.sched.vectorized import (
     batch_decide,
     batch_time_le,
 )
-from repro.sim.simulator import SimulationResult
+from repro.sim.simulator import (
+    DeadlineMissPolicy,
+    SimulationConfig,
+    SimulationResult,
+)
 from repro.tasks.job import Job, JobState
 from repro.tasks.task import PeriodicTask, TaskSet
 from repro.timeutils import EPSILON, INFINITY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.parallel import RunSpec
-    from repro.verify.scenarios import ScenarioSpec
 
 __all__ = [
     "UncoveredScenarioError",
-    "run_scenario_batch",
     "execute_runspecs",
     "runspec_fallback_reason",
-    "scenario_fallback_reason",
 ]
 
 
 class UncoveredScenarioError(Exception):
     """The batch core does not cover this scenario shape (use scalar)."""
-
-
-#: One front-end input: a ``RunSpec`` or a ``ScenarioSpec``.
-_Cell = TypeVar("_Cell")
 
 
 # -- source parameterization ----------------------------------------------
@@ -371,10 +369,6 @@ def _assemble_lane(
     jobs: Optional[list[Job]],
 ) -> _Lane:
     """Assemble a lane, raising ``UncoveredScenarioError`` where needed."""
-    if scheduler_name not in SCHEDULER_KINDS:
-        raise UncoveredScenarioError(
-            f"scheduler {scheduler_name!r} is not vectorized"
-        )
     if type(storage) is not IdealStorage:
         raise UncoveredScenarioError(
             f"storage type {type(storage).__name__} is not vectorized"
@@ -1466,20 +1460,7 @@ class _BatchCore:
         )
 
 
-# -- coverage probes ------------------------------------------------------
-
-
-def scenario_fallback_reason(
-    spec: "ScenarioSpec", scheduler_name: str
-) -> Optional[str]:
-    """Why this (spec, scheduler) pair needs the scalar engine, or None."""
-    if scheduler_name not in SCHEDULER_KINDS:
-        return f"scheduler {scheduler_name!r} not vectorized"
-    if spec.faults.any_active:
-        return "fault plan active"
-    if not math.isfinite(spec.capacity):
-        return "infinite storage"
-    return None
+# -- coverage probe -------------------------------------------------------
 
 
 def runspec_fallback_reason(spec: "RunSpec") -> Optional[str]:
@@ -1487,7 +1468,8 @@ def runspec_fallback_reason(spec: "RunSpec") -> Optional[str]:
 
     All four predictor kinds are vectorized.  A setup that overrides
     ``PaperSetup.run`` (fault injection, chaos, test doubles) simulates
-    a world the lane builder cannot see, so it always falls back.
+    a world the lane builder cannot see, so it always falls back.  The
+    lane builder names the remaining reasons (see :func:`_runspec_lane`).
     """
     if spec.scheduler_name not in SCHEDULER_KINDS:
         return f"scheduler {spec.scheduler_name!r} not vectorized"
@@ -1500,38 +1482,43 @@ def runspec_fallback_reason(spec: "RunSpec") -> Optional[str]:
     return None
 
 
-# -- front-ends -----------------------------------------------------------
+# -- the front-end --------------------------------------------------------
 
 
-def _run_lanes(
-    cells: Sequence[_Cell],
-    fallback_reason: Callable[[_Cell], Optional[str]],
-    build_lane: Callable[[_Cell], _Lane],
-    include_jobs: bool,
+def execute_runspecs(
+    specs: Sequence["RunSpec"],
     on_result: Optional[Callable[[int, SimulationResult], bool]] = None,
+    include_jobs: bool = False,
 ) -> tuple[list[Optional[SimulationResult]], dict[str, int]]:
     """Run every coverable cell on the core; ``None`` marks the rest.
 
-    A cell is left out (and its reason counted) when the fallback probe
-    rejects it, when building its lane raises, or when a core guard
-    evicts it; the caller decides how to run it instead.  Lanes run in
-    one core per DVFS ladder size (the core's level tables are
-    rectangular), in order of first appearance.
+    Returns ``(results, fallback_reasons)`` in input order.  A cell is
+    left out (and its reason counted) when the fallback probe rejects
+    it, when building its lane raises, or when a core guard evicts it;
+    the supervisor hands those cells to the scalar runner with the
+    sweep's timeout, retries and journaling.  Lanes run in one core per
+    DVFS ladder size (the core's level tables are rectangular), in order
+    of first appearance.
 
-    Each cell's result is built as soon as its lane reaches the horizon
-    and handed to ``on_result(index, result)``.  Returning ``False``
-    stops the core: cells not finished by then stay ``None`` and are
-    not counted as fallbacks.
+    Results are slim (``jobs=()``), which is what sweeps keep;
+    ``include_jobs=True`` builds every lane from real ``Job`` objects
+    and returns their final timelines, for equivalence checks.
+
+    ``on_result(index, result)`` is called with each cell the moment its
+    lane reaches the horizon, so cells arrive in lane-finish order (the
+    shape of ``run_parallel_salvage``'s ``on_outcome``).  Returning
+    ``False`` stops the core; the cells not finished by then come back
+    ``None`` and are not counted in ``fallback_reasons``.
     """
-    results: list[Optional[SimulationResult]] = [None] * len(cells)
+    results: list[Optional[SimulationResult]] = [None] * len(specs)
     reasons: Counter[str] = Counter()
     placed: list[int] = []
     lanes: list[_Lane] = []
-    for i, cell in enumerate(cells):
-        reason = fallback_reason(cell)
+    for i, spec in enumerate(specs):
+        reason = runspec_fallback_reason(spec)
         if reason is None:
             try:
-                lanes.append(build_lane(cell))
+                lanes.append(_runspec_lane(spec, include_jobs))
                 placed.append(i)
                 continue
             except UncoveredScenarioError as exc:
@@ -1566,107 +1553,76 @@ def _run_lanes(
     return results, dict(reasons)
 
 
-def run_scenario_batch(
-    specs: Sequence["ScenarioSpec"], scheduler_name: str
-) -> tuple[list[Optional[SimulationResult]], dict[str, int]]:
-    """Run every spec under ``scheduler_name`` in one core.
-
-    Returns ``(results, fallback_reasons)`` in input order; a ``None``
-    result was not run on the core, and the caller runs it on the scalar
-    simulator (``spec.run(scheduler_name)``).
-    """
-    return _run_lanes(
-        specs,
-        lambda spec: scenario_fallback_reason(spec, scheduler_name),
-        lambda spec: _scenario_lane(spec, scheduler_name),
-        include_jobs=True,
-    )
+#: ``SimulationConfig`` fields the core does not mirror: a setup whose
+#: ``config()`` moves one off its default falls back.
+_UNMIRRORED_CONFIG_FIELDS: tuple[str, ...] = tuple(
+    f.name
+    for f in fields(SimulationConfig)
+    if f.name not in ("horizon", "miss_policy", "aet_seed")
+)
+_DEFAULT_CONFIG = SimulationConfig()
 
 
-def execute_runspecs(
-    specs: Sequence["RunSpec"],
-    on_result: Optional[Callable[[int, SimulationResult], bool]] = None,
-) -> tuple[list[Optional[SimulationResult]], dict[str, int]]:
-    """Run sweep cells in one core; slim results (``jobs=()``).
+def _runspec_lane(spec: "RunSpec", include_jobs: bool = False) -> _Lane:
+    """A lane replaying ``PaperSetup.run`` exactly, from the same hooks.
 
-    Returns ``(results, fallback_reasons)`` in input order; a ``None``
-    result was not run on the core.  The supervisor hands those cells to
-    the scalar runner with the sweep's timeout, retries and journaling.
-
-    ``on_result(index, result)`` is called with each cell the moment its
-    lane reaches the horizon, so cells arrive in lane-finish order (the
-    shape of ``run_parallel_salvage``'s ``on_outcome``).  Returning
-    ``False`` stops the core; the cells not finished by then come back
-    ``None`` and are not counted in ``fallback_reasons``.
-    """
-    return _run_lanes(
-        specs,
-        runspec_fallback_reason,
-        _runspec_lane,
-        include_jobs=False,
-        on_result=on_result,
-    )
-
-
-def _scenario_lane(spec: "ScenarioSpec", scheduler_name: str) -> _Lane:
-    """A lane replaying ScenarioSpec.build_simulator's setup exactly."""
-    rng = (
-        np.random.default_rng(spec.aet_seed)
-        if spec.aet_seed is not None
-        else None
-    )
-    taskset = spec.build_taskset()
-    source = spec.build_source()
-    return _build_lane(
-        scheduler_name=scheduler_name,
-        scale=spec.scale(),
-        jobs=taskset.jobs(spec.horizon, rng),
-        source=source,
-        storage=spec.build_storage(),
-        predictor=spec.build_predictor(source),
-        horizon=spec.horizon,
-        miss_drop=spec.miss_policy == "drop",
-    )
-
-
-def _runspec_lane(spec: "RunSpec") -> _Lane:
-    """A lane replaying PaperSetup.run's setup exactly (no aet sampling).
-
-    All-periodic sets take the array-only job path — no ``Job`` objects
-    are created, which is the setup hot spot on big sweeps; such lanes
-    cannot serve ``result(include_jobs=True)``.
+    Raises :class:`UncoveredScenarioError` for a processor model, a
+    storage other than a finite :class:`IdealStorage`, or an unmirrored
+    config field off its default.  Without an AET seed and without job
+    timelines, all-periodic sets take the array-only job path: no
+    ``Job`` objects are created, which is the setup hot spot on big
+    sweeps, and such lanes cannot serve ``result(include_jobs=True)``.
     """
     setup = spec.setup
+    scale = setup.scale()
+    if setup.processor(scale) is not None:
+        raise UncoveredScenarioError("processor model is not vectorized")
+    config = setup.config(spec.seed, spec.energy_sample_interval)
+    for name in _UNMIRRORED_CONFIG_FIELDS:
+        if getattr(config, name) != getattr(_DEFAULT_CONFIG, name):
+            raise UncoveredScenarioError(
+                f"config field {name} is not vectorized"
+            )
     taskset = setup.taskset(spec.seed, spec.utilization)
     source = setup.source(spec.seed)
-    arrays = _periodic_job_arrays(taskset, setup.horizon)
+    storage = setup.storage(spec.capacity)
+    predictor = setup.predictor(source)
+    horizon = config.horizon
+    miss_drop = config.miss_policy is DeadlineMissPolicy.DROP
+    arrays = None
+    if config.aet_seed is None and not include_jobs:
+        arrays = _periodic_job_arrays(taskset, horizon)
     if arrays is not None:
         jrelease, jdeadline, jwork, jtask, task_names = arrays
         return _assemble_lane(
             scheduler_name=spec.scheduler_name,
-            scale=setup.scale(),
+            scale=scale,
             source=source,
-            storage=IdealStorage(capacity=spec.capacity),
-            predictor=setup.predictor(source),
-            horizon=setup.horizon,
-            miss_drop=True,
+            storage=storage,
+            predictor=predictor,
+            horizon=horizon,
+            miss_drop=miss_drop,
             jrelease=jrelease,
             jdeadline=jdeadline,
             jwork=jwork,
-            jactual=jwork.copy(),  # rng=None: actual == WCET
+            jactual=jwork.copy(),  # no AET seed: actual == WCET
             jtask=jtask,
             task_names=task_names,
             jobs=None,
         )
+    rng = (
+        None if config.aet_seed is None
+        else np.random.default_rng(config.aet_seed)
+    )
     return _build_lane(
         scheduler_name=spec.scheduler_name,
-        scale=setup.scale(),
-        jobs=taskset.jobs(setup.horizon, None),
+        scale=scale,
+        jobs=taskset.jobs(horizon, rng),
         source=source,
-        storage=IdealStorage(capacity=spec.capacity),
-        predictor=setup.predictor(source),
-        horizon=setup.horizon,
-        miss_drop=True,  # SimulationConfig default (PaperSetup passes none)
+        storage=storage,
+        predictor=predictor,
+        horizon=horizon,
+        miss_drop=miss_drop,
     )
 
 

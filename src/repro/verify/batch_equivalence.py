@@ -1,21 +1,19 @@
 """Differential equivalence of the vectorized batch engine vs scalar.
 
 :func:`run_batch_equivalence` draws N reproducible worlds with
-:func:`repro.verify.scenarios.random_scenario`, runs every (world,
-scheduler) cell once through :func:`repro.sim.batch.run_scenario_batch`
-and once through the reference scalar simulator, and asserts:
+:func:`repro.verify.scenarios.random_scenario`, turns each (world,
+scheduler) pair into a sweep cell (:meth:`ScenarioSpec.cell`), runs the
+cells once through the batch core's one front-end,
+:func:`repro.sim.batch.execute_runspecs`, and once through the
+reference scalar simulator, and asserts:
 
-* **bit-exact counters** — released/judged/missed/completed counts,
-  switch and stall counts, and the per-task tallies must be *identical*
-  (the batch core performs the same float comparisons in the same order
-  as the scalar loop, so deadline decisions cannot legitimately differ);
-* **eps-equal trajectories** — energy aggregates, busy-time profile and
-  per-job timelines are compared at a documented ``1e-9`` absolute /
-  relative tolerance (see ``docs/batch-simulation.md``; in practice the
-  engines agree bit-for-bit, the tolerance only guards the contract);
-* **fallback plumbing** — cells the batch front-end leaves out
-  (faulted worlds, infinite storage) are tallied, run here on the
-  scalar simulator and checked for determinism.
+* **bit-exact results** — counters, per-task tallies, energy
+  aggregates, the busy-time profile and per-job timelines must be
+  *equal*: the batch core performs the same float operations in the
+  same order as the scalar loop (see ``docs/batch-simulation.md``);
+* **fallback plumbing** — cells the front-end leaves out (faulted
+  worlds, infinite storage) are tallied, run here on the scalar
+  simulator through the cell's own setup and checked for determinism.
 
 The scenario pool draws every predictor kind (``oracle``, ``profile``,
 ``mean``, ``last-value``), all vectorized; the report counts scenarios
@@ -25,18 +23,16 @@ Failures reuse the :class:`~repro.verify.differential.Discrepancy` /
 report machinery, so the smallest failing scenario seed is surfaced as
 the minimal reproduction handle exactly like the oracle battery.
 """
-
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.sim.batch import run_scenario_batch
+from repro.sim.batch import execute_runspecs
 from repro.sim.simulator import SimulationResult
 from repro.verify.differential import DifferentialReport, Discrepancy
 from repro.verify.oracles import compare_schedules
-from repro.verify.scenarios import ScenarioSpec, random_scenario
+from repro.verify.scenarios import random_scenario
 
 __all__ = [
     "BATCH_CHECKED_SCHEDULERS",
@@ -55,18 +51,16 @@ BATCH_CHECKED_SCHEDULERS: tuple[str, ...] = (
     "ea-dvfs-noslowdown",
 )
 
-#: Integer counters that must match bit-exactly between engines.
-_EXACT_FIELDS: tuple[str, ...] = (
+#: Every measured field of a result.  The engines are bit-exact, so
+#: each must match with ``==``.  ``trace`` is left out: traces compare
+#: by identity and carry no measured quantities.
+_FIELDS: tuple[str, ...] = (
     "released_count",
     "completed_count",
     "missed_count",
     "judged_count",
     "switch_count",
     "stall_count",
-)
-
-#: Float aggregates compared at the documented tolerance.
-_CLOSE_FIELDS: tuple[str, ...] = (
     "harvested_energy",
     "drawn_energy",
     "overflow_energy",
@@ -74,60 +68,30 @@ _CLOSE_FIELDS: tuple[str, ...] = (
     "final_stored",
     "idle_time",
     "stall_time",
+    "busy_time_profile",
+    "per_task_released",
+    "per_task_missed",
 )
 
 
-def _close(a: float, b: float, atol: float) -> bool:
-    if math.isnan(a) or math.isnan(b):
-        return False
-    if a == b:
-        return True
-    return abs(a - b) <= max(atol, atol * max(abs(a), abs(b)))
-
-
 def compare_results(
-    scalar: SimulationResult,
-    batch: SimulationResult,
-    atol: float = 1e-9,
+    scalar: SimulationResult, batch: SimulationResult
 ) -> list[str]:
     """All divergences between a scalar and a batch run of one world.
 
-    Counters and per-task tallies are required identical; energies and
-    times are required ``atol``-close (absolute and relative).  The
-    ``trace`` field is ignored — traces compare by identity and carry no
-    measured quantities.
+    Every field in :data:`_FIELDS` must be equal, and so must the
+    per-job timelines when both results carry them
+    (:func:`~repro.verify.oracles.compare_schedules`).
     """
-    problems: list[str] = []
-    for name in _EXACT_FIELDS:
-        a, b = getattr(scalar, name), getattr(batch, name)
-        if a != b:
-            problems.append(f"{name}: scalar {a!r} != batch {b!r}")
-    for name in _CLOSE_FIELDS:
-        a, b = getattr(scalar, name), getattr(batch, name)
-        if not _close(a, b, atol):
-            problems.append(f"{name}: scalar {a!r} != batch {b!r}")
-    if scalar.per_task_released != batch.per_task_released:
-        problems.append(
-            f"per_task_released: scalar {scalar.per_task_released!r} != "
-            f"batch {batch.per_task_released!r}"
-        )
-    if scalar.per_task_missed != batch.per_task_missed:
-        problems.append(
-            f"per_task_missed: scalar {scalar.per_task_missed!r} != "
-            f"batch {batch.per_task_missed!r}"
-        )
-    profile_a, profile_b = scalar.busy_time_profile, batch.busy_time_profile
-    speeds = sorted(set(profile_a) | set(profile_b))
-    for speed in speeds:
-        a = profile_a.get(speed, 0.0)
-        b = profile_b.get(speed, 0.0)
-        if not _close(a, b, atol):
-            problems.append(
-                f"busy_time_profile[{speed:g}]: scalar {a!r} != batch {b!r}"
-            )
+    problems = [
+        f"{name}: scalar {getattr(scalar, name)!r} != "
+        f"batch {getattr(batch, name)!r}"
+        for name in _FIELDS
+        if getattr(scalar, name) != getattr(batch, name)
+    ]
     if scalar.jobs and batch.jobs:
         problems += compare_schedules(
-            scalar, batch, label_a="scalar", label_b="batch", atol=atol
+            scalar, batch, label_a="scalar", label_b="batch"
         )
     return problems
 
@@ -186,7 +150,8 @@ def run_batch_equivalence(
 
     Every scenario runs under each scheduler in
     :data:`BATCH_CHECKED_SCHEDULERS`, once through the batch front-end
-    (all scenarios of a scheduler share one SoA core run) and once
+    with job timelines (all scenarios of a scheduler share one SoA core
+    run) and once
     through the scalar reference; :func:`compare_results` judges each
     pair.  ``progress`` (if given) is called as ``progress(i, total)``
     after each (scheduler, scenario) comparison column completes.
@@ -205,7 +170,8 @@ def run_batch_equivalence(
     total = n * len(BATCH_CHECKED_SCHEDULERS)
     done = 0
     for scheduler_name in BATCH_CHECKED_SCHEDULERS:
-        results, reasons = run_scenario_batch(specs, scheduler_name)
+        cells = [spec.cell(scheduler_name) for spec in specs]
+        results, reasons = execute_runspecs(cells, include_jobs=True)
         fallbacks = sum(reasons.values())
         report.simulations_run += len(specs)
         report.fallback_cells += fallbacks
@@ -214,13 +180,16 @@ def run_batch_equivalence(
             report.fallback_reasons[reason] = (
                 report.fallback_reasons.get(reason, 0) + count
             )
-        for spec, batch_result in zip(specs, results):
+        for spec, cell, batch_result in zip(specs, cells, results):
             # A cell the core left out runs its scalar fallback here;
             # the comparison then checks determinism of the fallback
             # path rather than the core.
             vectorized = batch_result is not None
             if batch_result is None:
-                batch_result = spec.run(scheduler_name)
+                batch_result = cell.setup.run(
+                    scheduler_name, cell.utilization, cell.capacity,
+                    cell.seed,
+                )
             scalar_result = spec.run(scheduler_name)
             report.simulations_run += 1
             report.checks_run += 1

@@ -448,14 +448,13 @@ def check_accounting(
     return problems
 
 
-def _optional_close(
-    a: Optional[float], b: Optional[float], atol: float
-) -> bool:
-    if (a is None) != (b is None):
-        return False
-    if a is None or b is None:
-        return True
-    return abs(a - b) <= atol
+#: Per-job timeline fields compared by :func:`compare_schedules`, with
+#: their report labels.
+_TIMELINE_FIELDS: tuple[tuple[str, str], ...] = (
+    ("first_start_time", "first start"),
+    ("completion_time", "completion"),
+    ("energy_consumed", "energy"),
+)
 
 
 def compare_schedules(
@@ -463,16 +462,14 @@ def compare_schedules(
     result_b: SimulationResult,
     label_a: str = "a",
     label_b: str = "b",
-    atol: float = 1e-9,
     max_problems: int = 10,
 ) -> list[str]:
     """Assert schedule identity between two runs of the *same* world.
 
     Compares the per-job timelines (state, first start, completion,
-    energy) and the aggregate counters.  The paper's degeneracy claims
-    are claims of identity, not similarity, so the default tolerance only
-    absorbs float noise; schedulers that genuinely coincide produce
-    bit-equal schedules.
+    energy) and the aggregate counters with ``==``.  The paper's
+    degeneracy claims are claims of identity, not similarity:
+    schedulers that genuinely coincide produce bit-equal schedules.
     """
     problems: list[str] = []
 
@@ -509,21 +506,11 @@ def compare_schedules(
                 f"job {name}: state {a.state.value} ({label_a}) != "
                 f"{b.state.value} ({label_b})"
             )
-        if not _optional_close(a.first_start_time, b.first_start_time, atol):
-            note(
-                f"job {name}: first start {a.first_start_time!r} "
-                f"({label_a}) != {b.first_start_time!r} ({label_b})"
-            )
-        if not _optional_close(a.completion_time, b.completion_time, atol):
-            note(
-                f"job {name}: completion {a.completion_time!r} "
-                f"({label_a}) != {b.completion_time!r} ({label_b})"
-            )
-        if abs(a.energy_consumed - b.energy_consumed) > max(
-            atol, 1e-9 * max(1.0, abs(a.energy_consumed))
-        ):
-            note(
-                f"job {name}: energy {a.energy_consumed!r} ({label_a}) != "
-                f"{b.energy_consumed!r} ({label_b})"
-            )
+        for attr, label in _TIMELINE_FIELDS:
+            value_a, value_b = getattr(a, attr), getattr(b, attr)
+            if value_a != value_b:
+                note(
+                    f"job {name}: {label} {value_a!r} ({label_a}) != "
+                    f"{value_b!r} ({label_b})"
+                )
     return problems

@@ -15,6 +15,11 @@ Two front ends share this module:
   without Hypothesis;
 * :mod:`repro.verify.strategies` exposes a Hypothesis strategy producing
   the same specs with full shrinking support for property-based tests.
+
+:meth:`ScenarioSpec.cell` turns a world into a sweep cell whose
+:class:`ScenarioSetup` builds it through the ``PaperSetup`` hooks, so
+``repro verify --batch`` drives the batch core through the same
+front-end and lane builder as every sweep.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.analysis.parallel import RunSpec
 from repro.cpu.dvfs import FrequencyScale
 from repro.cpu.presets import xscale_pxa
 from repro.energy.predictor import (
@@ -50,6 +56,7 @@ from repro.faults import (
     OverrunWorkload,
     SensorDropoutSource,
 )
+from repro.experiments.common import PaperSetup
 from repro.sched.base import Scheduler
 from repro.sched.registry import make_scheduler
 from repro.sim.simulator import (
@@ -62,8 +69,10 @@ from repro.tasks.task import PeriodicTask, TaskSet
 
 __all__ = [
     "FaultPlan",
+    "FaultedScenarioSetup",
     "PERIOD_CHOICES",
     "PREDICTOR_KINDS",
+    "ScenarioSetup",
     "ScenarioSpec",
     "SOURCE_FAULT_KINDS",
     "SOURCE_KINDS",
@@ -275,6 +284,23 @@ class ScenarioSpec:
         """Build and run one simulation of this world."""
         return self.build_simulator(scheduler, watchdog=watchdog).run()
 
+    def cell(self, scheduler_name: str) -> RunSpec:
+        """This world under ``scheduler_name`` as a sweep cell.
+
+        A faulted world gets a :class:`FaultedScenarioSetup`, whose
+        overridden ``run`` keeps it off the batch core.
+        """
+        setup_type = (
+            FaultedScenarioSetup if self.faults.any_active else ScenarioSetup
+        )
+        return RunSpec(
+            scheduler_name=scheduler_name,
+            utilization=self.total_utilization,
+            capacity=self.capacity,
+            seed=self.seed,
+            setup=setup_type(spec=self),
+        )
+
     # -- derived scenarios ------------------------------------------------
 
     def without_faults(self) -> "ScenarioSpec":
@@ -337,6 +363,55 @@ class ScenarioSpec:
                 active.append("overrun")
             parts.append(f"faults[{'+'.join(active)}]")
         return " ".join(parts)
+
+
+@dataclass(frozen=True)
+class ScenarioSetup(PaperSetup):
+    """An unfaulted :class:`ScenarioSpec` world as a sweep cell's setup.
+
+    The hooks build the spec's ladder, task set, source, predictor and
+    config, so :meth:`PaperSetup.run` simulates exactly what
+    ``spec.run`` does, and the batch core's lane builder replays the
+    same world.  The spec fixes the whole world; of the cell's
+    arguments only ``capacity`` is read, and :meth:`ScenarioSpec.cell`
+    sets it to the spec's.
+    """
+
+    spec: ScenarioSpec = field(kw_only=True)
+
+    def scale(self) -> FrequencyScale:
+        return self.spec.scale()
+
+    def source(self, seed: int) -> EnergySource:
+        return self.spec.build_source()
+
+    def predictor(self, source: EnergySource) -> HarvestPredictor:
+        return self.spec.build_predictor(source)
+
+    def taskset(self, seed: int, utilization: float) -> TaskSet:
+        return self.spec.build_taskset()
+
+    def config(
+        self, seed: int, energy_sample_interval: Optional[float] = None
+    ) -> SimulationConfig:
+        return self.spec.build_config()
+
+
+@dataclass(frozen=True)
+class FaultedScenarioSetup(ScenarioSetup):
+    """A faulted :class:`ScenarioSpec` world: its fault decorators are
+    beyond the batch core, so ``run`` is overridden and the cell always
+    takes the scalar fallback."""
+
+    def run(
+        self,
+        scheduler_name: str,
+        utilization: float,
+        capacity: float,
+        seed: int,
+        energy_sample_interval: Optional[float] = None,
+    ) -> SimulationResult:
+        return self.spec.run(scheduler_name)
 
 
 def _random_tasks(rng: np.random.Generator) -> tuple[TaskParams, ...]:

@@ -1,9 +1,10 @@
 """Differential equivalence: the vectorized batch engine vs scalar.
 
-The batch engine's contract (``docs/batch-simulation.md``): identical
-deadline decisions and counters, energies equal within 1e-9, on every
-world it claims to cover — and a counted, journaled scalar fallback on
-every world it does not.  This suite enforces the contract end to end:
+The batch engine's contract (``docs/batch-simulation.md``): bit-exact
+results — counters, energies and job timelines equal with ``==`` — on
+every world it claims to cover, and a counted, journaled scalar
+fallback on every world it does not.  This suite enforces the contract
+end to end:
 
 * a tier-1 smoke (the batch core importable and agreeing with the
   scalar simulator on a small sweep grid and on seeded random worlds);
@@ -22,6 +23,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.parallel import RunSpec
+from repro.experiments.ablations import (
+    AetSetup,
+    LossyStorageSetup,
+    SwitchOverheadSetup,
+)
 from repro.experiments.common import PaperSetup
 from repro.runtime import ResultJournal, run_supervised
 from repro.runtime.journal import result_to_payload
@@ -30,20 +36,23 @@ from repro.sim.batch import (
     _BatchCore,
     _periodic_job_arrays,
     _runspec_lane,
-    _scenario_lane,
     execute_runspecs,
-    run_scenario_batch,
     runspec_fallback_reason,
-    scenario_fallback_reason,
 )
-from repro.sim.simulator import SimulationResult
+from repro.sim.simulator import SimulationConfig, SimulationResult
 from repro.verify.batch_equivalence import (
     BatchEquivalenceReport,
     compare_results,
     run_batch_equivalence,
 )
 from repro.verify.differential import Discrepancy
-from repro.verify.scenarios import FaultPlan, ScenarioSpec, TaskParams
+from repro.verify.oracles import compare_schedules
+from repro.verify.scenarios import (
+    FaultPlan,
+    ScenarioSetup,
+    ScenarioSpec,
+    TaskParams,
+)
 
 ORACLE_SETUP = PaperSetup(horizon=400.0, predictor_kind="oracle")
 
@@ -80,9 +89,8 @@ class TestTier1Smoke:
         "kind", ["oracle", "profile", "mean", "last-value"]
     )
     def test_every_predictor_kind_vectorized(self, kind):
-        # The tentpole contract: no predictor kind falls back, and each
-        # one's batch run matches the scalar reference bit-for-bit on
-        # counters (1e-9 on energies).
+        # No predictor kind falls back, and each one's batch run
+        # matches the scalar reference bit for bit.
         setup = PaperSetup(horizon=400.0, predictor_kind=kind)
         specs = _grid(setup=setup, seeds=1)
         outcomes, reasons = execute_runspecs(specs)
@@ -112,7 +120,9 @@ class TestTier1Smoke:
             predictor_kind="oracle",
             horizon=200.0,
         )
-        (batch_result,), reasons = run_scenario_batch([spec], "ea-dvfs")
+        (batch_result,), reasons = execute_runspecs(
+            [spec.cell("ea-dvfs")], include_jobs=True
+        )
         assert reasons == {}
         scalar = spec.run("ea-dvfs")
         assert scalar.missed_count > 0
@@ -155,7 +165,9 @@ class TestEventDrain:
     ):
         specs = [self._world(n_tasks, miss_policy, seed) for seed in range(3)]
         for scheduler in ("edf", "lsa", "ea-dvfs"):
-            results, reasons = run_scenario_batch(specs, scheduler)
+            results, reasons = execute_runspecs(
+                [spec.cell(scheduler) for spec in specs], include_jobs=True
+            )
             assert reasons == {}
             for spec, batch_result in zip(specs, results):
                 scalar = spec.run(scheduler)
@@ -170,7 +182,7 @@ class TestEventDrain:
         # its whole window re-enters the drain for the rest.
         window = _BatchCore.EVENT_WINDOW
         spec = self._world(window, "drop", 0)
-        core = _BatchCore([_scenario_lane(spec, "edf")])
+        core = _BatchCore([_runspec_lane(spec.cell("edf"), True)])
         core._process_due_events()  # t = 0: the first releases
         assert core.ev_ptr[0] == window
         core.t[:] = 10.0  # nothing ran: every first job misses
@@ -213,19 +225,19 @@ class TestFallbackRouting:
             seed=0, tasks=(TaskParams(period=20.0, wcet=2.0),),
             predictor_kind="oracle",
         )
-        assert scenario_fallback_reason(spec, "ea-dvfs") is None
+        assert runspec_fallback_reason(spec.cell("ea-dvfs")) is None
         faulted = dataclasses.replace(
             spec, faults=FaultPlan(overrun=True)
         )
-        assert scenario_fallback_reason(faulted, "ea-dvfs") == (
-            "fault plan active"
+        assert runspec_fallback_reason(faulted.cell("ea-dvfs")) == (
+            "setup FaultedScenarioSetup overrides run"
         )
         # Every online predictor kind is vectorized now — no predictor
         # triggers a fallback under any covered scheduler.
         for kind in ("profile", "mean", "last-value"):
             online = dataclasses.replace(spec, predictor_kind=kind)
             for scheduler in ("lsa", "ea-dvfs", "edf"):
-                assert scenario_fallback_reason(online, scheduler) is None
+                assert runspec_fallback_reason(online.cell(scheduler)) is None
 
     def test_mixed_batch_counts_fallbacks(self):
         covered = _grid(seeds=1)[0]
@@ -265,6 +277,88 @@ class TestFallbackRouting:
         assert core.errors[0] is None
         with pytest.raises(RuntimeError, match="slim"):
             core.result(0, include_jobs=True)
+
+
+def _run_cell(cell):
+    return cell.setup.run(
+        cell.scheduler_name, cell.utilization, cell.capacity, cell.seed
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class _SlowRetrySetup(PaperSetup):
+    """A setup moving a config field the core does not mirror."""
+
+    def config(self, seed, energy_sample_interval=None) -> SimulationConfig:
+        return dataclasses.replace(
+            super().config(seed, energy_sample_interval),
+            stall_retry_interval=2.0,
+        )
+
+
+class TestSetupHooks:
+    """``PaperSetup.run`` and the lane builder read the same hooks."""
+
+    @pytest.mark.parametrize("aet_seed", [None, 7])
+    @pytest.mark.parametrize("miss_policy", ["drop", "continue"])
+    def test_scenario_cell_runs_the_spec_world(self, miss_policy, aet_seed):
+        spec = ScenarioSpec(
+            seed=3,
+            tasks=(
+                TaskParams(period=20.0, wcet=8.0, bcet_ratio=0.6),
+                TaskParams(period=30.0, wcet=12.0),
+            ),
+            source_kind="solar",
+            capacity=15.0,
+            predictor_kind="profile",
+            miss_policy=miss_policy,
+            horizon=400.0,
+            aet_seed=aet_seed,
+        )
+        cell = spec.cell("ea-dvfs")
+        assert type(cell.setup) is ScenarioSetup
+        via_cell = _run_cell(cell)
+        direct = spec.run("ea-dvfs")
+        assert direct.missed_count > 0  # the miss policy matters here
+        assert result_to_payload(via_cell) == result_to_payload(direct)
+        assert via_cell.jobs
+        assert compare_schedules(via_cell, direct) == []
+
+    def test_aet_cell_is_covered_and_exact(self):
+        specs = [
+            RunSpec(name, 0.4, 25.0, seed, setup=AetSetup(horizon=400.0))
+            for name in ("lsa", "ea-dvfs")
+            for seed in range(2)
+        ]
+        results, reasons = execute_runspecs(specs)
+        assert reasons == {}
+        for spec, got in zip(specs, results):
+            assert isinstance(got, SimulationResult)
+            assert result_to_payload(got) == result_to_payload(_run_cell(spec))
+            # The sampled demands reached the lane: the WCET-exact world
+            # comes out differently.
+            wcet = dataclasses.replace(spec, setup=PaperSetup(horizon=400.0))
+            assert result_to_payload(got) != result_to_payload(_run_cell(wcet))
+
+    def test_unmirrored_hooks_fall_back_with_named_reasons(self):
+        base = _grid(seeds=1)[0]
+        cells = [
+            dataclasses.replace(base, setup=setup)
+            for setup in (
+                SwitchOverheadSetup(horizon=400.0),
+                LossyStorageSetup(horizon=400.0),
+                _SlowRetrySetup(horizon=400.0),
+            )
+        ]
+        # The probe passes them; the lane builder names the reason.
+        assert [runspec_fallback_reason(c) for c in cells] == [None] * 3
+        results, reasons = execute_runspecs(cells)
+        assert results == [None] * 3
+        assert reasons == {
+            "processor model is not vectorized": 1,
+            "storage type NonIdealStorage is not vectorized": 1,
+            "config field stall_retry_interval is not vectorized": 1,
+        }
 
 
 class TestArrayJobGeneration:
