@@ -17,10 +17,9 @@
 ``repro lint [paths]``
     Domain-aware static analysis (determinism, tolerant-comparison,
     flow-aware quantity-unit, API-contract, float-determinism/parity
-    rules); exits non-zero on any finding.  ``--baseline`` /
-    ``--update-baseline`` turn it into a ratchet gate,
-    ``--fail-on-stale`` gates on leftover suppressions, and
-    ``--certify`` prints the purity certification report.
+    rules); exits non-zero on any finding.  ``--fail-on-stale`` gates
+    on leftover suppressions, and ``--certify`` prints the purity
+    certification report.
 ``repro sweep [options]``
     Resumable grid sweep through the crash-consistent runtime
     (:mod:`repro.runtime`): with ``--journal PATH`` every finished cell
@@ -140,15 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="output_format", default="text",
         choices=("text", "json"),
         help="diagnostic output format (default text)",
-    )
-    lint.add_argument(
-        "--baseline", metavar="PATH",
-        help="compare findings against a baseline file; fail only on "
-        "new findings or suppression-count growth",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the current findings to the --baseline file and exit",
     )
     lint.add_argument(
         "--fail-on-stale", action="store_true",
@@ -438,17 +428,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     # Exit-code contract matches `repro verify`: 0 clean, 1 findings,
     # 2 internal/usage errors.
-    from repro.lint import Baseline, LintError, all_rules, lint_paths
+    from repro.lint import LintError, all_rules, lint_paths
 
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.code}  {rule.name}")
             print(f"        {rule.description}")
         return 0
-    if args.update_baseline and not args.baseline:
-        print("error: --update-baseline requires --baseline PATH",
-              file=sys.stderr)
-        return 2
     if args.certify or args.explain_path:
         from repro.lint.purity import certify_cli, explain_cli
 
@@ -461,17 +447,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
     try:
         report = lint_paths(args.paths)
-        if args.update_baseline:
-            Baseline.from_report(report).save(args.baseline)
-            print(
-                f"wrote baseline {args.baseline}: "
-                f"{len(report.diagnostics)} finding(s), "
-                f"{report.suppression_count} suppression(s)"
-            )
-            return 0
-        comparison = None
-        if args.baseline:
-            comparison = Baseline.load(args.baseline).compare(report)
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -486,10 +461,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             "with --fail-on-stale; delete the listed directives",
             file=sys.stderr,
         )
-    if comparison is not None:
-        print()
-        print(comparison.format_text())
-        return 0 if comparison.ok and not stale_failure else 1
     return 0 if report.ok and not stale_failure else 1
 
 

@@ -68,12 +68,10 @@ root to a flagged taint.
 
 Suppress a finding with an inline ``# repro-lint: disable=RPR101`` (or
 ``disable-file=`` for the whole file), ideally followed by a short
-``-- why`` note.  CI ratchets the suppression count and the finding set
-through ``lint-baseline.json`` (``--baseline`` / ``--update-baseline``),
-and ``--fail-on-stale`` fails on suppressions that match no finding.
+``-- why`` note.  CI requires zero findings over the default tree, and
+``--fail-on-stale`` fails on suppressions that match no finding.
 """
 
-from repro.lint.baseline import Baseline, BaselineComparison
 from repro.lint.dataflow import (
     ArrayKind,
     ModuleArrays,
@@ -83,7 +81,6 @@ from repro.lint.dataflow import (
 )
 from repro.lint.callgraph import CallGraph, build_call_graph
 from repro.lint.engine import (
-    ENGINE_VERSION,
     Diagnostic,
     LintError,
     LintReport,
@@ -93,7 +90,6 @@ from repro.lint.engine import (
     lint_source,
     load_modules,
     register_rule,
-    ruleset_codes,
 )
 from repro.lint.index import ProjectIndex, build_index
 from repro.lint.naming import Dimension, infer_dimension
@@ -108,11 +104,8 @@ from repro.lint.purity import (
 )
 
 __all__ = [
-    "ENGINE_VERSION",
     "PAIRS",
     "ArrayKind",
-    "Baseline",
-    "BaselineComparison",
     "CallGraph",
     "Diagnostic",
     "Dimension",
@@ -141,7 +134,6 @@ __all__ = [
     "load_modules",
     "parse_manifest",
     "register_rule",
-    "ruleset_codes",
 ]
 
 #: Names served lazily from :mod:`repro.lint.parity`.  Importing that

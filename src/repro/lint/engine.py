@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.index import ProjectIndex
 
 __all__ = [
-    "ENGINE_VERSION",
     "Diagnostic",
     "LintError",
     "LintReport",
@@ -54,14 +53,7 @@ __all__ = [
     "lint_source",
     "load_modules",
     "register_rule",
-    "ruleset_codes",
 ]
-
-#: Version of the analysis engine, recorded in JSON reports and in
-#: baseline files so a stale baseline is detected instead of silently
-#: matching against different semantics.  Bump on any change to rule
-#: behaviour or diagnostic messages.
-ENGINE_VERSION = "4.0.0"
 
 #: Code attached to files that fail to parse.
 SYNTAX_ERROR_CODE = "RPR901"
@@ -155,7 +147,7 @@ class Suppressions:
         return None
 
     def count(self) -> int:
-        """Total suppressed codes — the quantity the baseline ratchets."""
+        """Total suppressed codes — the quantity the selfhost test caps."""
         return sum(len(codes) for codes in self.by_line.values()) + len(
             self.whole_file
         )
@@ -368,12 +360,6 @@ def all_rules() -> tuple[Rule, ...]:
     return tuple(_RULES[code] for code in sorted(_RULES))
 
 
-def ruleset_codes(rules: Sequence[Rule] | None = None) -> tuple[str, ...]:
-    """Sorted rule codes of a run — the ruleset version for baselines."""
-    selected = all_rules() if rules is None else tuple(rules)
-    return tuple(sorted(rule.code for rule in selected))
-
-
 _BUILTINS_LOADED = False
 
 
@@ -401,7 +387,7 @@ class LintReport:
     diagnostics: list[Diagnostic] = dataclasses.field(default_factory=list)
     files_checked: int = 0
     #: Total inline/whole-file suppression slots across the linted files;
-    #: the baseline ratchet refuses silent growth of this number.
+    #: the selfhost test caps this number for the default tree.
     suppression_count: int = 0
     #: Info-level :data:`STALE_SUPPRESSION_CODE` notes for suppression
     #: slots that matched no finding in this run.  Kept out of
@@ -466,8 +452,6 @@ class LintReport:
 
     def to_json(self) -> str:
         payload = {
-            "engine_version": ENGINE_VERSION,
-            "ruleset": list(ruleset_codes()),
             "files_checked": self.files_checked,
             "findings": [d.to_json() for d in self.diagnostics],
             "counts": self.counts_by_code(),

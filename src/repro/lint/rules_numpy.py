@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.lint.dataflow import ArrayKind
 from repro.lint.engine import (

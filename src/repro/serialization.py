@@ -15,8 +15,8 @@ users) persist what a run produced without pickling live objects:
   golden-trace regression store and the determinism tests in
   :mod:`repro.verify`;
 * :func:`atomic_write_text` — crash-safe write-replace used wherever a
-  reader must never observe a half-written file (golden fixtures, lint
-  baselines, exported sweep results).
+  reader must never observe a half-written file (golden fixtures,
+  exported sweep results).
 
 Everything is plain ``json``/``csv`` from the standard library — no
 extra dependencies, stable on-disk formats.

@@ -12,7 +12,6 @@ from repro.analysis.schedulability import (
     max_energy_deficit,
     min_energy_demand_rate,
 )
-from repro.cpu.presets import xscale_pxa
 from repro.energy.source import ConstantSource, DayNightSource
 from repro.tasks.task import AperiodicTask, PeriodicTask, TaskSet
 from repro.tasks.workload import generate_uunifast_taskset
@@ -147,7 +146,7 @@ class TestEnergyDemandRates:
                 PeriodicTask(period=50.0, wcet=10.0, name="b"),
             ]
         )
-        assert min_energy_demand_rate(ts, xscale) < (
+        assert min_energy_demand_rate(ts, xscale) < (  # repro-lint: disable=RPR102 -- strict analytic ordering
             full_speed_energy_demand_rate(ts, xscale)
         )
 

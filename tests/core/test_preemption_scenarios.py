@@ -18,6 +18,7 @@ from repro.sim.schedule_view import schedule_intervals
 from repro.sim.simulator import HarvestingRtSimulator, SimulationConfig
 from repro.sim.tracing import TraceKind
 from repro.tasks.task import AperiodicTask, TaskSet
+from repro.timeutils import time_le
 
 TRACE_KINDS = (
     TraceKind.JOB_START,
@@ -106,7 +107,7 @@ class TestMidStretchPreemption:
         )
         assert result.missed_count == 0
         by_name = {j.task.name: j for j in result.jobs}
-        assert by_name["u1"].completion_time < by_name["u2"].completion_time
+        assert by_name["u1"].completion_time < by_name["u2"].completion_time  # repro-lint: disable=RPR102 -- strict completion order
 
     def test_energy_scarce_preemption_may_sacrifice_the_long_job(self):
         """When the urgent job burns the shared budget, the long job may
@@ -122,4 +123,4 @@ class TestMidStretchPreemption:
         by_name = {j.task.name: j for j in result.jobs}
         urgent = by_name["urgent"]
         assert urgent.completion_time is not None
-        assert urgent.completion_time <= urgent.absolute_deadline + 1e-9
+        assert time_le(urgent.completion_time, urgent.absolute_deadline)

@@ -35,8 +35,8 @@ class TestStructure:
             for scenario in SCENARIOS
             for name in ("edf", "lsa", "ea-dvfs")
         }
-        for rate in result.miss_rates.values():
-            assert math.isnan(rate) or 0.0 <= rate <= 1.0
+        for miss_rate in result.miss_rates.values():
+            assert math.isnan(miss_rate) or 0.0 <= miss_rate <= 1.0
         assert result.failures == ()
 
     def test_format_text(self):

@@ -2,8 +2,8 @@
 
 The CLI promises 0 = clean, 1 = findings (or a tripped gate), 2 =
 usage/internal error.  These tests drive :func:`repro.cli.main` over a
-throwaway tree so the baseline ratchet, ``--fail-on-stale`` and
-``--certify`` are exercised exactly the way CI invokes them.
+throwaway tree so ``--fail-on-stale`` and ``--certify`` are exercised
+exactly the way CI invokes them.
 """
 
 import pytest
@@ -44,62 +44,6 @@ class TestExitCodes:
         assert main(["lint", "no/such/dir"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_update_baseline_requires_baseline_path(self, tree, capsys):
-        tree("clean.py", "X = 1\n")
-        assert main(["lint", "src", "--update-baseline"]) == 2
-        assert "--baseline" in capsys.readouterr().err
-
-
-class TestBaselineRatchet:
-    def test_baselined_findings_pass(self, tree, capsys):
-        tree("dirty.py", FINDING)
-        assert (
-            main(
-                [
-                    "lint", "src", "--baseline", "base.json",
-                    "--update-baseline",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["lint", "src", "--baseline", "base.json"]) == 0
-        assert "baseline check passed" in capsys.readouterr().out
-
-    def test_new_finding_fails_the_gate(self, tree, capsys):
-        tree("dirty.py", FINDING)
-        main(["lint", "src", "--baseline", "base.json", "--update-baseline"])
-        tree("worse.py", FINDING)
-        capsys.readouterr()
-        assert main(["lint", "src", "--baseline", "base.json"]) == 1
-        assert "new finding(s)" in capsys.readouterr().out
-
-    def test_update_on_clean_tree_writes_empty_baseline(self, tree, capsys):
-        tree("clean.py", "X = 1\n")
-        assert (
-            main(
-                [
-                    "lint", "src", "--baseline", "base.json",
-                    "--update-baseline",
-                ]
-            )
-            == 0
-        )
-        assert "0 finding(s)" in capsys.readouterr().out
-        assert main(["lint", "src", "--baseline", "base.json"]) == 0
-
-    def test_suppression_growth_fails_the_gate(self, tree, capsys):
-        tree("clean.py", "X = 1\n")
-        main(["lint", "src", "--baseline", "base.json", "--update-baseline"])
-        tree(
-            "hushed.py",
-            "done = duration == 0.0  "
-            "# repro-lint: disable=RPR101 -- exact by construction\n",
-        )
-        capsys.readouterr()
-        assert main(["lint", "src", "--baseline", "base.json"]) == 1
-        assert "suppression count grew" in capsys.readouterr().out
-
 
 class TestFailOnStale:
     def test_stale_is_a_note_by_default(self, tree, capsys):
@@ -111,20 +55,6 @@ class TestFailOnStale:
         tree("hushed.py", STALE)
         assert main(["lint", "src", "--fail-on-stale"]) == 1
         assert "delete the listed directives" in capsys.readouterr().err
-
-    def test_fail_on_stale_composes_with_baseline(self, tree, capsys):
-        tree("hushed.py", STALE)
-        main(["lint", "src", "--baseline", "base.json", "--update-baseline"])
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "lint", "src", "--baseline", "base.json",
-                    "--fail-on-stale",
-                ]
-            )
-            == 1
-        )
 
 
 class TestCertifyCli:

@@ -3,10 +3,7 @@
 import textwrap
 
 from repro.lint import lint_source
-from repro.lint.rules_contracts import (
-    SchedulerHooksRule,
-    SchedulerRegistrationRule,
-)
+from repro.lint.rules_contracts import SchedulerRegistrationRule
 from repro.lint.engine import ModuleContext, parse_suppressions
 
 import ast

@@ -11,7 +11,8 @@ from repro.core.ea_dvfs import EaDvfsScheduler
 from repro.sched.registry import make_scheduler
 from repro.tasks.job import Job
 from repro.tasks.queue import EdfReadyQueue
-from repro.tasks.task import AperiodicTask, PeriodicTask, TaskSet
+from repro.tasks.task import AperiodicTask
+from repro.timeutils import time_le
 
 
 def make_ready(*specs):
@@ -49,7 +50,7 @@ class TestOverflowAwareDecisions:
         assert a.is_idle == b.is_idle
         if not a.is_idle:
             assert a.level == b.level
-            assert a.switch_to_max_at == b.switch_to_max_at
+            assert a.switch_to_max_at == b.switch_to_max_at  # repro-lint: disable=RPR102 -- same inputs, same bits
 
     def test_raises_level_when_overflow_predicted(self, xscale):
         """Small headroom + strong inflow: the slow phase would clip the
@@ -124,4 +125,4 @@ class TestOverflowAwareEndToEnd:
     def test_reduces_overflow_waste(self):
         base = self._run("ea-dvfs", 20.0)
         extended = self._run("ea-dvfs-oa", 20.0)
-        assert extended.overflow_energy <= base.overflow_energy + 1.0
+        assert time_le(extended.overflow_energy, base.overflow_energy, eps=1.0)

@@ -1,5 +1,9 @@
 """Unit tests for the discrete-event kernel."""
 
+# The kernel orders and dispatches instants exactly, so these tests pin
+# its clock and event times exactly too.
+# repro-lint: disable-file=RPR101,RPR102 -- exact pins of exact instants
+
 import math
 
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.engine import EventQueue, SimulationClock
+from repro.timeutils import time_ge
 
 
 class TestSimulationClock:
@@ -61,7 +66,7 @@ class TestClockDriftAccumulation:
         clock = SimulationClock()
         high = 0.0
         for t in targets:
-            if t >= clock.now - 1e-9:
+            if time_ge(t, clock.now):
                 clock.advance_to(t)
                 high = max(high, t)
         assert clock.now == high
@@ -291,7 +296,7 @@ class TestCancelAfterPop:
         q.cancel(doomed)
         replacement = q.schedule(1.0, "replacement")
         assert len(q) == 1
-        assert q.peek_time() == 1.0  # repro-lint: disable=RPR101 -- exact: the scheduled instant round-trips
+        assert q.peek_time() == 1.0
         assert q.pop() is replacement
         assert len(q) == 0
         assert q.processed_count == 1

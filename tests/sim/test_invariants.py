@@ -31,6 +31,7 @@ from repro.sim.simulator import (
     SimulationConfig,
 )
 from repro.tasks.task import PeriodicTask, TaskSet
+from repro.timeutils import time_ge, time_le
 from repro.verify.strategies import scenario_specs, scheduler_names
 
 
@@ -87,13 +88,12 @@ class TestSimulationInvariants:
                 assert job.first_start_time >= job.release - 1e-9
             if job.completion_time is not None:
                 assert job.first_start_time is not None
-                assert job.completion_time >= job.first_start_time - 1e-9
-                assert job.completion_time <= spec.horizon + 1e-9
+                assert time_ge(job.completion_time, job.first_start_time)
+                assert time_le(job.completion_time, spec.horizon)
                 if drop:
                     # Dropped-at-deadline jobs never complete late.
-                    assert (
-                        job.completion_time
-                        <= job.absolute_deadline + 1e-6
+                    assert time_le(
+                        job.completion_time, job.absolute_deadline, eps=1e-6
                     )
 
     @given(spec=scenario_specs(allow_faults=False), name=scheduler_names())
@@ -106,7 +106,7 @@ class TestSimulationInvariants:
         assert busy + result.idle_time == pytest.approx(
             spec.horizon, abs=1e-6
         )
-        assert result.stall_time <= result.idle_time + 1e-6
+        assert time_le(result.stall_time, result.idle_time, eps=1e-6)
 
     @given(spec=scenario_specs(allow_faults=False), name=scheduler_names())
     @settings(max_examples=25, deadline=None)
@@ -122,8 +122,8 @@ class TestSimulationInvariants:
         applies, but the physical bounds must survive any fault mix."""
         result = spec.run(name)
         assert result.final_stored >= -1e-6
-        assert result.harvested_energy >= -1e-9
-        assert result.drawn_energy >= -1e-9
+        assert time_ge(result.harvested_energy, 0.0)
+        assert time_ge(result.drawn_energy, 0.0)
         assert result.total_busy_time <= spec.horizon + 1e-6
 
 

@@ -1,11 +1,9 @@
 """Tests for the opt-in simulation watchdog."""
 
-import math
-
 import pytest
 
 from repro.cpu.presets import xscale_pxa
-from repro.energy.source import ConstantSource, SolarStochasticSource
+from repro.energy.source import SolarStochasticSource
 from repro.energy.storage import IdealStorage, NonIdealStorage, SegmentResult
 from repro.faults import BlackoutSource, OverrunWorkload
 from repro.sched.base import Decision
@@ -16,7 +14,6 @@ from repro.sim.watchdog import (
     SimulationWatchdog,
     WatchdogError,
 )
-from repro.tasks.task import PeriodicTask, TaskSet
 from repro.tasks.workload import generate_paper_taskset
 
 
@@ -157,7 +154,7 @@ class TestDiagnostics:
             diag = exc.diagnostics
             assert isinstance(diag, SimulationDiagnostics)
             assert "conservation" in diag.violation
-            assert diag.time == 1.0
+            assert diag.time == 1.0  # repro-lint: disable=RPR101 -- exact: the violation instant
             assert diag.detail["accounted"] == pytest.approx(6.0)
             assert diag.detail["harvested"] == pytest.approx(0.0)
             assert "conservation" in diag.format_text()

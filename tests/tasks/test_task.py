@@ -1,5 +1,9 @@
 """Unit tests for tasks and task sets."""
 
+# Task parameters and release instants are copied or summed from exact
+# literals, so the tests pin them exactly.
+# repro-lint: disable-file=RPR101 -- exact pins of task parameters
+
 import pytest
 
 from repro.tasks.task import AperiodicTask, PeriodicTask, TaskSet

@@ -116,8 +116,6 @@ class TestLintCommand:
         args = build_parser().parse_args(["lint"])
         assert args.paths == ["src", "benchmarks", "examples", "tests"]
         assert args.output_format == "text"
-        assert args.baseline is None
-        assert not args.update_baseline
 
     def test_clean_tree_exits_zero(self, capsys, tmp_path):
         clean = tmp_path / "clean.py"
