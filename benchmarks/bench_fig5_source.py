@@ -18,7 +18,7 @@ def test_fig5_source_behavior(benchmark, report):
 
     assert result.powers.min() >= 0.0
     # Peaks: the paper's plot tops out around 20 (2-sigma draws at crest).
-    assert 12.0 <= result.peak_power <= 45.0  # repro-lint: disable=RPR101 -- coarse shape bounds
+    assert 12.0 <= result.peak_power <= 45.0
     # Long-run mean close to the closed form.
     assert abs(result.mean_power - result.analytic_mean) < 0.15 * result.analytic_mean
     # Envelope periodicity: power collected near crests dwarfs troughs.

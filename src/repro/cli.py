@@ -15,10 +15,9 @@
     Differential sweep of the ``repro.verify`` oracle battery over N
     seeded random scenarios; exits non-zero on any discrepancy.
 ``repro lint [paths]``
-    Domain-aware static analysis (determinism, tolerant-comparison,
-    flow-aware quantity-unit, API-contract, float-determinism/parity
-    rules); exits non-zero on any finding.  ``--fail-on-stale`` gates
-    on leftover suppressions, and ``--certify`` prints the purity
+    Domain-aware static analysis (determinism, API-contract,
+    float-determinism/parity and purity rules); exits non-zero on any
+    finding or leftover suppression.  ``--certify`` prints the purity
     certification report.
 ``repro sweep [options]``
     Resumable grid sweep through the crash-consistent runtime
@@ -139,11 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="output_format", default="text",
         choices=("text", "json"),
         help="diagnostic output format (default text)",
-    )
-    lint.add_argument(
-        "--fail-on-stale", action="store_true",
-        help="exit non-zero when any suppression matches no finding "
-        "(stale notes are informational by default)",
     )
     lint.add_argument(
         "--list-rules", action="store_true",
@@ -454,14 +448,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(report.to_json())
     else:
         print(report.format_text())
-    stale_failure = bool(args.fail_on_stale and report.stale_suppressions)
-    if stale_failure and args.output_format == "text":
-        print(
-            f"{len(report.stale_suppressions)} stale suppression(s) "
-            "with --fail-on-stale; delete the listed directives",
-            file=sys.stderr,
-        )
-    return 0 if report.ok and not stale_failure else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -94,7 +94,7 @@ class SwitchingOverhead:
     @property
     def is_free(self) -> bool:
         # Exact zeros: configured overhead constants, not derived floats.
-        return self.time == 0.0 and self.energy == 0.0  # repro-lint: disable=RPR101 -- config constants
+        return self.time == 0.0 and self.energy == 0.0
 
 
 class FrequencyScale:
@@ -114,7 +114,7 @@ class FrequencyScale:
                 raise ValueError(
                     f"duplicate or non-increasing speeds: {a.speed!r}, {b.speed!r}"
                 )
-            if b.power <= a.power:  # repro-lint: disable=RPR102 -- construction-time validation of config
+            if b.power <= a.power:
                 raise ValueError(
                     "power must increase with speed: "
                     f"P({a.speed!r})={a.power!r} vs P({b.speed!r})={b.power!r}"

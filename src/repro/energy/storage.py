@@ -163,7 +163,7 @@ class EnergyStorage(abc.ABC):
         self._check_powers(harvest_power, draw_power)
         # Exact == 0.0 on purpose: a tolerant zero would swallow the
         # energy of sub-EPSILON slivers and break conservation oracles.
-        if duration == 0.0:  # repro-lint: disable=RPR101 -- exact by design
+        if duration == 0.0:
             return SegmentResult(drawn=0.0, stored_delta=0.0, overflow=0.0)
         if math.isinf(self._stored):
             drawn = draw_power * duration
@@ -191,7 +191,7 @@ class EnergyStorage(abc.ABC):
         if energy < 0 or math.isnan(energy):
             raise ValueError(f"energy must be >= 0, got {energy!r}")
         # Exact == 0.0: tiny lumps must still be accounted, not dropped.
-        if energy == 0.0:  # repro-lint: disable=RPR101 -- exact by design
+        if energy == 0.0:
             return 0.0
         if math.isinf(self._stored):
             self._total_drawn += energy
@@ -374,7 +374,7 @@ class NonIdealStorage(EnergyStorage):
             t_empty = old / decay_rate
             # Exact split is safe: both branches agree at t_empty ==
             # duration (level 0.0, leak for the whole segment).
-            if t_empty >= duration:  # repro-lint: disable=RPR102 -- branches agree at the boundary
+            if t_empty >= duration:
                 self._stored = old - decay_rate * duration
                 leaked = self._leak * duration
             else:

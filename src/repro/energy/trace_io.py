@@ -90,7 +90,7 @@ def _parse_row(
     time = values[0]
     if time < 0 or not math.isfinite(time):
         raise _RowError(f"times must be finite and >= 0, got {time!r}")
-    if time <= last_time:  # repro-lint: disable=RPR102 -- strict monotonicity of input data
+    if time <= last_time:
         raise _RowError(
             f"times must be strictly increasing, got {time!r} after {last_time!r}"
         )

@@ -155,7 +155,7 @@ class DegradedStorage(EnergyStorage):
     @property
     def has_spikes(self) -> bool:
         """Whether the spike process can ever activate."""
-        return self._spike_p > 0.0 and self._spike_power > 0.0  # repro-lint: disable=RPR101 -- config toggles
+        return self._spike_p > 0.0 and self._spike_power > 0.0
 
     @property
     def elapsed(self) -> float:
@@ -172,7 +172,7 @@ class DegradedStorage(EnergyStorage):
         """Current usable capacity after fade."""
         # Exact == 0.0: fade is a feature toggle set from config, never
         # a derived float.
-        if self._fade_rate == 0.0:  # repro-lint: disable=RPR101 -- config toggle
+        if self._fade_rate == 0.0:
             return self._inner.capacity
         keep = max(self._min_cap_frac, 1.0 - self._fade_rate * self._elapsed)
         return self._inner.capacity * keep
@@ -292,7 +292,7 @@ class DegradedStorage(EnergyStorage):
             index = self._window_index(pos)
             window_end = (index + 1) * self._quantum
             span = window_end - pos
-            if span <= 0.0:  # defensive nudge guard; repro-lint: disable=RPR101 -- exact guard
+            if span <= 0.0:  # defensive nudge guard
                 span = self._quantum
             rate = rate_spike if self._spike_active(index) else rate_clear
             if rate < -EPSILON:
@@ -332,7 +332,7 @@ class DegradedStorage(EnergyStorage):
         self._check_powers(harvest_power, draw_power)
         # Exact == 0.0, matching EnergyStorage.advance: sub-EPSILON
         # slivers still carry energy the conservation oracles count.
-        if duration == 0.0:  # repro-lint: disable=RPR101 -- exact by design
+        if duration == 0.0:
             return SegmentResult(drawn=0.0, stored_delta=0.0, overflow=0.0)
 
         before = self._inner.stored
@@ -340,11 +340,11 @@ class DegradedStorage(EnergyStorage):
         leaked = 0.0
         remaining = duration
         pos = self._elapsed
-        while remaining > 0.0:  # repro-lint: disable=RPR101 -- span snaps remaining to exactly 0.0
+        while remaining > 0.0:
             index = self._window_index(pos)
             window_end = (index + 1) * self._quantum
             span = window_end - pos
-            if span <= 0.0:  # defensive nudge guard; repro-lint: disable=RPR101 -- exact guard
+            if span <= 0.0:  # defensive nudge guard
                 span = self._quantum
             if span >= remaining - EPSILON:
                 span = remaining  # snap the final sliver exactly
@@ -370,7 +370,7 @@ class DegradedStorage(EnergyStorage):
 
     def _apply_fade_clamp(self) -> float:
         """Expel charge above the faded capacity; returns the energy lost."""
-        if self._fade_rate == 0.0:  # repro-lint: disable=RPR101 -- config toggle
+        if self._fade_rate == 0.0:
             return 0.0
         excess = self._inner.stored - self.effective_capacity
         if excess <= EPSILON:

@@ -10,13 +10,6 @@ RPR001     no stdlib ``random`` (hidden global state)
 RPR002     no wall-clock reads feeding simulated results
 RPR003     ``np.random.default_rng`` needs an explicit seed
 RPR004     no hash-ordered set iteration
-RPR101     tolerant comparison for quantity-vs-float-literal
-RPR102     tolerant comparison for quantity-vs-quantity
-RPR201     no additive mixing of time/energy/power units
-RPR202     no cross-unit comparisons
-RPR203     no reassignment contradicting a name's dimension
-RPR204     no return contradicting the function's dimension
-RPR205     no wrong-dimension argument to an indexed function
 RPR301     Scheduler subclasses override ``decide`` and declare ``name``
 RPR302     schedulers must be reachable via ``sched/registry.py``
 RPR303     frozen ``ScenarioSpec`` is never mutated
@@ -40,17 +33,12 @@ RPR902     (engine) suppression names an unknown rule code
 RPR903     (engine) suppression matches no finding (stale)
 =========  ==============================================================
 
-Since PR 5 the quantity rules (RPR1xx/RPR2xx) are *flow-aware*: an
-abstract interpreter (:mod:`repro.lint.dataflow`) propagates dimensions
-through assignments, unpacking, branches, and arithmetic — seeded from
-the naming vocabulary, from ``Seconds``/``Joules``/``Watts`` annotations,
-and from a whole-project signature index (:mod:`repro.lint.index`).
 The determinism family (RPR00x) is relaxed under ``tests/``.
 
 The float-determinism family (RPR4xx, :mod:`repro.lint.rules_numpy`)
 enforces the bit-exact vectorization doctrine, but only in modules that
 opt in with a ``# repro: float-doctrine`` comment line; an array-kind
-facet of the dataflow interpreter tracks which expressions are float
+facet (:mod:`repro.lint.dataflow`) tracks which expressions are float
 arrays so the rules stay quiet elsewhere.  The parity checker
 (:mod:`repro.lint.parity`) pins the float-operation fingerprint of each
 scalar decision function and its vectorized twin and raises RPR410 when
@@ -66,19 +54,13 @@ closure, the atomic-commit write path, and the worker process boundary.
 ``repro lint --explain-path RPR501:<func>`` shows the call chain from a
 root to a flagged taint.
 
-Suppress a finding with an inline ``# repro-lint: disable=RPR101`` (or
+Suppress a finding with an inline ``# repro-lint: disable=RPR001`` (or
 ``disable-file=`` for the whole file), ideally followed by a short
-``-- why`` note.  CI requires zero findings over the default tree, and
-``--fail-on-stale`` fails on suppressions that match no finding.
+``-- why`` note.  A run fails on any finding and on any suppression that
+matches no finding; CI requires both to be zero over the default tree.
 """
 
-from repro.lint.dataflow import (
-    ArrayKind,
-    ModuleArrays,
-    ModuleDataflow,
-    analyze_arrays,
-    analyze_module,
-)
+from repro.lint.dataflow import ArrayKind, ModuleArrays, analyze_arrays
 from repro.lint.callgraph import CallGraph, build_call_graph
 from repro.lint.engine import (
     Diagnostic,
@@ -91,8 +73,6 @@ from repro.lint.engine import (
     load_modules,
     register_rule,
 )
-from repro.lint.index import ProjectIndex, build_index
-from repro.lint.naming import Dimension, infer_dimension
 from repro.lint.purity import (
     PurityAnalysis,
     PurityClass,
@@ -108,26 +88,20 @@ __all__ = [
     "ArrayKind",
     "CallGraph",
     "Diagnostic",
-    "Dimension",
     "FunctionRef",
     "LintError",
     "LintReport",
     "ModuleArrays",
-    "ModuleDataflow",
     "ParityPair",
-    "ProjectIndex",
     "PurityAnalysis",
     "PurityClass",
     "Rule",
     "Taint",
     "all_rules",
     "analyze_arrays",
-    "analyze_module",
     "analyze_purity",
     "build_call_graph",
-    "build_index",
     "certify",
-    "infer_dimension",
     "lint_paths",
     "lint_source",
     "load_manifest",

@@ -2,8 +2,7 @@
 
 The hash-closure rules (:mod:`repro.lint.rules_purity`) must reason
 about *every function reachable from* ``canonical_json``/``spec_hash``,
-which needs whole-program call resolution — one layer above the by-name
-signature index (:mod:`repro.lint.index`).  :func:`build_call_graph`
+which needs whole-program call resolution.  :func:`build_call_graph`
 scans every linted module once and resolves, in decreasing order of
 confidence:
 

@@ -1,666 +1,37 @@
-"""Intra-procedural abstract interpretation over the dimension lattice.
+"""Array-kind facet: which expressions are float arrays, for RPR4xx.
 
-PR 3's unit rules classified every expression *syntactically*: an
-identifier either matched the naming vocabulary or was invisible.  That
-misses the moment a quantity is renamed::
+The float-determinism rules (:mod:`repro.lint.rules_numpy`) need to
+know the *numpy value shape* of an expression — a float64 array, an
+integer index array, a boolean mask, or a Python scalar: ``np.sum``
+over a float array reorders additions, over a boolean mask it merely
+counts; ``int_array * 2.0`` silently promotes, ``float_array * 2.0``
+does not.
 
-    budget = e_avail          # budget is now an energy
-    slack = budget / p_max    # energy / power -> time
-    if slack > e_avail:       # time vs energy: flagged here
-
-This module follows values through one function (or the module body) at
-a time.  A :class:`_Interpreter` walks statements in order, carrying an
-environment ``name -> Dimension``, and evaluates every expression it
-meets under the dimensional algebra of the paper's equations (5)-(9):
-
-* ``TIME x POWER -> ENERGY`` (and commuted),
-* ``ENERGY / POWER -> TIME``, ``ENERGY / TIME -> POWER``,
-* ``quantity +/- same -> same``; adding across dimensions is meaningless
-  (the unit rules flag it) and yields UNKNOWN,
-* ``quantity x/÷ DIMENSIONLESS -> quantity``; ``same / same ->
-  DIMENSIONLESS``; ``quantity % same -> same``.
-
-Dimensions are seeded from three sources, strongest first: the flow
-environment (assignments already interpreted), definition-site facts
-from the :class:`~repro.lint.index.ProjectIndex` (annotations on
-parameters/returns/fields, ``@property`` results), and the naming
-vocabulary (:func:`~repro.lint.naming.infer_dimension`).  Control flow
-is handled conservatively: ``if``/``try``/``match`` branches are
-interpreted separately and joined (agreeing dimensions survive,
-disagreements decay to UNKNOWN), loop bodies are interpreted once and
-joined with the loop entry, and anything the interpreter cannot see
-(lambdas, ``exec``, attribute stores on foreign objects) stays UNKNOWN —
-the analysis only ever *adds* certainty, so a finding built on it is as
-trustworthy as the vocabulary itself.
-
-Besides per-node dimensions (consumed by the flow-aware RPR1xx/RPR2xx
-rules), the interpreter records :class:`DataflowEvent` records for the
-three contract violations only flow analysis can see: a name whose
-seeded dimension is contradicted by a reassignment, a ``return`` that
-contradicts the function's declared dimension, and an argument whose
-dimension contradicts the indexed parameter it binds to (RPR203-RPR205).
+:func:`analyze_arrays` follows values through one function (or the
+module body) at a time.  An :class:`_ArrayInterpreter` walks statements
+in order, carrying an environment ``name -> ArrayKind``, and records
+the kind of every expression it meets.  Only *positive* knowledge
+produces a kind: ``FloatArray``/``IntArray``/``BoolArray`` and builtin
+scalar annotations, numpy constructors and dtypes, and dtype-preserving
+algebra.  Control flow is handled conservatively: branches are
+interpreted separately and joined (agreeing kinds survive,
+disagreements decay to UNKNOWN), and anything the interpreter cannot
+see stays UNKNOWN — so a finding built on the facet is as trustworthy
+as the annotation it was seeded from.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
 import enum
 from typing import Mapping, Sequence
 
-from repro.lint.index import ProjectIndex, annotation_dimension
-from repro.lint.naming import Dimension, infer_dimension
-
 __all__ = [
     "ArrayKind",
-    "DataflowEvent",
     "ModuleArrays",
-    "ModuleDataflow",
     "analyze_arrays",
-    "analyze_module",
     "annotation_array_kind",
-    "combine_add",
-    "combine_div",
-    "combine_mult",
-    "join",
 ]
-
-#: Builtins that preserve the common dimension of their arguments.
-_DIM_PRESERVING_CALLS = {"min", "max", "abs", "sum", "sorted", "round", "float"}
-
-
-# ---------------------------------------------------------------------------
-# Lattice algebra
-# ---------------------------------------------------------------------------
-
-
-def join(left: Dimension, right: Dimension) -> Dimension:
-    """Control-flow join: agreement survives, disagreement decays."""
-    if left is right:
-        return left
-    return Dimension.UNKNOWN
-
-
-def combine_add(left: Dimension, right: Dimension) -> Dimension:
-    """Dimension of ``left + right`` / ``left - right``."""
-    if left is right:
-        return left
-    # A dimensionless offset leaves a quantity's unit alone (t + 2.0).
-    if left is Dimension.DIMENSIONLESS and right.is_quantity:
-        return right
-    if right is Dimension.DIMENSIONLESS and left.is_quantity:
-        return left
-    return Dimension.UNKNOWN
-
-
-def combine_mult(left: Dimension, right: Dimension) -> Dimension:
-    """Dimension of ``left * right`` (eq. (6): ``P_n * sr_n`` is energy)."""
-    pair = {left, right}
-    if pair == {Dimension.TIME, Dimension.POWER}:
-        return Dimension.ENERGY
-    if left is Dimension.DIMENSIONLESS:
-        return right if right.is_quantity or right is left else Dimension.UNKNOWN
-    if right is Dimension.DIMENSIONLESS:
-        return left if left.is_quantity else Dimension.UNKNOWN
-    return Dimension.UNKNOWN
-
-
-def combine_div(left: Dimension, right: Dimension) -> Dimension:
-    """Dimension of ``left / right`` (eq. (6): ``E_avail / P_n`` is time)."""
-    if left is right and (left.is_quantity or left is Dimension.DIMENSIONLESS):
-        return Dimension.DIMENSIONLESS
-    if left is Dimension.ENERGY and right is Dimension.POWER:
-        return Dimension.TIME
-    if left is Dimension.ENERGY and right is Dimension.TIME:
-        return Dimension.POWER
-    if right is Dimension.DIMENSIONLESS and left.is_quantity:
-        return left
-    return Dimension.UNKNOWN
-
-
-def _combine_binop(op: ast.operator, left: Dimension, right: Dimension) -> Dimension:
-    if isinstance(op, (ast.Add, ast.Sub)):
-        return combine_add(left, right)
-    if isinstance(op, ast.Mult):
-        return combine_mult(left, right)
-    if isinstance(op, (ast.Div, ast.FloorDiv)):
-        return combine_div(left, right)
-    if isinstance(op, ast.Mod):
-        # t % period: the remainder keeps the operands' unit.
-        if left is right and left.is_quantity:
-            return left
-        return Dimension.UNKNOWN
-    if isinstance(op, ast.Pow):
-        if left is Dimension.DIMENSIONLESS and right is Dimension.DIMENSIONLESS:
-            return Dimension.DIMENSIONLESS
-        return Dimension.UNKNOWN
-    return Dimension.UNKNOWN
-
-
-# ---------------------------------------------------------------------------
-# Events and results
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class DataflowEvent:
-    """One dimension-contract violation found during interpretation.
-
-    ``kind`` is ``"reassign"``, ``"return"``, or ``"argument"``; the
-    rules in :mod:`repro.lint.rules_units` map kinds to RPR203-RPR205.
-    """
-
-    kind: str
-    line: int
-    col: int
-    #: The contradicted name (variable, function, or parameter).
-    name: str
-    #: The dimension the contract promises.
-    expected: Dimension
-    #: The dimension the flow analysis actually derived.
-    actual: Dimension
-
-
-class ModuleDataflow:
-    """Per-module analysis result: node dimensions plus contract events."""
-
-    def __init__(self) -> None:
-        self._dims: dict[int, Dimension] = {}
-        self.events: list[DataflowEvent] = []
-
-    def dimension_of(self, node: ast.AST) -> Dimension | None:
-        """Interpreted dimension of ``node``, ``None`` if never visited."""
-        return self._dims.get(id(node))
-
-    def _record(self, node: ast.AST, dim: Dimension) -> Dimension:
-        self._dims[id(node)] = dim
-        return dim
-
-
-# ---------------------------------------------------------------------------
-# The interpreter
-# ---------------------------------------------------------------------------
-
-
-class _Interpreter:
-    def __init__(self, index: ProjectIndex, result: ModuleDataflow) -> None:
-        self._index = index
-        self._result = result
-
-    # -- seeds -------------------------------------------------------------
-
-    def _seed(self, name: str) -> Dimension:
-        """Definition-site dimension of a bare name (vocabulary only).
-
-        The index is deliberately *not* consulted for local variables:
-        its entries describe attributes and callables, and a local named
-        like a field (``stored``) already matches the vocabulary anyway.
-        """
-        return infer_dimension(name)
-
-    def _event(
-        self,
-        kind: str,
-        node: ast.AST,
-        name: str,
-        expected: Dimension,
-        actual: Dimension,
-    ) -> None:
-        self._result.events.append(
-            DataflowEvent(
-                kind=kind,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                name=name,
-                expected=expected,
-                actual=actual,
-            )
-        )
-
-    # -- expressions -------------------------------------------------------
-
-    def eval(self, node: ast.expr, env: dict[str, Dimension]) -> Dimension:
-        dim = self._eval_inner(node, env)
-        return self._result._record(node, dim)
-
-    def _eval_inner(self, node: ast.expr, env: dict[str, Dimension]) -> Dimension:
-        if isinstance(node, ast.Name):
-            flow = env.get(node.id)
-            if flow is not None and flow is not Dimension.UNKNOWN:
-                return flow
-            return self._seed(node.id)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool):
-                return Dimension.UNKNOWN
-            if isinstance(node.value, (int, float)):
-                # Bare numeric literals are unit-free scalars; `t * 2.0`
-                # stays a time, and RPR101 handles literal comparisons.
-                return Dimension.DIMENSIONLESS
-            return Dimension.UNKNOWN
-        if isinstance(node, ast.UnaryOp):
-            inner = self.eval(node.operand, env)
-            if isinstance(node.op, (ast.USub, ast.UAdd)):
-                return inner
-            return Dimension.UNKNOWN
-        if isinstance(node, ast.BinOp):
-            left = self.eval(node.left, env)
-            right = self.eval(node.right, env)
-            return _combine_binop(node.op, left, right)
-        if isinstance(node, ast.BoolOp):
-            for value in node.values:
-                self.eval(value, env)
-            return Dimension.UNKNOWN
-        if isinstance(node, ast.Compare):
-            self.eval(node.left, env)
-            for comparator in node.comparators:
-                self.eval(comparator, env)
-            return Dimension.UNKNOWN
-        if isinstance(node, ast.Call):
-            return self._eval_call(node, env)
-        if isinstance(node, ast.Attribute):
-            self.eval(node.value, env)
-            dim = self._index.attribute_dimension(node.attr)
-            if dim is not Dimension.UNKNOWN:
-                return dim
-            return infer_dimension(node.attr)
-        if isinstance(node, ast.Subscript):
-            base = self.eval(node.value, env)
-            if not isinstance(node.slice, ast.Slice):
-                self.eval(node.slice, env)
-            # Containers conventionally carry their element quantity's
-            # name, so indexing keeps the container's dimension.
-            return base
-        if isinstance(node, ast.IfExp):
-            self.eval(node.test, env)
-            return join(self.eval(node.body, env), self.eval(node.orelse, env))
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            dims = {self.eval(elt, env) for elt in node.elts}
-            if len(dims) == 1:
-                return dims.pop()
-            return Dimension.UNKNOWN
-        if isinstance(node, ast.Dict):
-            for value in node.values:
-                if value is not None:
-                    self.eval(value, env)
-            return Dimension.UNKNOWN
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            return self._eval_comprehension(node, env)
-        if isinstance(node, ast.DictComp):
-            comp_env = self._comprehension_env(node.generators, env)
-            self.eval(node.key, comp_env)
-            self.eval(node.value, comp_env)
-            return Dimension.UNKNOWN
-        if isinstance(node, ast.NamedExpr):
-            value = self.eval(node.value, env)
-            if isinstance(node.target, ast.Name):
-                env[node.target.id] = value
-            return value
-        if isinstance(node, ast.Starred):
-            return self.eval(node.value, env)
-        if isinstance(node, (ast.Await, ast.YieldFrom)):
-            return self.eval(node.value, env)
-        if isinstance(node, ast.Yield):
-            if node.value is not None:
-                self.eval(node.value, env)
-            return Dimension.UNKNOWN
-        if isinstance(node, ast.JoinedStr):
-            for value in node.values:
-                if isinstance(value, ast.FormattedValue):
-                    self.eval(value.value, env)
-            return Dimension.UNKNOWN
-        if isinstance(node, ast.Lambda):
-            # Opaque: the body runs elsewhere with unknown bindings.
-            return Dimension.UNKNOWN
-        return Dimension.UNKNOWN
-
-    def _comprehension_env(
-        self,
-        generators: Sequence[ast.comprehension],
-        env: Mapping[str, Dimension],
-    ) -> dict[str, Dimension]:
-        comp_env = dict(env)
-        for gen in generators:
-            self.eval(gen.iter, comp_env)
-            for name in _target_names(gen.target):
-                comp_env[name] = self._seed(name)
-            for cond in gen.ifs:
-                self.eval(cond, comp_env)
-        return comp_env
-
-    def _eval_comprehension(
-        self,
-        node: ast.ListComp | ast.SetComp | ast.GeneratorExp,
-        env: dict[str, Dimension],
-    ) -> Dimension:
-        comp_env = self._comprehension_env(node.generators, env)
-        # The comprehension *is* its elements, dimensionally: this is
-        # what lets `sum(j.wcet for j in jobs)` come out as a time.
-        return self.eval(node.elt, comp_env)
-
-    def _eval_call(self, node: ast.Call, env: dict[str, Dimension]) -> Dimension:
-        func = node.func
-        func_name: str | None = None
-        if isinstance(func, ast.Name):
-            func_name = func.id
-        elif isinstance(func, ast.Attribute):
-            func_name = func.attr
-            self.eval(func.value, env)
-        else:
-            self.eval(func, env)
-
-        arg_dims = [self.eval(arg, env) for arg in node.args]
-        kw_dims = [
-            (kw.arg, self.eval(kw.value, env)) for kw in node.keywords
-        ]
-
-        if func_name is None:
-            return Dimension.UNKNOWN
-        if func_name in _DIM_PRESERVING_CALLS:
-            dims = set(arg_dims)
-            if len(dims) == 1:
-                return dims.pop()
-            return Dimension.UNKNOWN
-
-        sig = self._index.function(func_name)
-        if sig is not None:
-            for position, (arg, actual) in enumerate(zip(node.args, arg_dims)):
-                if isinstance(arg, ast.Starred):
-                    break
-                expected = sig.param_dimension(position, None)
-                self._check_argument(arg, func_name, expected, actual)
-            for (keyword, actual), kw in zip(kw_dims, node.keywords):
-                if keyword is None:
-                    continue
-                expected = sig.param_dimension(-1, keyword)
-                self._check_argument(kw.value, func_name, expected, actual)
-            if sig.returns is not Dimension.UNKNOWN:
-                return sig.returns
-        return infer_dimension(func_name)
-
-    def _check_argument(
-        self,
-        node: ast.expr,
-        func_name: str,
-        expected: Dimension,
-        actual: Dimension,
-    ) -> None:
-        if (
-            expected.is_quantity
-            and actual.is_quantity
-            and expected is not actual
-        ):
-            self._event("argument", node, func_name, expected, actual)
-
-    # -- assignment --------------------------------------------------------
-
-    def _check_reassign(
-        self,
-        node: ast.AST,
-        name: str,
-        seeded: Dimension,
-        value: Dimension,
-    ) -> None:
-        """Flag an assignment whose value contradicts the name's seed.
-
-        Only fires when *both* sides are positively known quantities: a
-        name the vocabulary cannot classify, or a value the flow cannot
-        derive, never produces an event.
-        """
-        if (
-            seeded.is_quantity
-            and value.is_quantity
-            and seeded is not value
-        ):
-            self._event("reassign", node, name, seeded, value)
-
-    @staticmethod
-    def _bind(
-        name: str,
-        seeded: Dimension,
-        value: Dimension,
-        env: dict[str, Dimension],
-    ) -> None:
-        """Record a name binding, strongest knowledge first.
-
-        A flowing *quantity* wins (that is the point of the analysis); a
-        vocabulary seed beats a unit-free scalar (``deadline = 10.0`` is
-        still a time — the literal just names its magnitude); a scalar is
-        remembered only for names the vocabulary cannot classify.
-        """
-        if value.is_quantity:
-            env[name] = value
-        elif seeded is not Dimension.UNKNOWN:
-            env[name] = seeded
-        else:
-            env[name] = value
-
-    def _assign(
-        self,
-        target: ast.expr,
-        value_node: ast.expr,
-        value: Dimension,
-        env: dict[str, Dimension],
-    ) -> None:
-        if isinstance(target, ast.Name):
-            seeded = self._seed(target.id)
-            self._check_reassign(target, target.id, seeded, value)
-            self._bind(target.id, seeded, value, env)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            if isinstance(value_node, (ast.Tuple, ast.List)) and len(
-                value_node.elts
-            ) == len(target.elts) and not any(
-                isinstance(elt, ast.Starred) for elt in target.elts
-            ):
-                for sub_target, sub_value in zip(target.elts, value_node.elts):
-                    sub_dim = self._result.dimension_of(sub_value)
-                    self._assign(
-                        sub_target,
-                        sub_value,
-                        sub_dim if sub_dim is not None else Dimension.UNKNOWN,
-                        env,
-                    )
-            else:
-                for name in _target_names(target):
-                    env[name] = self._seed(name)
-        elif isinstance(target, ast.Attribute):
-            self.eval(target.value, env)
-            attr_dim = self._index.attribute_dimension(target.attr)
-            if attr_dim is Dimension.UNKNOWN:
-                attr_dim = infer_dimension(target.attr)
-            self._check_reassign(target, target.attr, attr_dim, value)
-        elif isinstance(target, ast.Subscript):
-            self.eval(target.value, env)
-            if not isinstance(target.slice, ast.Slice):
-                self.eval(target.slice, env)
-        elif isinstance(target, ast.Starred):
-            self._assign(target.value, value_node, Dimension.UNKNOWN, env)
-
-    # -- statements --------------------------------------------------------
-
-    def run_body(
-        self,
-        body: Sequence[ast.stmt],
-        env: dict[str, Dimension],
-        expected_return: Dimension = Dimension.UNKNOWN,
-        function_name: str = "",
-    ) -> None:
-        for stmt in body:
-            self._run_stmt(stmt, env, expected_return, function_name)
-
-    def _run_stmt(
-        self,
-        stmt: ast.stmt,
-        env: dict[str, Dimension],
-        expected_return: Dimension,
-        function_name: str,
-    ) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._run_function(stmt, env)
-        elif isinstance(stmt, ast.ClassDef):
-            for deco in stmt.decorator_list:
-                self.eval(deco, env)
-            class_env: dict[str, Dimension] = {}
-            self.run_body(stmt.body, class_env)
-        elif isinstance(stmt, ast.Assign):
-            value = self.eval(stmt.value, env)
-            for target in stmt.targets:
-                self._assign(target, stmt.value, value, env)
-        elif isinstance(stmt, ast.AnnAssign):
-            declared = annotation_dimension(stmt.annotation)
-            if stmt.value is not None:
-                value = self.eval(stmt.value, env)
-            else:
-                value = Dimension.UNKNOWN
-            if isinstance(stmt.target, ast.Name):
-                name = stmt.target.id
-                seeded = declared if declared is not Dimension.UNKNOWN else self._seed(name)
-                if stmt.value is not None:
-                    self._check_reassign(stmt.target, name, seeded, value)
-                    self._bind(name, seeded, value, env)
-                else:
-                    env[name] = seeded
-            elif isinstance(stmt.target, ast.Attribute):
-                self.eval(stmt.target.value, env)
-        elif isinstance(stmt, ast.AugAssign):
-            value = self.eval(stmt.value, env)
-            if isinstance(stmt.target, ast.Name):
-                current = env.get(stmt.target.id)
-                if current is None or current is Dimension.UNKNOWN:
-                    current = self._seed(stmt.target.id)
-                # Record the pre-assignment dimension on the target node
-                # so the flow-aware RPR201 can inspect `energy += power`.
-                self._result._record(stmt.target, current)
-                combined = _combine_binop(stmt.op, current, value)
-                env[stmt.target.id] = (
-                    combined if combined is not Dimension.UNKNOWN
-                    else self._seed(stmt.target.id)
-                )
-            elif isinstance(stmt.target, ast.Attribute):
-                self.eval(stmt.target.value, env)
-                attr_dim = self._index.attribute_dimension(stmt.target.attr)
-                if attr_dim is Dimension.UNKNOWN:
-                    attr_dim = infer_dimension(stmt.target.attr)
-                self._result._record(stmt.target, attr_dim)
-            elif isinstance(stmt.target, ast.Subscript):
-                self.eval(stmt.target, env)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                actual = self.eval(stmt.value, env)
-                if (
-                    expected_return.is_quantity
-                    and actual.is_quantity
-                    and expected_return is not actual
-                ):
-                    self._event(
-                        "return", stmt, function_name, expected_return, actual
-                    )
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value, env)
-        elif isinstance(stmt, ast.If):
-            self.eval(stmt.test, env)
-            then_env = dict(env)
-            else_env = dict(env)
-            self.run_body(stmt.body, then_env, expected_return, function_name)
-            self.run_body(stmt.orelse, else_env, expected_return, function_name)
-            _join_into(env, then_env, else_env)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self.eval(stmt.iter, env)
-            loop_env = dict(env)
-            for name in _target_names(stmt.target):
-                loop_env[name] = self._seed(name)
-            self.run_body(stmt.body, loop_env, expected_return, function_name)
-            else_env = dict(env)
-            self.run_body(stmt.orelse, else_env, expected_return, function_name)
-            _join_into(env, loop_env, else_env)
-        elif isinstance(stmt, ast.While):
-            self.eval(stmt.test, env)
-            loop_env = dict(env)
-            self.run_body(stmt.body, loop_env, expected_return, function_name)
-            else_env = dict(env)
-            self.run_body(stmt.orelse, else_env, expected_return, function_name)
-            _join_into(env, loop_env, else_env)
-        elif isinstance(stmt, ast.Try):
-            body_env = dict(env)
-            self.run_body(stmt.body, body_env, expected_return, function_name)
-            self.run_body(stmt.orelse, body_env, expected_return, function_name)
-            branch_envs = [body_env]
-            for handler in stmt.handlers:
-                handler_env = dict(env)
-                if handler.type is not None:
-                    self.eval(handler.type, handler_env)
-                if handler.name:
-                    handler_env[handler.name] = Dimension.UNKNOWN
-                self.run_body(
-                    handler.body, handler_env, expected_return, function_name
-                )
-                branch_envs.append(handler_env)
-            _join_into(env, *branch_envs)
-            self.run_body(stmt.finalbody, env, expected_return, function_name)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self.eval(item.context_expr, env)
-                if item.optional_vars is not None:
-                    for name in _target_names(item.optional_vars):
-                        env[name] = self._seed(name)
-            self.run_body(stmt.body, env, expected_return, function_name)
-        elif isinstance(stmt, ast.Match):
-            self.eval(stmt.subject, env)
-            case_envs = []
-            for case in stmt.cases:
-                case_env = dict(env)
-                if case.guard is not None:
-                    self.eval(case.guard, case_env)
-                self.run_body(case.body, case_env, expected_return, function_name)
-                case_envs.append(case_env)
-            if case_envs:
-                _join_into(env, *case_envs)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    env.pop(target.id, None)
-                else:
-                    self.eval(target, env)
-        elif isinstance(stmt, (ast.Global, ast.Nonlocal)):
-            for name in stmt.names:
-                env.pop(name, None)
-        elif isinstance(stmt, (ast.Assert,)):
-            self.eval(stmt.test, env)
-            if stmt.msg is not None:
-                self.eval(stmt.msg, env)
-        elif isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self.eval(stmt.exc, env)
-            if stmt.cause is not None:
-                self.eval(stmt.cause, env)
-        # Pass / Break / Continue / Import / ImportFrom: no dataflow.
-
-    def _run_function(
-        self,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        outer_env: dict[str, Dimension],
-    ) -> None:
-        for deco in node.decorator_list:
-            self.eval(deco, outer_env)
-        args = node.args
-        for default in (*args.defaults, *args.kw_defaults):
-            if default is not None:
-                self.eval(default, outer_env)
-
-        env: dict[str, Dimension] = {}
-        all_args = [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        for arg in all_args:
-            dim = annotation_dimension(arg.annotation)
-            if dim is Dimension.UNKNOWN:
-                dim = self._seed(arg.arg)
-            env[arg.arg] = dim
-        for arg in (args.vararg, args.kwarg):
-            if arg is not None:
-                env[arg.arg] = Dimension.UNKNOWN
-
-        expected = annotation_dimension(node.returns)
-        if expected is Dimension.UNKNOWN:
-            expected = infer_dimension(node.name)
-        self.run_body(node.body, env, expected, node.name)
 
 
 def _target_names(target: ast.expr) -> list[str]:
@@ -673,45 +44,6 @@ def _target_names(target: ast.expr) -> list[str]:
     elif isinstance(target, ast.Starred):
         names.extend(_target_names(target.value))
     return names
-
-
-def _join_into(env: dict[str, Dimension], *branches: dict[str, Dimension]) -> None:
-    """Merge branch environments back into ``env`` (in place)."""
-    keys = set(env)
-    for branch in branches:
-        keys |= set(branch)
-    for key in keys:
-        dims = {branch.get(key, env.get(key, Dimension.UNKNOWN)) for branch in branches}
-        if len(dims) == 1:
-            env[key] = dims.pop()
-        else:
-            env[key] = Dimension.UNKNOWN
-
-
-def analyze_module(tree: ast.Module, index: ProjectIndex) -> ModuleDataflow:
-    """Interpret one module and return its dataflow facts."""
-    result = ModuleDataflow()
-    interpreter = _Interpreter(index, result)
-    interpreter.run_body(tree.body, env={})
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Float-semantics facet: array kinds for the RPR4xx doctrine rules
-# ---------------------------------------------------------------------------
-#
-# The dimension lattice above answers "what physical quantity is this?";
-# the facet below answers "what *numpy value shape* is this — a float64
-# array, an integer index array, a boolean mask, or a Python scalar?".
-# The RPR4xx rules (:mod:`repro.lint.rules_numpy`) need the second
-# question: ``np.sum`` over a float array reorders additions, over a
-# boolean mask it merely counts; ``int_array * 2.0`` silently promotes,
-# ``float_array * 2.0`` does not.  The facet follows the same
-# conservative discipline as the dimension interpreter: only *positive*
-# knowledge (annotations, numpy constructors, dtype-preserving algebra)
-# produces a kind, and any disagreement or opacity decays to UNKNOWN —
-# so a finding built on the facet is as trustworthy as the annotation
-# it was seeded from.
 
 
 class ArrayKind(enum.Enum):

@@ -15,15 +15,14 @@ Two rule shapes exist:
 
 Suppressions follow the conventional inline-comment shape::
 
-    stored == 0.0  # repro-lint: disable=RPR101  -- exact: <why>
+    import random  # repro-lint: disable=RPR001  -- <why>
 
-A line-comment of the form ``# repro-lint: disable-file=RPR101`` on any
+A line-comment of the form ``# repro-lint: disable-file=RPR001`` on any
 line suppresses the code for the whole file.  ``disable=all`` works in
-both positions.  Unknown codes in a suppression are reported as
+both positions.  Malformed codes in a suppression are reported as
 ``RPR902``, and suppressions that no longer match any live finding are
-reported as *stale* (``RPR903``, informational by default;
-``repro lint --fail-on-stale`` gates on them) — so suppressions cannot
-rot silently in either direction.
+reported as *stale* (``RPR903``) and fail the run like a finding — so
+suppressions cannot rot silently in either direction.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.dataflow import ModuleArrays, ModuleDataflow
-    from repro.lint.index import ProjectIndex
+    from repro.lint.dataflow import ModuleArrays
 
 __all__ = [
     "Diagnostic",
@@ -60,9 +58,8 @@ SYNTAX_ERROR_CODE = "RPR901"
 #: Code attached to suppression comments naming unknown rule codes.
 UNKNOWN_SUPPRESSION_CODE = "RPR902"
 #: Code attached to suppression comments that no longer suppress a live
-#: finding.  Reported out of band (``LintReport.stale_suppressions``),
-#: so a stale note never fails a default run — ``--fail-on-stale`` opts
-#: into gating on them.
+#: finding.  Listed apart from the findings
+#: (``LintReport.stale_suppressions``) but fails the run just the same.
 STALE_SUPPRESSION_CODE = "RPR903"
 
 _CODE_RE = re.compile(r"^RPR\d{3}$")
@@ -243,12 +240,6 @@ class ModuleContext:
     #: parsing, the float-doctrine pragma).  ``None`` only for contexts
     #: built by hand in tests — consumers fall back to tokenizing.
     comments: tuple[tuple[int, str], ...] | None = None
-    #: Project-wide signature index, set by the engine before rules run
-    #: (``None`` only when a context is built by hand in tests).
-    index: "ProjectIndex | None" = None
-    _dataflow: "ModuleDataflow | None" = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
     _arrays: "ModuleArrays | None" = dataclasses.field(
         default=None, repr=False, compare=False
     )
@@ -272,19 +263,6 @@ class ModuleContext:
     def is_test_code(self) -> bool:
         """Whether the file lives under a ``tests`` directory."""
         return "tests" in Path(self.display_path).parts
-
-    @property
-    def dataflow(self) -> "ModuleDataflow":
-        """Lazily computed dataflow facts for this module."""
-        if self._dataflow is None:
-            from repro.lint.dataflow import analyze_module
-            from repro.lint.index import build_index
-
-            index = self.index
-            if index is None:
-                index = build_index([self.tree])
-            self._dataflow = analyze_module(self.tree, index)
-        return self._dataflow
 
     @property
     def arrays(self) -> "ModuleArrays":
@@ -332,6 +310,14 @@ class ProjectRule(Rule):
     def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
         return iter(())
 
+    def decides(self, modules: Sequence[ModuleContext]) -> bool:
+        """Whether this run holds everything the rule needs for a verdict.
+
+        A rule that cannot decide stays silent, so its suppressions are
+        not judged stale in that run.
+        """
+        return True
+
     @abc.abstractmethod
     def check_project(
         self, modules: Sequence[ModuleContext]
@@ -371,12 +357,10 @@ def _ensure_builtin_rules() -> None:
     # Importing the rule modules registers their rules as a side effect.
     from repro.lint import (  # noqa: F401
         parity,
-        rules_comparison,
         rules_contracts,
         rules_determinism,
         rules_numpy,
         rules_purity,
-        rules_units,
     )
 
 
@@ -389,10 +373,10 @@ class LintReport:
     #: Total inline/whole-file suppression slots across the linted files;
     #: the selfhost test caps this number for the default tree.
     suppression_count: int = 0
-    #: Info-level :data:`STALE_SUPPRESSION_CODE` notes for suppression
-    #: slots that matched no finding in this run.  Kept out of
-    #: ``diagnostics`` so a stale note never flips ``ok`` — the CLI's
-    #: ``--fail-on-stale`` gates on it explicitly.
+    #: :data:`STALE_SUPPRESSION_CODE` notes for suppression slots that
+    #: matched no finding in this run.  Kept out of ``diagnostics`` (they
+    #: name directives to delete, not code to fix), but they clear
+    #: ``ok`` all the same.
     stale_suppressions: list[Diagnostic] = dataclasses.field(
         default_factory=list
     )
@@ -404,7 +388,7 @@ class LintReport:
 
     @property
     def ok(self) -> bool:
-        return not self.diagnostics
+        return not self.diagnostics and not self.stale_suppressions
 
     def counts_by_code(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -547,11 +531,12 @@ def lint_source(
 def _stale_notes(
     modules: Sequence[ModuleContext],
     used: dict[str, set[SuppressionEntry]],
+    undecided: set[str],
 ) -> list[Diagnostic]:
     stale: list[Diagnostic] = []
     for ctx in modules:
         for entry in ctx.suppressions.entries:
-            if entry in used[ctx.display_path]:
+            if entry in used[ctx.display_path] or entry.code in undecided:
                 continue
             stale.append(
                 Diagnostic(
@@ -576,15 +561,12 @@ def _run_rules(
 
     Returns ``(diagnostics, stale_suppressions)``: the surviving
     findings, plus one :data:`STALE_SUPPRESSION_CODE` note per
-    suppression slot that matched no finding anywhere in the run.
+    suppression slot that matched no finding anywhere in the run.  A
+    slot naming a project rule that could not decide in this run (see
+    :meth:`ProjectRule.decides`) is never stale.
     """
-    from repro.lint.index import build_index
-
-    index = build_index([ctx.tree for ctx in modules])
-    for ctx in modules:
-        ctx.index = index
-    # A set: chained comparisons can trip the same rule twice at one
-    # position; one finding per (position, code, message) is enough.
+    # A set: one finding per (position, code, message) is enough, even
+    # if a rule reaches the same node twice.
     out: set[Diagnostic] = set()
     used: dict[str, set[SuppressionEntry]] = {
         ctx.display_path: set() for ctx in modules
@@ -614,7 +596,8 @@ def _run_rules(
                 out.add(diag)
             else:
                 used[owner.display_path].add(entry)
-    stale = _stale_notes(modules, used)
+    undecided = {rule.code for rule in project if not rule.decides(modules)}
+    stale = _stale_notes(modules, used, undecided)
     return sorted(out, key=Diagnostic.sort_key), stale
 
 

@@ -23,10 +23,9 @@ codecs is *deterministic*.  This module proves that statically:
 
 The analysis is *optimistic about unknown callees*: a call the graph
 cannot resolve (stdlib, numpy, unknown receiver) is assumed
-deterministic unless its name is in the taint vocabulary below.  That
-is the same trust boundary as the naming vocabulary that powers the
-dimension checker — the certifier is exactly as strong as its tables,
-and extending a table strengthens every closure at once.
+deterministic unless its name is in the taint vocabulary below.  The
+certifier is exactly as strong as its tables, and extending a table
+strengthens every closure at once.
 
 CLI: ``repro lint --certify`` prints the certification report and
 fails unless every manifest root resolves *and* certifies; ``repro lint

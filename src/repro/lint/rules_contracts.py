@@ -128,6 +128,17 @@ class SchedulerHooksRule(Rule):
                 )
 
 
+def _registry(modules: Sequence[ModuleContext]) -> ModuleContext | None:
+    return next(
+        (
+            ctx
+            for ctx in modules
+            if ctx.display_path.endswith("sched/registry.py")
+        ),
+        None,
+    )
+
+
 class SchedulerRegistrationRule(ProjectRule):
     code = "RPR302"
     name = "scheduler-registered"
@@ -136,17 +147,13 @@ class SchedulerRegistrationRule(ProjectRule):
         "through sched/registry.py or register_scheduler()"
     )
 
+    def decides(self, modules: Sequence[ModuleContext]) -> bool:
+        return _registry(modules) is not None
+
     def check_project(
         self, modules: Sequence[ModuleContext]
     ) -> Iterator[Diagnostic]:
-        registry = next(
-            (
-                ctx
-                for ctx in modules
-                if ctx.display_path.endswith("sched/registry.py")
-            ),
-            None,
-        )
+        registry = _registry(modules)
         if registry is None:
             # Partial lint run without the registry: the cross-file
             # contract cannot be decided, so stay silent.

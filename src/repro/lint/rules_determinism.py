@@ -18,7 +18,7 @@ simulated value.
 
 The whole family opts out of ``tests/`` (``run_on_tests = False``):
 fixtures legitimately draw ad-hoc randomness, and Hypothesis owns its
-own entropy.  The comparison/unit families still apply there.
+own entropy.  The other families still apply there.
 """
 
 from __future__ import annotations

@@ -95,7 +95,7 @@ def batch_min_feasible_level(
     # feasible only if the fastest one is, which makes the last column
     # the row's "any level fits".
     fits = work[:, None] / speeds <= (window + EPSILON)[:, None]
-    window_ok = window >= 0.0  # repro-lint: disable=RPR101 -- exact sign gate, mirrors the scalar raise
+    window_ok = window >= 0.0
     index: IntArray = np.where(
         window_ok & fits[:, -1], fits.argmax(axis=1), -1
     )
@@ -137,7 +137,7 @@ def batch_compute_plan(
     as in the scalar function.
     """
     max_index = speeds.shape[1] - 1
-    energy = np.where(available_energy < 0.0, 0.0, available_energy)  # repro-lint: disable=RPR101 -- exact clamp mirror
+    energy = np.where(available_energy < 0.0, 0.0, available_energy)
     window = deadline - now
     feasible = batch_min_feasible_level(remaining_work, window, speeds)
     reachable = feasible >= 0

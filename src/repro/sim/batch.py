@@ -1213,7 +1213,7 @@ class _BatchCore:
             return span, seg.actual
         # IdealStorage._advance_finite (+ _saturate)
         proposed = self.stored + seg.rate * span
-        negative = proposed < 0.0  # repro-lint: disable=RPR101 -- exact scalar clamp mirror
+        negative = proposed < 0.0
         if np.count_nonzero(negative):
             impossible = negative & (
                 proposed < -1e-6 * np.maximum(1.0, np.abs(self.stored))

@@ -13,7 +13,6 @@ order and shares only :func:`event_time`, the scheduling-time checks.
 
 # The event queue orders and dispatches instants *exactly* (total order
 # for the heap); float tolerance is applied once, in Clock.advance_to.
-# repro-lint: disable-file=RPR102 -- kernel compares instants exactly
 
 from __future__ import annotations
 

@@ -122,7 +122,7 @@ def render_gantt(
         return "(no execution recorded)"
     if t1 is None:
         t1 = max(interval.end for interval in intervals)
-    if t1 <= t0:  # repro-lint: disable=RPR102 -- window validation, exact
+    if t1 <= t0:
         raise ValueError(f"empty window [{t0!r}, {t1!r}]")
 
     hidden = 0

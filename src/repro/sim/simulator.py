@@ -613,7 +613,7 @@ class HarvestingRtSimulator:
         t = self._t
         duration = max(0.0, end - t)
 
-        if duration > 0.0:  # repro-lint: disable=RPR101 -- exact: zero-length steps only
+        if duration > 0.0:
             # Split the draw at the depletion instant if it falls inside
             # (can only happen from float noise, since _segment_end caps
             # at depletion; stay defensive).

@@ -2,9 +2,12 @@
 
 The simulator advances time with floating-point arithmetic.  Event times are
 frequently derived from one another (e.g. a completion time computed from a
-remaining-work division), so naive ``==`` / ``<`` comparisons are brittle.
-Every time comparison in the library goes through the helpers below, which
-use a single absolute tolerance :data:`EPSILON`.
+remaining-work division), so naive ``==`` / ``<`` comparisons of such
+derived instants are brittle.  The helpers below compare with a single
+absolute tolerance :data:`EPSILON`.  They are a convention, not a gate:
+many comparisons are exact by design (the scalar and batch engines agree
+bit for bit, and their results are pinned exactly), and nothing forces a
+comparison through the helpers.
 
 All simulated quantities (time, energy, work) are plain ``float`` in
 consistent abstract units; the tolerance is absolute because experiment
@@ -15,18 +18,6 @@ range where float64 absolute error approaches 1e-9.
 from __future__ import annotations
 
 import math
-from typing import TypeAlias
-
-#: Dimension-documenting aliases for plain ``float`` quantities.  They
-#: change nothing at runtime or for mypy, but the static analyzer
-#: (``repro.lint.dataflow``) reads them: annotating a parameter or return
-#: value as ``Seconds``/``Joules``/``Watts``/``Scalar`` seeds its
-#: dimension even when the identifier itself is outside the naming
-#: vocabulary.
-Seconds: TypeAlias = float
-Joules: TypeAlias = float
-Watts: TypeAlias = float
-Scalar: TypeAlias = float
 
 #: Absolute tolerance used for all simulated-time and energy comparisons.
 EPSILON: float = 1e-9
@@ -117,5 +108,5 @@ def validate_interval(t0: float, t1: float) -> None:
         raise ValueError(f"interval start must be finite, got {t0!r}")
     if math.isnan(t1):
         raise ValueError("interval end is NaN")
-    if t1 < t0:  # repro-lint: disable=RPR102 -- validation is exact by design
+    if t1 < t0:
         raise ValueError(f"interval end {t1!r} precedes start {t0!r}")

@@ -211,11 +211,11 @@ def _decisions_equal(expected: Decision, actual: Decision) -> bool:
     if expected.is_idle:
         # Bit-exact on purpose: oracle and production code perform the
         # same float operations, so any difference is a real divergence.
-        return expected.reconsider_at == actual.reconsider_at  # repro-lint: disable=RPR102 -- bit-exact oracle
+        return expected.reconsider_at == actual.reconsider_at
     return (
         expected.job is actual.job
         and expected.level == actual.level
-        and expected.switch_to_max_at == actual.switch_to_max_at  # repro-lint: disable=RPR102 -- bit-exact oracle
+        and expected.switch_to_max_at == actual.switch_to_max_at
     )
 
 

@@ -132,7 +132,7 @@ class FaultPlan:
             or self.storage_spikes
             or self.predictor_gain != 1.0
             # exact: fault-plan fields are drawn from finite menus
-            or self.predictor_offset_power != 0.0  # repro-lint: disable=RPR101 -- config toggle
+            or self.predictor_offset_power != 0.0
             or self.overrun
         )
 
@@ -237,7 +237,7 @@ class ScenarioSpec:
             predictor = MeanPowerPredictor()
         if (
             self.faults.predictor_gain != 1.0
-            or self.faults.predictor_offset_power != 0.0  # repro-lint: disable=RPR101 -- config toggle
+            or self.faults.predictor_offset_power != 0.0
         ):
             predictor = BiasedPredictor(
                 predictor,
@@ -355,7 +355,7 @@ class ScenarioSpec:
                 active.append("storage-spikes")
             if self.faults.predictor_gain != 1.0:
                 active.append(f"gain={self.faults.predictor_gain:g}")
-            if self.faults.predictor_offset_power != 0.0:  # repro-lint: disable=RPR101 -- config toggle
+            if self.faults.predictor_offset_power != 0.0:
                 active.append(
                     f"offset={self.faults.predictor_offset_power:g}"
                 )

@@ -49,7 +49,7 @@ class TestBasicSearch:
         """Rates below the threshold count as zero."""
 
         def miss(capacity):
-            return 0.04 if capacity < 100.0 else 0.01  # repro-lint: disable=RPR101 -- fixture step threshold, exact by construction
+            return 0.04 if capacity < 100.0 else 0.01
 
         result = find_min_capacity(miss, initial=10.0, zero_threshold=0.02)
         assert result.min_capacity == pytest.approx(100.0, rel=0.03)
@@ -91,5 +91,5 @@ class TestSearchProperties:
     def test_bracket_is_consistent(self, threshold):
         result = find_min_capacity(step_miss_fn(threshold), initial=5.0)
         if math.isfinite(result.last_missing_rate):
-            assert result.last_missing_rate > 0.0  # repro-lint: disable=RPR101 -- strict positivity check, tolerance would hide tiny rates
+            assert result.last_missing_rate > 0.0
             assert result.last_missing_capacity < result.min_capacity

@@ -146,7 +146,7 @@ class TestEnergyDemandRates:
                 PeriodicTask(period=50.0, wcet=10.0, name="b"),
             ]
         )
-        assert min_energy_demand_rate(ts, xscale) < (  # repro-lint: disable=RPR102 -- strict analytic ordering
+        assert min_energy_demand_rate(ts, xscale) < (
             full_speed_energy_demand_rate(ts, xscale)
         )
 

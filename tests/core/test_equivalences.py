@@ -59,7 +59,7 @@ class TestInfiniteStorageDegeneratesToEdf:
         result = run_with(EaDvfsScheduler, storage)
         profile = result.busy_time_profile
         slow_time = sum(t for s, t in profile.items() if s < 1.0)
-        assert slow_time == 0.0  # repro-lint: disable=RPR101 -- exact: no time at a reduced speed
+        assert slow_time == 0.0
         assert profile[1.0] > 0.0
 
     def test_lsa_also_degenerates(self):

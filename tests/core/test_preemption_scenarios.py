@@ -107,7 +107,7 @@ class TestMidStretchPreemption:
         )
         assert result.missed_count == 0
         by_name = {j.task.name: j for j in result.jobs}
-        assert by_name["u1"].completion_time < by_name["u2"].completion_time  # repro-lint: disable=RPR102 -- strict completion order
+        assert by_name["u1"].completion_time < by_name["u2"].completion_time
 
     def test_energy_scarce_preemption_may_sacrifice_the_long_job(self):
         """When the urgent job burns the shared budget, the long job may

@@ -70,7 +70,7 @@ class TestSufficientEnergyCase:
         )
         assert plan.sufficient_energy
         assert plan.level.speed == 1.0
-        assert plan.start_at == 0.0  # repro-lint: disable=RPR101 -- exact: sufficient energy starts at now
+        assert plan.start_at == 0.0
         assert plan.switch_to_max_at is None
 
     def test_infinite_energy_is_edf(self):
@@ -80,8 +80,8 @@ class TestSufficientEnergyCase:
             now=5.0, deadline=20.0, remaining_work=3.0,
             available_energy=math.inf, scale=scale,
         )
-        assert plan.s1 == 5.0  # repro-lint: disable=RPR101 -- exact: infinite energy collapses s1 to now
-        assert plan.s2 == 5.0  # repro-lint: disable=RPR101 -- exact: infinite energy collapses s2 to now
+        assert plan.s1 == 5.0
+        assert plan.s2 == 5.0
         assert plan.sufficient_energy
         assert plan.level.speed == 1.0
 
@@ -128,7 +128,7 @@ class TestScarceEnergyCase:
         plan = compute_plan(0.0, 5.0, 6.0, 1e9, scale)
         assert not plan.deadline_reachable
         assert plan.level.speed == 1.0
-        assert plan.start_at == 0.0  # repro-lint: disable=RPR101 -- exact: an unreachable deadline starts at now
+        assert plan.start_at == 0.0
 
 
 class TestMinimumFeasibleLevel:

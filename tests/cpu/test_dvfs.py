@@ -88,7 +88,7 @@ class TestFrequencyScaleConstruction:
     def test_single_speed(self):
         scale = FrequencyScale.single_speed(power=5.0)
         assert len(scale) == 1
-        assert scale.max_power == 5.0  # repro-lint: disable=RPR101 -- exact: configured constant
+        assert scale.max_power == 5.0
 
     def test_dominated_level_warns(self):
         with pytest.warns(UserWarning, match="dominated"):

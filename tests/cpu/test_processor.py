@@ -14,7 +14,7 @@ def cpu(xscale):
 class TestLevelSelection:
     def test_starts_idle(self, cpu):
         assert cpu.is_idle
-        assert cpu.draw_power == 0.0  # repro-lint: disable=RPR101 -- exact: an idle core draws nothing
+        assert cpu.draw_power == 0.0
         assert cpu.speed == 0.0
 
     def test_set_level(self, cpu, xscale):
@@ -36,7 +36,7 @@ class TestLevelSelection:
 
     def test_idle_power_configurable(self, xscale):
         cpu = Processor(xscale, idle_power=0.05)
-        assert cpu.draw_power == 0.05  # repro-lint: disable=RPR101 -- exact: configured constant
+        assert cpu.draw_power == 0.05
 
     def test_negative_idle_power_rejected(self, xscale):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestSwitchAccounting:
 class TestTimeAccounting:
     def test_idle_time(self, cpu):
         cpu.account_time(5.0)
-        assert cpu.idle_time == 5.0  # repro-lint: disable=RPR101 -- exact: one accounted step
+        assert cpu.idle_time == 5.0
         assert cpu.total_busy_time == 0.0
 
     def test_busy_time_per_level(self, cpu, xscale):

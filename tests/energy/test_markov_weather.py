@@ -11,7 +11,7 @@ class TestMarkovWeatherSource:
         a = MarkovWeatherSource(seed=4)
         b = MarkovWeatherSource(seed=4)
         ts = np.linspace(0, 800, 200)
-        assert [a.power(float(t)) for t in ts] == [  # repro-lint: disable=RPR102 -- same seed, same bits
+        assert [a.power(float(t)) for t in ts] == [
             b.power(float(t)) for t in ts
         ]
 
@@ -20,7 +20,7 @@ class TestMarkovWeatherSource:
         late = a.power(500.0)
         b = MarkovWeatherSource(seed=9)
         b.power(3.0)
-        assert b.power(500.0) == late  # repro-lint: disable=RPR102 -- query order cannot change the bits
+        assert b.power(500.0) == late
 
     def test_non_negative_and_bounded(self):
         src = MarkovWeatherSource(seed=1, clear_power=8.0)
@@ -29,7 +29,7 @@ class TestMarkovWeatherSource:
 
     def test_constant_within_quantum(self):
         src = MarkovWeatherSource(seed=2)
-        assert src.power(5.1) == src.power(5.9)  # repro-lint: disable=RPR102 -- exact: constant within a quantum
+        assert src.power(5.1) == src.power(5.9)
 
     def test_regimes_are_persistent(self):
         """With persistence 0.98 the state flips far less often than a

@@ -73,7 +73,7 @@ class TestMeanPowerPredictor:
         predictor = MeanPowerPredictor()
         duration = 1.0
         predictor.observe(0.0, duration, power * duration)
-        assert predictor.predict_energy(1.0, 11.0) >= 0.0  # repro-lint: disable=RPR101 -- exact: predictions clamp at zero
+        assert predictor.predict_energy(1.0, 11.0) >= 0.0
 
 
 class TestLastValuePredictor:
@@ -116,13 +116,13 @@ class TestEmptyWindowContract:
         return LastValuePredictor(initial_power=2.0)
 
     def test_zero_width_window(self, predictor):
-        assert predictor.predict_energy(5.0, 5.0) == 0.0  # repro-lint: disable=RPR101 -- exact: an empty window predicts nothing
+        assert predictor.predict_energy(5.0, 5.0) == 0.0
 
     def test_sub_epsilon_window(self, predictor):
-        assert predictor.predict_energy(5.0, 5.0 + 1e-10) == 0.0  # repro-lint: disable=RPR101 -- empty-window contract is exactly 0.0
+        assert predictor.predict_energy(5.0, 5.0 + 1e-10) == 0.0
 
     def test_above_epsilon_window_is_nonzero(self, predictor):
-        assert predictor.predict_energy(5.0, 5.0 + 1e-6) > 0.0  # repro-lint: disable=RPR101 -- any nonzero estimate counts
+        assert predictor.predict_energy(5.0, 5.0 + 1e-6) > 0.0
 
     def test_reversed_window_rejected(self, predictor):
         with pytest.raises(ValueError):
@@ -163,7 +163,7 @@ class TestProfilePredictor:
         profile = ProfilePredictor()
         mean = MeanPowerPredictor(alpha=0.05)
         t = 0.0
-        while t < 3 * profile.period:  # repro-lint: disable=RPR102 -- loop over whole steps, t stays exact
+        while t < 3 * profile.period:
             e = source.energy(t, t + 1.0)
             profile.observe(t, t + 1.0, e)
             mean.observe(t, t + 1.0, e)
@@ -173,7 +173,7 @@ class TestProfilePredictor:
         truth = source.energy(*horizon)
         profile_err = abs(profile.predict_energy(*horizon) - truth)
         mean_err = abs(mean.predict_energy(*horizon) - truth)
-        assert profile_err < mean_err  # repro-lint: disable=RPR102 -- strict accuracy ordering
+        assert profile_err < mean_err
 
     def test_observation_spanning_bin_boundary(self):
         predictor = ProfilePredictor(period=10.0, n_bins=2, alpha=1.0)
@@ -192,7 +192,7 @@ class TestProfilePredictor:
         predictor = ProfilePredictor(period=10.0, n_bins=4)
         estimates = predictor.bin_estimates()
         estimates[:] = 99.0
-        assert predictor.predict_energy(0.0, 10.0) == 0.0  # repro-lint: disable=RPR101 -- exact: the untrained profile is all zeros
+        assert predictor.predict_energy(0.0, 10.0) == 0.0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -249,7 +249,7 @@ class TestProfilePredictor:
         covered = 0.0
         for index, duration in segments:
             assert 0 <= index < n_bins
-            assert duration > 0.0  # repro-lint: disable=RPR101 -- zero-length segments must never be yielded
+            assert duration > 0.0
             covered += duration
         assert covered == t1 - t0
         # Attribution: the first segment starts at t0, so it must be
@@ -279,7 +279,7 @@ class TestProfilePredictor:
         predictor = ProfilePredictor(period=37.0, n_bins=8, alpha=0.5)
         source = TraceSource([3.0, 1.0, 4.0, 1.0, 5.0], cyclic=True)
         t = 0.0
-        while t < 100.0:  # repro-lint: disable=RPR101 -- loop over whole steps, t stays exact
+        while t < 100.0:
             predictor.observe(t, t + 1.0, source.energy(t, t + 1.0))
             t += 1.0
         mid = t0 + span / 3

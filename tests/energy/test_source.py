@@ -2,7 +2,6 @@
 
 # Sources are piecewise constant or seeded: every comparison below is an
 # exact pin of a configured value or a same-bits determinism check.
-# repro-lint: disable-file=RPR101,RPR102 -- exact pins and same-seed checks
 
 import math
 

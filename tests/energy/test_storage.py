@@ -2,7 +2,6 @@
 
 # Every literal comparison below pins a level that the storage reaches
 # exactly (a clamp at empty or full, or an exact sum).
-# repro-lint: disable-file=RPR101 -- exact pins of clamped levels
 
 import math
 

@@ -154,7 +154,7 @@ class TestLenientLoading:
             source_from_csv(path)
         with pytest.warns(TraceFormatWarning):
             source = source_from_csv(path, strict=False)
-        assert source.power(0.5) == 1.0  # repro-lint: disable=RPR101 -- exact: value read from the CSV
+        assert source.power(0.5) == 1.0
 
 
 class TestResample:
@@ -203,8 +203,8 @@ class TestRoundTrip:
         path.write_text("time,power\n0,1.0\n1,2.0\n2,4.0\n")
         source = source_from_csv(path)
         assert isinstance(source, TraceSource)
-        assert source.power(0.5) == 1.0  # repro-lint: disable=RPR101 -- exact: value read from the CSV
-        assert source.power(2.5) == 4.0  # repro-lint: disable=RPR101 -- exact: value read from the CSV
+        assert source.power(0.5) == 1.0
+        assert source.power(2.5) == 4.0
 
     def test_save_and_reload_preserves_energy(self, tmp_path):
         original = SolarStochasticSource(seed=6)
@@ -223,7 +223,7 @@ class TestRoundTrip:
         path = tmp_path / "log.csv"
         path.write_text("time,power\n0,1.0\n1,2.0\n")
         source = source_from_csv(path, cyclic=True)
-        assert source.power(2.5) == 1.0  # repro-lint: disable=RPR101 -- exact: value read from the CSV
+        assert source.power(2.5) == 1.0
 
     def test_save_invalid_horizon(self, tmp_path):
         with pytest.raises(ValueError):

@@ -486,7 +486,7 @@ def _one_edge_lanes(draw, shapes=_ONE_EDGE_SHAPES):
         if span <= EPSILON:  # the callers' gate; keep every lane live
             span = width * fraction
         t1 = t0 + span
-        while t1 - t0 > span:  # repro-lint: disable=RPR102 -- exact: t1 rounded up, stay within the shape
+        while t1 - t0 > span:
             t1 = math.nextafter(t1, -math.inf)
         estimates = draw(
             st.lists(

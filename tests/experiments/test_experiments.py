@@ -77,7 +77,7 @@ class TestFig5:
         assert result.times.size == 2000
         assert result.powers.min() >= 0.0
         assert result.mean_power == pytest.approx(result.analytic_mean, rel=0.25)
-        assert result.peak_power > result.mean_power  # repro-lint: disable=RPR102 -- strict ordering
+        assert result.peak_power > result.mean_power
 
     def test_format_text(self):
         text = run_fig5(horizon=500.0).format_text()

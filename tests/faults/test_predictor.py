@@ -20,7 +20,7 @@ class TestBias:
     def test_pessimistic_bias_clamped_at_zero(self):
         inner = MeanPowerPredictor(initial_power=1.0)
         biased = BiasedPredictor(inner, gain=0.5, offset_power=-10.0)
-        assert biased.predict_energy(0.0, 5.0) == 0.0  # repro-lint: disable=RPR101 -- exact: predictions clamp at zero
+        assert biased.predict_energy(0.0, 5.0) == 0.0
 
     def test_identity_is_transparent(self):
         inner = MeanPowerPredictor(initial_power=1.7)
@@ -37,7 +37,7 @@ class TestPassthrough:
         biased.observe(0.0, 10.0, 30.0)
         # The inner predictor learned from the true harvest...
         learned = inner.predict_energy(0.0, 1.0)
-        assert learned > 0.0  # repro-lint: disable=RPR101 -- strict sign check
+        assert learned > 0.0
         # ...and the bias stays systematic on top of whatever it learned.
         assert biased.predict_energy(0.0, 1.0) == pytest.approx(2.0 * learned)
 
@@ -46,7 +46,7 @@ class TestPassthrough:
         biased = BiasedPredictor(inner)
         biased.observe(0.0, 1.0, 5.0)
         biased.reset()
-        assert inner.predict_energy(0.0, 1.0) == biased.predict_energy(0.0, 1.0)  # repro-lint: disable=RPR102 -- reset leaves the inner model bit for bit
+        assert inner.predict_energy(0.0, 1.0) == biased.predict_energy(0.0, 1.0)
 
 
 class TestValidation:
@@ -63,5 +63,5 @@ class TestValidation:
         biased = BiasedPredictor(inner, gain=1.2, offset_power=-0.3)
         assert biased.inner is inner
         assert biased.gain == 1.2
-        assert biased.offset_power == -0.3  # repro-lint: disable=RPR101 -- exact: stored config
+        assert biased.offset_power == -0.3
         assert "BiasedPredictor" in repr(biased)

@@ -38,7 +38,7 @@ class TestDeterminism:
         b = BlackoutSource(SolarStochasticSource(seed=0), seed=11, start_probability=0.2)
         atts_a = [a.attenuation_at(float(t)) for t in range(300)]
         atts_b = [b.attenuation_at(float(t)) for t in range(300)]
-        assert atts_a == atts_b  # repro-lint: disable=RPR102 -- same seed, same bits
+        assert atts_a == atts_b
 
 
 class TestBlackout:
@@ -79,7 +79,7 @@ class TestBlackout:
             min_duration=5, max_duration=15,
         )
         n = 20_000
-        dark = sum(1 for t in range(n) if src.attenuation_at(float(t)) == 0.0)  # repro-lint: disable=RPR101 -- exact: a blackout attenuates to exactly 0.0
+        dark = sum(1 for t in range(n) if src.attenuation_at(float(t)) == 0.0)
         assert dark / n == pytest.approx(src.outage_fraction(), abs=0.05)
 
     def test_mean_power(self):
@@ -118,7 +118,7 @@ class TestSensorDropout:
     def test_iid_drop_rate(self):
         src = SensorDropoutSource(ConstantSource(1.0), seed=2, drop_probability=0.25)
         n = 20_000
-        dropped = sum(1 for t in range(n) if src.power(float(t)) == 0.0)  # repro-lint: disable=RPR101 -- exact: a dropout reads exactly 0.0
+        dropped = sum(1 for t in range(n) if src.power(float(t)) == 0.0)
         assert dropped / n == pytest.approx(0.25, abs=0.02)
 
     def test_mean_power(self):
@@ -177,5 +177,5 @@ class TestValidation:
         assert src.inner is inner
         assert src.seed == 42
         assert src.duration_range == (2, 9)
-        assert src.quantum == 1.0  # repro-lint: disable=RPR101 -- exact: stored config
+        assert src.quantum == 1.0
         assert "BlackoutSource" in repr(src)

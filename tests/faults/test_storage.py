@@ -87,7 +87,7 @@ class TestSpikes:
         # store cannot be "drained" below empty by the fault.
         assert deg.net_flow(0.0, 0.0) == 0.0
         seg = deg.advance(5.0, 0.0, 0.0)
-        assert deg.stored == 0.0  # repro-lint: disable=RPR101 -- exact: clamps at empty
+        assert deg.stored == 0.0
         assert seg.leaked == pytest.approx(0.0)
 
     def test_spike_energy_reclassified_as_leakage(self):
@@ -131,7 +131,7 @@ class TestDeterminism:
             sa = a.advance(1.0, 1.0 if step % 2 else 0.0, 0.5)
             sb = b.advance(1.0, 1.0 if step % 2 else 0.0, 0.5)
             assert sa == sb
-        assert a.stored == b.stored  # repro-lint: disable=RPR102 -- same seed, same bits
+        assert a.stored == b.stored
         assert a.total_leaked == b.total_leaked
 
     def test_different_seed_differs(self):
@@ -139,7 +139,7 @@ class TestDeterminism:
         for _ in range(30):
             a.advance(1.0, 0.8, 0.2)
             b.advance(1.0, 0.8, 0.2)
-        assert a.stored != b.stored  # repro-lint: disable=RPR102 -- different seeds must differ
+        assert a.stored != b.stored
 
 
 class TestNonIdealInner:
@@ -201,5 +201,5 @@ class TestValidation:
         assert deg.inner is inner
         assert deg.seed == 5
         assert deg.has_spikes
-        assert deg.elapsed == 0.0  # repro-lint: disable=RPR101 -- exact: a fresh decorator
+        assert deg.elapsed == 0.0
         assert "DegradedStorage" in repr(deg)

@@ -34,7 +34,7 @@ class TestOverrunJobs:
             assert job.actual_work >= 1.5 * ref.actual_work - 1e-12
             assert job.actual_work <= 2.0 * ref.actual_work + 1e-12
             assert job.overruns_wcet
-            assert job.wcet == ref.wcet  # the scheduler's view is unchanged; repro-lint: disable=RPR102 -- exact: the WCET is copied
+            assert job.wcet == ref.wcet  # the scheduler's view is unchanged
 
     def test_zero_probability_is_transparent(self):
         wl = OverrunWorkload(simple_taskset(), seed=0, probability=0.0)

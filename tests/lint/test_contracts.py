@@ -193,14 +193,16 @@ class TestSeededViolationsPerFamily:
         report = lint_source(
             textwrap.dedent(
                 """
+                # repro: float-doctrine
                 import random
 
-                def plan(now, deadline, stored, harvest_power):
+                import numpy as np
+
+                def plan(values: FloatArray, path):
                     jitter = random.random()          # determinism
-                    if duration == 0.0:               # tolerant comparison
-                        pass
-                    budget = stored + harvest_power   # unit mixing
-                    return budget
+                    with open(path, "w") as handle:   # atomic writes
+                        handle.write(str(jitter))
+                    return np.power(values, 2.0)      # float doctrine
 
                 class GhostScheduler(Scheduler):      # missing `name`
                     def decide(self, now, ready, outlook):
@@ -209,4 +211,4 @@ class TestSeededViolationsPerFamily:
             )
         )
         codes = {d.code for d in report.diagnostics}
-        assert {"RPR001", "RPR101", "RPR201", "RPR301"} <= codes
+        assert {"RPR001", "RPR301", "RPR402", "RPR506"} <= codes

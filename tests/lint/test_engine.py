@@ -8,6 +8,7 @@ from repro.lint import Diagnostic, LintError, all_rules, lint_paths, lint_source
 from repro.lint.engine import (
     SYNTAX_ERROR_CODE,
     UNKNOWN_SUPPRESSION_CODE,
+    Rule,
     parse_suppressions,
 )
 
@@ -21,9 +22,10 @@ class TestRegistry:
         assert len(codes) == len(set(codes))
         # One representative per family.
         assert "RPR001" in codes  # determinism
-        assert "RPR101" in codes  # tolerant comparison
-        assert "RPR201" in codes  # quantity units
         assert "RPR301" in codes  # API contracts
+        assert "RPR401" in codes  # float determinism
+        assert "RPR410" in codes  # scalar/batch parity
+        assert "RPR501" in codes  # purity
 
     def test_rules_carry_names_and_descriptions(self):
         for rule in all_rules():
@@ -65,9 +67,9 @@ class TestSuppressions:
 
     def test_marker_after_other_comment_text(self):
         table, unknown = parse_suppressions(
-            "x = 1  # guard; repro-lint: disable=RPR101 -- exact\n"
+            "x = 1  # guard; repro-lint: disable=RPR004 -- sorted later\n"
         )
-        assert table.is_suppressed(1, "RPR101")
+        assert table.is_suppressed(1, "RPR004")
         assert not unknown
 
 
@@ -96,10 +98,19 @@ class TestOutput:
         assert "no findings" in report.format_text()
 
     def test_duplicate_diagnostics_are_collapsed(self):
-        # A chained comparison trips the literal rule on both pairs at
-        # one position; the report keeps a single finding.
-        report = lint_source("ok = 0.5 <= duration <= 1.5\n")
-        assert [d.code for d in report.diagnostics] == ["RPR101"]
+        # A rule that reaches one node twice reports it twice; the
+        # report keeps a single finding.
+        class TwiceRule(Rule):
+            code = "RPR001"
+            name = "twice"
+            description = "flags the first statement twice"
+
+            def check_module(self, ctx):
+                for _ in range(2):
+                    yield ctx.diagnostic(ctx.tree.body[0], self.code, "x")
+
+        report = lint_source("x = 1\n", rules=[TwiceRule()])
+        assert [d.code for d in report.diagnostics] == ["RPR001"]
 
 
 class TestPaths:

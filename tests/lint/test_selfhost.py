@@ -2,11 +2,11 @@
 
 ``src/``, ``benchmarks/``, ``examples/`` and ``tests/`` (the last under
 the relaxed profile) carry zero findings, no suppression may go stale
-(CI runs with ``--fail-on-stale``), and the suppression count may not
-grow past its pin.  If a change trips this, fix the violation, or add an
-inline suppression (``disable=<code> -- why``) with its justification and
-raise :data:`SUPPRESSION_CAP` in the same change, so that every new
-suppression is a visible, reviewed edit (see
+(a stale one fails ``repro lint`` like a finding), and the suppression
+count may not grow past its pin.  If a change trips this, fix the
+violation, or add an inline suppression (``disable=<code> -- why``) with
+its justification and raise :data:`SUPPRESSION_CAP` in the same change,
+so that every new suppression is a visible, reviewed edit (see
 ``docs/static-analysis.md``).
 """
 
@@ -28,8 +28,8 @@ DEFAULT_TREE = [REPO_ROOT / name for name in (*SHIPPED_TREE, "tests")]
 
 #: Suppression slots (``disable=`` codes per line plus ``disable-file=``
 #: codes) allowed across the default tree.  Every one carries a
-#: ``-- why`` note; most pin exact test assertions on purpose.
-SUPPRESSION_CAP = 120
+#: ``-- why`` note.
+SUPPRESSION_CAP = 3
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ class TestSelfHost:
         assert report.ok, "\n" + report.format_text()
 
     def test_no_stale_suppressions(self, default_tree_report):
-        """CI runs with --fail-on-stale; the tree must satisfy it."""
+        """A stale suppression fails ``repro lint``; the tree has none."""
         report = default_tree_report
         stale = "\n".join(d.format_text() for d in report.stale_suppressions)
         assert not report.stale_suppressions, "\n" + stale

@@ -50,7 +50,7 @@ class TestOverflowAwareDecisions:
         assert a.is_idle == b.is_idle
         if not a.is_idle:
             assert a.level == b.level
-            assert a.switch_to_max_at == b.switch_to_max_at  # repro-lint: disable=RPR102 -- same inputs, same bits
+            assert a.switch_to_max_at == b.switch_to_max_at
 
     def test_raises_level_when_overflow_predicted(self, xscale):
         """Small headroom + strong inflow: the slow phase would clip the

@@ -51,7 +51,7 @@ class TestDecisionValidation:
     def test_factories(self, xscale):
         queue = make_ready((0.0, 10.0, 1.0, "t"))
         idle = Decision.idle(reconsider_at=5.0)
-        assert idle.is_idle and idle.reconsider_at == 5.0  # repro-lint: disable=RPR101 -- exact: value passed through
+        assert idle.is_idle and idle.reconsider_at == 5.0
         run = Decision.run(queue.peek(), xscale.max_level)
         assert not run.is_idle
 
@@ -242,6 +242,6 @@ class TestEnergyOutlook:
 
     def test_storage_passthroughs(self):
         view = outlook(30.0, capacity=100.0)
-        assert view.stored == 30.0  # repro-lint: disable=RPR101 -- exact: value passed through
-        assert view.capacity == 100.0  # repro-lint: disable=RPR101 -- exact: value passed through
+        assert view.stored == 30.0
+        assert view.capacity == 100.0
         assert not view.storage_is_full

@@ -126,13 +126,13 @@ def test_batch_compute_plan_matches_scalar(lane_params):
         # Bit-exact on purpose: both sides perform identical float64
         # operations, so any difference is a real kernel divergence.
         assert level == scalar.level
-        assert plan.s1[i] == scalar.s1  # repro-lint: disable=RPR102 -- bit-exact kernel contract
-        assert plan.s2[i] == scalar.s2  # repro-lint: disable=RPR102 -- bit-exact kernel contract
-        assert plan.start_at[i] == scalar.start_at  # repro-lint: disable=RPR102 -- bit-exact kernel contract
+        assert plan.s1[i] == scalar.s1
+        assert plan.s2[i] == scalar.s2
+        assert plan.start_at[i] == scalar.start_at
         if scalar.switch_to_max_at is None:
             assert math.isnan(plan.switch_at[i])
         else:
-            assert plan.switch_at[i] == scalar.switch_to_max_at  # repro-lint: disable=RPR102 -- bit-exact kernel contract
+            assert plan.switch_at[i] == scalar.switch_to_max_at
         assert bool(plan.sufficient_energy[i]) == scalar.sufficient_energy
         assert bool(plan.deadline_reachable[i]) == scalar.deadline_reachable
 
@@ -181,7 +181,7 @@ def test_batch_decide_matches_decision_oracles(lane_params, kinds, fulls):
     lane_params = [
         (now, window, work, energy)
         for now, window, work, energy in lane_params
-        if window > 1e-6 and work > 1e-6  # repro-lint: disable=RPR101 -- strategy filter, not a semantic compare
+        if window > 1e-6 and work > 1e-6
     ]
     if not lane_params:
         return
@@ -194,7 +194,7 @@ def test_batch_decide_matches_decision_oracles(lane_params, kinds, fulls):
     full = np.asarray(fulls[:n], dtype=np.bool_)
     decision = batch_decide(
         kind, now, deadline, work,
-        np.where(energy < 0.0, 0.0, energy),  # repro-lint: disable=RPR101 -- exact clamp, mirrors outlooks
+        np.where(energy < 0.0, 0.0, energy),
         full, _tile(SPEEDS, n), _tile(POWERS, n),
     )
     for i in range(n):
@@ -222,13 +222,13 @@ def test_batch_decide_matches_decision_oracles(lane_params, kinds, fulls):
                 if expected.switch_to_max_at is None:
                     assert math.isnan(decision.switch_at[i])
                 else:
-                    assert decision.switch_at[i] == expected.switch_to_max_at  # repro-lint: disable=RPR102 -- bit-exact kernel contract
+                    assert decision.switch_at[i] == expected.switch_to_max_at
         else:
             assert not bool(decision.run[i]), (
                 f"lane {i}: expected idle until "
                 f"{expected.reconsider_at!r}, got run"
             )
-            assert decision.reconsider_at[i] == expected.reconsider_at  # repro-lint: disable=RPR102 -- bit-exact kernel contract
+            assert decision.reconsider_at[i] == expected.reconsider_at
 
 
 # -- edge cases -----------------------------------------------------------
@@ -254,8 +254,8 @@ class TestEdgeCases:
         )
         scalar = compute_plan(10.0, 60.0, 8.0, 40.0, SCALE)
         assert SCALE.levels[int(plan.level[0])] == scalar.level
-        assert plan.s1[0] == scalar.s1  # repro-lint: disable=RPR102 -- bit-exact kernel contract
-        assert plan.s2[0] == scalar.s2  # repro-lint: disable=RPR102 -- bit-exact kernel contract
+        assert plan.s1[0] == scalar.s1
+        assert plan.s2[0] == scalar.s2
 
     def test_all_lanes_miss_run_best_effort_at_max(self):
         # Deadlines already passed: unreachable lanes run at full speed
@@ -294,7 +294,7 @@ class TestEdgeCases:
             np.zeros(n, dtype=np.bool_), _tile(SPEEDS, n), _tile(POWERS, n),
         )
         assert not decision.run.any()
-        assert (decision.reconsider_at == 50.0).all()  # repro-lint: disable=RPR101 -- exact: idle waits to the deadline instant
+        assert (decision.reconsider_at == 50.0).all()
 
     def test_storage_pinned_at_capacity_fast_path(self):
         # EA-DVFS's full-storage fast path runs at max even when the

@@ -2,7 +2,6 @@
 
 # The kernel orders and dispatches instants exactly, so these tests pin
 # its clock and event times exactly too.
-# repro-lint: disable-file=RPR101,RPR102 -- exact pins of exact instants
 
 import math
 

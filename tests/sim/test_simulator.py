@@ -195,7 +195,7 @@ class TestEnergyConstrainedExecution:
         )
         assert result.completed_count == 1
         (job,) = result.jobs
-        assert job.completion_time > 10.0  # repro-lint: disable=RPR101 -- strict: the job runs past t=10
+        assert job.completion_time > 10.0
 
     def test_energy_conservation(self):
         """harvest + initial == drawn + overflow + final stored."""
@@ -299,7 +299,7 @@ class TestSwitchingOverheadAblation:
         )
         costly = self._scenario(processor=costly_cpu, scale=scale)
         assert costly.switch_count >= 1
-        assert costly.jobs[0].completion_time > free.jobs[0].completion_time  # repro-lint: disable=RPR102 -- strict: switch overhead delays completion
+        assert costly.jobs[0].completion_time > free.jobs[0].completion_time
 
 
 class TestNonIdealStorageIntegration:

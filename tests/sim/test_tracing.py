@@ -77,7 +77,7 @@ class TestTraceQueries:
         np.testing.assert_allclose(values, [10.0, 8.0])
 
     def test_filter_predicate(self, trace):
-        late = trace.filter(lambda r: r.time >= 2.0)  # repro-lint: disable=RPR101 -- exact filter on trace instants
+        late = trace.filter(lambda r: r.time >= 2.0)
         assert len(late) == 2
 
     def test_records_snapshot_is_immutable_copy(self, trace):

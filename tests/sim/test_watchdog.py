@@ -154,7 +154,7 @@ class TestDiagnostics:
             diag = exc.diagnostics
             assert isinstance(diag, SimulationDiagnostics)
             assert "conservation" in diag.violation
-            assert diag.time == 1.0  # repro-lint: disable=RPR101 -- exact: the violation instant
+            assert diag.time == 1.0
             assert diag.detail["accounted"] == pytest.approx(6.0)
             assert diag.detail["harvested"] == pytest.approx(0.0)
             assert "conservation" in diag.format_text()

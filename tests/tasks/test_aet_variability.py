@@ -48,7 +48,7 @@ class TestJobActualWork:
         assert job.remaining_actual_work == pytest.approx(0.0)
         assert job.remaining_work == pytest.approx(2.0)  # WCET bound left
         job.mark_completed(2.0)
-        assert job.completion_time == 2.0  # repro-lint: disable=RPR101 -- exact: the instant passed in
+        assert job.completion_time == 2.0
 
     def test_time_to_finish_uses_actual(self, task):
         job = Job(task=task, release=0.0, absolute_deadline=20.0, wcet=4.0,
@@ -119,18 +119,18 @@ class TestSimulatorWithAet:
     def test_early_completions_consume_less(self):
         full = self._run(bcet_ratio=1.0, aet_seed=0)
         short = self._run(bcet_ratio=0.5, aet_seed=0)
-        assert short.drawn_energy < full.drawn_energy  # repro-lint: disable=RPR102 -- strict energy ordering
+        assert short.drawn_energy < full.drawn_energy
         assert short.completed_count == full.completed_count == 10
 
     def test_deterministic_given_aet_seed(self):
         a = self._run(bcet_ratio=0.5, aet_seed=7)
         b = self._run(bcet_ratio=0.5, aet_seed=7)
-        assert a.drawn_energy == b.drawn_energy  # repro-lint: disable=RPR102 -- same seed, same bits
+        assert a.drawn_energy == b.drawn_energy
 
     def test_different_aet_seeds_differ(self):
         a = self._run(bcet_ratio=0.5, aet_seed=7)
         b = self._run(bcet_ratio=0.5, aet_seed=8)
-        assert a.drawn_energy != b.drawn_energy  # repro-lint: disable=RPR102 -- different seeds must differ
+        assert a.drawn_energy != b.drawn_energy
 
     def test_no_seed_runs_wcet(self):
         full = self._run(bcet_ratio=0.5, aet_seed=None)

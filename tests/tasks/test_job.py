@@ -40,7 +40,7 @@ class TestLifecycle:
         job.execute(speed=1.0, duration=4.0, power=8.0)
         job.mark_completed(4.0)
         assert job.state is JobState.COMPLETED
-        assert job.completion_time == 4.0  # repro-lint: disable=RPR101 -- exact: the instant passed in
+        assert job.completion_time == 4.0
         assert job.is_finished
 
     def test_completion_with_remaining_work_rejected(self, job):
@@ -122,7 +122,7 @@ class TestDerivedMetrics:
         job.mark_released()
         job.note_started(3.0)
         job.note_started(7.0)
-        assert job.first_start_time == 3.0  # repro-lint: disable=RPR101 -- exact: the first instant passed in
+        assert job.first_start_time == 3.0
 
     def test_name_combines_task_and_index(self, task):
         job = Job(task=task, release=0.0, absolute_deadline=16.0, wcet=4.0, index=3)

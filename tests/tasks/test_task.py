@@ -2,7 +2,6 @@
 
 # Task parameters and release instants are copied or summed from exact
 # literals, so the tests pin them exactly.
-# repro-lint: disable-file=RPR101 -- exact pins of task parameters
 
 import pytest
 

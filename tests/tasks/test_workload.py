@@ -59,7 +59,7 @@ class TestPaperGenerator:
         )
         a = generate_paper_taskset(seed=1, **kwargs)
         b = generate_paper_taskset(seed=1, **kwargs)
-        assert [(t.period, t.wcet) for t in a] == [(t.period, t.wcet) for t in b]  # repro-lint: disable=RPR102 -- same seed, same bits
+        assert [(t.period, t.wcet) for t in a] == [(t.period, t.wcet) for t in b]
 
     def test_different_seeds_differ(self):
         kwargs = dict(
@@ -67,7 +67,7 @@ class TestPaperGenerator:
         )
         a = generate_paper_taskset(seed=1, **kwargs)
         b = generate_paper_taskset(seed=2, **kwargs)
-        assert [(t.period, t.wcet) for t in a] != [(t.period, t.wcet) for t in b]  # repro-lint: disable=RPR102 -- different seeds must differ
+        assert [(t.period, t.wcet) for t in a] != [(t.period, t.wcet) for t in b]
 
     def test_utilization_exact(self):
         ts = generate_paper_taskset(
@@ -89,14 +89,14 @@ class TestPaperGenerator:
             n_tasks=5, utilization=0.4, mean_harvest_power=4.0,
             max_power=3.2, seed=5,
         )
-        assert all(t.relative_deadline == t.period for t in ts)  # repro-lint: disable=RPR102 -- exact: implicit deadlines copy the period
+        assert all(t.relative_deadline == t.period for t in ts)
 
     def test_every_task_individually_feasible(self):
         ts = generate_paper_taskset(
             n_tasks=5, utilization=1.0, mean_harvest_power=4.0,
             max_power=3.2, seed=6,
         )
-        assert all(t.wcet <= t.period for t in ts)  # repro-lint: disable=RPR102 -- exact bound
+        assert all(t.wcet <= t.period for t in ts)
 
     def test_rng_and_seed_mutually_exclusive(self):
         with pytest.raises(ValueError, match="not both"):
@@ -144,7 +144,7 @@ class TestUUniFast:
     def test_deterministic_given_seed(self):
         a = generate_uunifast_taskset(n_tasks=4, utilization=0.5, seed=9)
         b = generate_uunifast_taskset(n_tasks=4, utilization=0.5, seed=9)
-        assert [(t.period, t.wcet) for t in a] == [(t.period, t.wcet) for t in b]  # repro-lint: disable=RPR102 -- same seed, same bits
+        assert [(t.period, t.wcet) for t in a] == [(t.period, t.wcet) for t in b]
 
     def test_single_task(self):
         ts = generate_uunifast_taskset(n_tasks=1, utilization=0.6, seed=2)

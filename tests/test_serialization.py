@@ -84,7 +84,7 @@ class TestTraceCsv:
         loaded = load_trace_csv(path)
         assert len(loaded) == len(result.trace)
         for original, restored in zip(result.trace, loaded):
-            assert restored.time == original.time  # repro-lint: disable=RPR102 -- the CSV round trip keeps every bit
+            assert restored.time == original.time
             assert restored.kind == original.kind
 
     def test_field_values_preserved(self, tmp_path):

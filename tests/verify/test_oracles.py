@@ -42,8 +42,8 @@ class TestRecomputePlan:
             assert not plan.deadline_reachable
             return
         assert plan.deadline_reachable
-        assert oracle.s1 == plan.s1  # repro-lint: disable=RPR102 -- bit-exact oracle
-        assert oracle.s2 == plan.s2  # repro-lint: disable=RPR102 -- bit-exact oracle
+        assert oracle.s1 == plan.s1
+        assert oracle.s2 == plan.s2
 
     def test_unreachable_deadline(self):
         oracle = recompute_plan(0.0, 5.0, 10.0, 100.0, xscale_pxa())
@@ -55,15 +55,15 @@ class TestRecomputePlan:
 
     def test_infinite_energy_collapses_to_now(self):
         oracle = recompute_plan(2.0, 12.0, 4.0, math.inf, xscale_pxa())
-        assert oracle.s1 == 2.0  # repro-lint: disable=RPR101 -- exact: infinite energy collapses s1 to now
-        assert oracle.s2 == 2.0  # repro-lint: disable=RPR101 -- exact: infinite energy collapses s2 to now
+        assert oracle.s1 == 2.0
+        assert oracle.s2 == 2.0
 
     def test_scarce_energy_orders_s1_before_s2(self):
         scale = stretch_example_scale()
         oracle = recompute_plan(0.0, 10.0, 2.0, 8.0, scale)
         assert oracle.feasible_level is not None
         assert oracle.feasible_level.speed < 1.0
-        assert oracle.s1 <= oracle.s2  # repro-lint: disable=RPR102 -- exact ordering
+        assert oracle.s1 <= oracle.s2
 
 
 class _SabotagedScheduler(EaDvfsScheduler):  # repro-lint: disable=RPR301 -- deliberately malformed test double

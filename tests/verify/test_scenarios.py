@@ -78,14 +78,14 @@ class TestBuilders:
         spec = random_scenario(2, allow_faults=False)
         result = spec.run("edf")
         assert isinstance(result, SimulationResult)
-        assert result.horizon == spec.horizon  # repro-lint: disable=RPR102 -- exact: the horizon is copied from the spec
+        assert result.horizon == spec.horizon
 
     def test_identical_worlds_for_identical_specs(self):
         spec = random_scenario(9)
         a = spec.run("lsa")
         b = spec.run("lsa")
         assert a.missed_count == b.missed_count
-        assert a.drawn_energy == b.drawn_energy  # repro-lint: disable=RPR102 -- same seed, same bits
+        assert a.drawn_energy == b.drawn_energy
         assert a.final_stored == b.final_stored
 
 

@@ -38,11 +38,11 @@ class TestStoragePrograms:
     @settings(max_examples=30, deadline=None)
     def test_program_shape(self, program):
         capacity, initial, segments = program
-        assert 10.0 <= capacity <= 1000.0  # repro-lint: disable=RPR101 -- exact: strategy bounds
+        assert 10.0 <= capacity <= 1000.0
         assert 0.0 <= initial <= capacity
         assert 1 <= len(segments) <= 20
         for duration, harvest, draw in segments:
-            assert duration >= 0.0  # repro-lint: disable=RPR101 -- exact: strategy bounds
+            assert duration >= 0.0
             assert harvest >= 0.0
             assert draw >= 0.0
 
@@ -69,7 +69,7 @@ class TestScenarioSpecs:
     @settings(max_examples=10, deadline=None)
     def test_specs_simulate(self, spec):
         result = spec.run("ea-dvfs")
-        assert result.horizon == spec.horizon  # repro-lint: disable=RPR102 -- exact: the horizon is copied from the spec
+        assert result.horizon == spec.horizon
 
     @given(tasks=task_params_lists())
     @settings(max_examples=25, deadline=None)
