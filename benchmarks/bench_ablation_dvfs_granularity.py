@@ -9,10 +9,8 @@ where EA-DVFS degenerates to LSA)?
 from repro.experiments.ablations import run_dvfs_granularity_ablation
 
 
-def test_dvfs_granularity_ablation(benchmark, report):
-    result = benchmark.pedantic(
-        run_dvfs_granularity_ablation, rounds=1, iterations=1
-    )
+def test_dvfs_granularity_ablation(report):
+    result = run_dvfs_granularity_ablation()
     report("ablation_dvfs_granularity", result.format_text())
 
     rates = result.metrics["rates"]

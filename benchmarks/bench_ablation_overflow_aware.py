@@ -15,10 +15,8 @@ from repro.experiments.ablations import (
 )
 
 
-def test_overflow_aware_extension(benchmark, report):
-    result = benchmark.pedantic(
-        run_overflow_aware_ablation, rounds=1, iterations=1
-    )
+def test_overflow_aware_extension(report):
+    result = run_overflow_aware_ablation()
     report("ablation_overflow_aware", result.format_text())
 
     base_miss, base_ovf = result.metrics["rates"]["ea-dvfs"]
@@ -29,8 +27,8 @@ def test_overflow_aware_extension(benchmark, report):
     assert ext_ovf <= base_ovf * 1.02 + 1.0
 
 
-def test_aet_variability_ablation(benchmark, report):
-    result = benchmark.pedantic(run_aet_ablation, rounds=1, iterations=1)
+def test_aet_variability_ablation(report):
+    result = run_aet_ablation()
     report("ablation_aet_variability", result.format_text())
 
     rates = result.metrics["rates"]

@@ -18,10 +18,8 @@ from repro.experiments.ablations import (
 )
 
 
-def test_switch_overhead_ablation(benchmark, report):
-    result = benchmark.pedantic(
-        run_switch_overhead_ablation, rounds=1, iterations=1
-    )
+def test_switch_overhead_ablation(report):
+    result = run_switch_overhead_ablation()
     report("ablation_switch_overhead", result.format_text())
 
     free = result.metrics["free"]
@@ -33,10 +31,8 @@ def test_switch_overhead_ablation(benchmark, report):
     assert result.metrics["switches_per_run"] > 10
 
 
-def test_nonideal_storage_ablation(benchmark, report):
-    result = benchmark.pedantic(
-        run_nonideal_storage_ablation, rounds=1, iterations=1
-    )
+def test_nonideal_storage_ablation(report):
+    result = run_nonideal_storage_ablation()
     report("ablation_nonideal_storage", result.format_text())
 
     rates = result.metrics["rates"]

@@ -13,8 +13,8 @@ prediction fidelity.
 from repro.experiments.ablations import run_predictor_ablation
 
 
-def test_predictor_ablation(benchmark, report):
-    result = benchmark.pedantic(run_predictor_ablation, rounds=1, iterations=1)
+def test_predictor_ablation(report):
+    result = run_predictor_ablation()
     report("ablation_predictor", result.format_text())
 
     rates = result.metrics["rates"]

@@ -12,10 +12,8 @@ whereas the paper reports a finite Cmin ratio of 1.01 there.
 from repro.experiments.ablations import run_rectification_ablation
 
 
-def test_rectification_ablation(benchmark, report):
-    result = benchmark.pedantic(
-        run_rectification_ablation, rounds=1, iterations=1
-    )
+def test_rectification_ablation(report):
+    result = run_rectification_ablation()
     report("ablation_rectification", result.format_text())
 
     rates = result.metrics["rates"]

@@ -15,8 +15,8 @@ i.i.d. source.
 from repro.experiments.ablations import run_weather_ablation
 
 
-def test_weather_robustness_ablation(benchmark, report):
-    result = benchmark.pedantic(run_weather_ablation, rounds=1, iterations=1)
+def test_weather_robustness_ablation(report):
+    result = run_weather_ablation()
     report("ablation_weather", result.format_text())
 
     rates = result.metrics["rates"]

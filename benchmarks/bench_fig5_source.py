@@ -12,8 +12,8 @@ from repro.energy.source import SOLAR_ENVELOPE_PERIOD
 from repro.experiments.fig5 import run_fig5
 
 
-def test_fig5_source_behavior(benchmark, report):
-    result = benchmark.pedantic(run_fig5, rounds=1, iterations=1)
+def test_fig5_source_behavior(report):
+    result = run_fig5()
     report("fig5_source", result.format_text())
 
     assert result.powers.min() >= 0.0

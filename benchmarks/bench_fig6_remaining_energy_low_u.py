@@ -19,8 +19,8 @@ from repro.experiments.fig6_fig7 import run_fig6, run_remaining_energy
 SCARCE_CAPACITIES = (30.0, 60.0, 100.0, 150.0)
 
 
-def test_fig6_paper_capacities(benchmark, report):
-    result = benchmark.pedantic(run_fig6, rounds=1, iterations=1)
+def test_fig6_paper_capacities(report):
+    result = run_fig6()
     report("fig6_remaining_energy_low_u", result.format_text())
 
     # EA-DVFS stores at least as much energy as LSA on average...
@@ -31,15 +31,11 @@ def test_fig6_paper_capacities(benchmark, report):
         assert curve.max() <= 1.0 + 1e-9
 
 
-def test_fig6_scarce_supplement(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: run_remaining_energy(
-            utilization=0.4,
-            figure="Figure 6 (scarce-capacity supplement)",
-            capacities=SCARCE_CAPACITIES,
-        ),
-        rounds=1,
-        iterations=1,
+def test_fig6_scarce_supplement(report):
+    result = run_remaining_energy(
+        utilization=0.4,
+        figure="Figure 6 (scarce-capacity supplement)",
+        capacities=SCARCE_CAPACITIES,
     )
     report("fig6_remaining_energy_low_u_scarce", result.format_text())
     # Under real scarcity the advantage is clearly visible (paper:

@@ -15,8 +15,8 @@ from repro.experiments.fig6_fig7 import run_fig7, run_remaining_energy
 SCARCE_CAPACITIES = (30.0, 60.0, 100.0, 150.0)
 
 
-def test_fig7_paper_capacities(benchmark, report):
-    result = benchmark.pedantic(run_fig7, rounds=1, iterations=1)
+def test_fig7_paper_capacities(report):
+    result = run_fig7()
     report("fig7_remaining_energy_high_u", result.format_text())
 
     # Near-coincident curves: tiny (possibly zero) advantage.
@@ -26,7 +26,7 @@ def test_fig7_paper_capacities(benchmark, report):
         assert curve.max() <= 1.0 + 1e-9
 
 
-def test_fig7_gap_shrinks_vs_fig6(benchmark, report):
+def test_fig7_gap_shrinks_vs_fig6(report):
     def run_both():
         low = run_remaining_energy(
             utilization=0.4,
@@ -40,7 +40,7 @@ def test_fig7_gap_shrinks_vs_fig6(benchmark, report):
         )
         return low, high
 
-    low_u, high_u = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    low_u, high_u = run_both()
     report(
         "fig7_gap_comparison",
         f"EA-DVFS advantage at U=0.4: {low_u.advantage:+.4f}\n"

@@ -10,8 +10,8 @@ import numpy as np
 from repro.experiments.fig8_fig9 import run_fig8
 
 
-def test_fig8_miss_rate_low_utilization(benchmark, report):
-    result = benchmark.pedantic(run_fig8, rounds=1, iterations=1)
+def test_fig8_miss_rate_low_utilization(report):
+    result = run_fig8()
     report("fig8_miss_rate_low_u", result.format_text())
 
     lsa = result.curve("lsa")

@@ -8,8 +8,8 @@ curves come close together (while EA-DVFS still never does worse).
 from repro.experiments.fig8_fig9 import run_fig8, run_fig9
 
 
-def test_fig9_miss_rate_high_utilization(benchmark, report):
-    result = benchmark.pedantic(run_fig9, rounds=1, iterations=1)
+def test_fig9_miss_rate_high_utilization(report):
+    result = run_fig9()
     report("fig9_miss_rate_high_u", result.format_text())
 
     lsa = result.curve("lsa")
@@ -21,11 +21,9 @@ def test_fig9_miss_rate_high_utilization(benchmark, report):
     assert lsa[-1] < 0.02
 
 
-def test_fig9_gap_narrower_than_fig8(benchmark, report):
+def test_fig9_gap_narrower_than_fig8(report):
     """The relative EA-DVFS advantage shrinks from U=0.4 to U=0.8."""
-    low, high = benchmark.pedantic(
-        lambda: (run_fig8(), run_fig9()), rounds=1, iterations=1
-    )
+    low, high = run_fig8(), run_fig9()
     report(
         "fig9_gap_comparison",
         f"mean miss-rate reduction at U=0.4: {low.mean_reduction:.1%}\n"

@@ -22,8 +22,8 @@ def _run_bundle():
     }
 
 
-def test_motivational_examples(benchmark, report):
-    bundle = benchmark.pedantic(_run_bundle, rounds=1, iterations=1)
+def test_motivational_examples(report):
+    bundle = _run_bundle()
     lines = ["Figure 1 (tau2 deadline 21):"]
     lines += ["  " + o.format_text() for o in bundle["fig1"].values()]
     lines.append("Figure 3 (tau2 deadline 17):")

@@ -19,8 +19,8 @@ from repro.experiments.resilience import SCENARIOS, run_resilience
 pytestmark = pytest.mark.slow
 
 
-def test_resilience_fault_ordering(benchmark, report):
-    result = benchmark.pedantic(run_resilience, rounds=1, iterations=1)
+def test_resilience_fault_ordering(report):
+    result = run_resilience()
     report("resilience", result.format_text())
 
     rates = result.miss_rates

@@ -9,8 +9,8 @@ EA-DVFS never needs meaningfully more storage than LSA at any point.
 from repro.experiments.table1 import run_table1
 
 
-def test_table1_min_capacity_ratios(benchmark, report):
-    result = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+def test_table1_min_capacity_ratios(report):
+    result = run_table1()
     report("table1_min_capacity", result.format_text())
 
     ratios = [row.ratio for row in result.rows]

@@ -1,12 +1,15 @@
-"""Shared fixtures for the benchmark/reproduction harness.
+"""Shared fixtures for the figure-reproduction suite.
 
-Every bench regenerates one paper table or figure, asserts its *shape*
-(who wins, roughly by how much, where the curves close up) and reports
-the rendered result:
+Every figure or ablation bench regenerates one paper table or figure,
+asserts its *shape* (who wins, roughly by how much, where the curves
+close up) and reports the rendered result:
 
-* to the terminal (bypassing pytest capture so ``--benchmark-only`` runs
-  still show the tables), and
+* to the terminal (bypassing pytest capture so ``pytest benchmarks/``
+  still shows the tables), and
 * to ``benchmarks/results/<name>.txt`` for EXPERIMENTS.md bookkeeping.
+
+None of them records time: sweepbench (``BENCHMARK.json``) is the one
+timing harness, and ``bench_batch_throughput.py`` is a pass/fail gate.
 
 Replication counts scale with the ``REPRO_SCALE`` environment variable
 (see ``repro.experiments.common``).

@@ -438,8 +438,13 @@ class PurityAnalysis:
 
 
 def analyze(modules: Sequence[ModuleContext]) -> PurityAnalysis:
-    """Build the call graph and run taint propagation to a fixed point."""
-    graph = build_call_graph(modules)
+    """Build the call graph and run taint propagation to a fixed point.
+
+    Test modules (:attr:`~repro.lint.engine.ModuleContext.is_test_code`)
+    are left out: every manifest root lives in shipped code, and the
+    RPR5xx rules do not apply under ``tests/``.
+    """
+    graph = build_call_graph([ctx for ctx in modules if not ctx.is_test_code])
     direct: dict[str, tuple[TaintSite, ...]] = {}
     reads_state: dict[str, bool] = {}
     for key in sorted(graph.nodes):

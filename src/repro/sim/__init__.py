@@ -1,7 +1,5 @@
 """Discrete-event simulation layer.
 
-:mod:`repro.sim.engine`
-    A small, deterministic discrete-event kernel (event heap + clock).
 :mod:`repro.sim.tracing`
     Typed trace recording for simulation runs.
 :mod:`repro.sim.simulator`
@@ -12,7 +10,6 @@
     progress) with structured diagnostics on abort.
 """
 
-from repro.sim.engine import EventQueue, ScheduledEvent, SimulationClock
 from repro.sim.schedule_view import (
     ExecutionInterval,
     render_gantt,
@@ -33,11 +30,8 @@ from repro.sim.watchdog import (
 
 __all__ = [
     "DeadlineMissPolicy",
-    "EventQueue",
     "ExecutionInterval",
     "HarvestingRtSimulator",
-    "ScheduledEvent",
-    "SimulationClock",
     "SimulationConfig",
     "SimulationDiagnostics",
     "SimulationResult",

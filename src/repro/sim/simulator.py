@@ -14,9 +14,8 @@ numeric integration error anywhere.  Segment boundaries are the earliest
 of:
 
 * the next release or deadline event (all of them are known up front,
-  so they are kept in one list presorted in
-  :class:`~repro.sim.engine.EventQueue` pop order and walked with a
-  cursor),
+  so they are kept in one list presorted by ``(time, priority,
+  insertion index)`` and walked with a cursor),
 * the next quantum boundary of the energy source (harvest power changes),
 * the running job's completion at its current speed,
 * the scheduler plan's ``switch_to_max_at`` instant (EA-DVFS's ``s2``),
@@ -58,7 +57,6 @@ from repro.energy.predictor import HarvestPredictor, OraclePredictor
 from repro.energy.source import EnergySource
 from repro.energy.storage import EnergyStorage
 from repro.sched.base import Decision, EnergyOutlook, Scheduler
-from repro.sim.engine import event_time
 from repro.sim.tracing import Trace, TraceKind
 from repro.sim.watchdog import SimulationWatchdog
 from repro.tasks.job import Job, JobState
@@ -81,6 +79,26 @@ _DEADLINE = "deadline"
 _PRIO_DEADLINE = 0
 _PRIO_RELEASE = 1
 
+
+def event_time(time: float, now: float) -> float:
+    """The instant an event requested at ``time`` is scheduled for.
+
+    ``time`` must not lie in the past (tolerance
+    :data:`~repro.timeutils.EPSILON`; slightly-past times are snapped to
+    ``now``) and must not be NaN; either raises :class:`ValueError`.
+    """
+    if math.isnan(time):
+        raise ValueError("cannot schedule an event at NaN")
+    if time < now:
+        if time < now - EPSILON:
+            raise ValueError(
+                f"cannot schedule into the past: now={now!r}, "
+                f"requested {time!r}"
+            )
+        time = now
+    return float(time)
+
+
 def _event_rows(
     jobs: Sequence[Job], horizon: float
 ) -> list[tuple[float, str, Job]]:
@@ -88,11 +106,10 @@ def _event_rows(
 
     A release per job and a deadline per job due within the horizon,
     ordered by ``(time, priority, insertion index)`` with jobs inserted
-    in order, release before deadline.  That is the order an
-    :class:`~repro.sim.engine.EventQueue` seeded with the same events
-    pops them in, and the simulator schedules nothing after seeding, so
-    one sorted list replaces the heap.  Times pass the queue's own
-    checks (:func:`~repro.sim.engine.event_time`).
+    in order, release before deadline.  That is the order a binary heap
+    seeded with the same events pops them in, and the simulator
+    schedules nothing after seeding, so one sorted list replaces the
+    heap.  Times pass :func:`event_time`'s checks.
     """
     keyed: list[tuple[float, int, int, str, Job]] = []
     for job in jobs:

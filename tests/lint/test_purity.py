@@ -212,6 +212,21 @@ class TestFixedPoint:
             analysis, "src/pkg/b.py::run"
         )
 
+    def test_analysis_sees_no_test_module(self):
+        analysis = analysis_of(
+            TAINTED_MODULE,
+            (
+                "tests/pkg/test_t.py",
+                """
+                from pkg.t import wall
+
+                def test_wall():
+                    assert wall() > 0
+                """,
+            ),
+        )
+        assert set(analysis.graph.modules) == {"src/pkg/t.py"}
+
 
 class TestClassification:
     def test_pure_deterministic_effectful(self):

@@ -64,10 +64,6 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="quarantine_after"):
             SupervisorPolicy(quarantine_after=0)
 
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            SupervisorPolicy(batch_size=0)
-
     def test_bad_budgets(self):
         with pytest.raises(ValueError, match="max_wall_clock"):
             SupervisorPolicy(max_wall_clock=0.0)
@@ -97,7 +93,7 @@ class TestSupervisedNoJournal:
         assert "FAILED" in report.format_text()
 
     def test_wall_clock_budget_flushes_partial(self):
-        policy = SupervisorPolicy(max_wall_clock=0.06, batch_size=1)
+        policy = SupervisorPolicy(max_wall_clock=0.06)
         report = run_supervised(
             specs_for(30, setup=SlowSetup()), policy=policy, max_workers=1
         )

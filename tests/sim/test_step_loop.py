@@ -1,5 +1,9 @@
 """The scalar simulator's step loop: event order and source queries."""
 
+import heapq
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,11 +11,11 @@ from repro.energy.predictor import ProfilePredictor
 from repro.energy.storage import IdealStorage
 from repro.experiments.common import PaperSetup
 from repro.sched.registry import make_scheduler
-from repro.sim.engine import EventQueue
 from repro.sim.simulator import (
     HarvestingRtSimulator,
     SimulationConfig,
     _event_rows,
+    event_time,
 )
 from repro.tasks.task import PeriodicTask, TaskSet
 from repro.timeutils import EPSILON
@@ -39,15 +43,33 @@ tasks = st.builds(
 
 
 def popped_the_old_way(jobs, horizon):
-    """(time, kind, job) in the order an EventQueue seeded per job pops."""
-    queue = EventQueue()
+    """(time, kind, job) in the order a heap seeded per job pops.
+
+    Keyed ``(time, priority, seq)``: deadlines (priority 0) before
+    releases (priority 1) at equal times, then insertion order.
+    """
+    heap = []
     for job in jobs:
-        queue.schedule(job.release, "release", payload=job, priority=1)
+        heapq.heappush(heap, (job.release, 1, len(heap), "release", job))
         if job.absolute_deadline <= horizon + EPSILON:
-            queue.schedule(
-                job.absolute_deadline, "deadline", payload=job, priority=0
+            heapq.heappush(
+                heap, (job.absolute_deadline, 0, len(heap), "deadline", job)
             )
-    return [(e.time, e.kind, e.payload) for e in queue.drain()]
+    popped = [heapq.heappop(heap) for _ in range(len(heap))]
+    return [(time, kind, job) for time, _, _, kind, job in popped]
+
+
+class TestEventTime:
+    def test_past_scheduling_rejected(self):
+        with pytest.raises(ValueError, match="into the past"):
+            event_time(1.0, 5.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            event_time(math.nan, 0.0)
+
+    def test_slightly_past_snaps_to_now(self):
+        assert event_time(5.0 - 1e-12, 5.0) == 5.0
 
 
 class TestEventRows:
