@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -221,7 +221,10 @@ def profile_segments(
     The cyclic bin walk shared by :meth:`ProfilePredictor._segments` and
     the batch engine's per-lane predictor kernels
     (:mod:`repro.energy.vectorized`) — one implementation, so the two
-    engines cannot drift by even an ulp.
+    engines cannot drift by even an ulp.  Where the window ends in its
+    first bin (the first edge reaches the span) the walk yields the one
+    segment ``(first, t1 - t0)``; :meth:`ProfilePredictor.observe` applies
+    that closed form without walking.
 
     Bin edges come from one global ladder of offsets from ``t0``
     (``(first + j + 1) * bin_width - position``), so each duration is a
@@ -265,6 +268,11 @@ class ProfilePredictor(HarvestPredictor):
     estimates across the query window exactly (partial bins pro-rated).
 
     Bins that have never been observed fall back to ``initial_power``.
+
+    The bin estimates and seen flags are Python lists, so each bin read
+    and update in the step loop is plain float arithmetic rather than a
+    numpy scalar operation; :meth:`bin_estimates` and :meth:`bin_seen`
+    return numpy copies.
     """
 
     def __init__(
@@ -289,8 +297,8 @@ class ProfilePredictor(HarvestPredictor):
         self._alpha = float(alpha)
         self._initial = float(initial_power)
         self._bin_width = self._period / self._n_bins
-        self._estimates = np.full(self._n_bins, self._initial, dtype=float)
-        self._seen = np.zeros(self._n_bins, dtype=bool)
+        self._estimates = [self._initial] * self._n_bins
+        self._seen = [False] * self._n_bins
 
     @property
     def period(self) -> float:
@@ -314,11 +322,11 @@ class ProfilePredictor(HarvestPredictor):
 
     def bin_estimates(self) -> np.ndarray:
         """Copy of the per-bin mean-power estimates (for inspection)."""
-        return self._estimates.copy()
+        return np.array(self._estimates, dtype=float)
 
     def bin_seen(self) -> np.ndarray:
         """Copy of the per-bin observed flags (for inspection)."""
-        return self._seen.copy()
+        return np.array(self._seen, dtype=bool)
 
     def _segments(self, t0: float, t1: float) -> Iterator[tuple[int, float]]:
         """Yield ``(bin_index, duration)`` covering ``[t0, t1]`` exactly.
@@ -334,9 +342,13 @@ class ProfilePredictor(HarvestPredictor):
         validate_interval(t0, t1)
         if t1 - t0 <= EPSILON:
             return 0.0
-        return float(
-            sum(self._estimates[i] * d for i, d in self._segments(t0, t1))
-        )
+        # Plain left-to-right adds, as the batch kernel's cumsum: sum() of
+        # Python floats is compensated from Python 3.12 on.
+        estimates = self._estimates
+        total = 0.0
+        for index, d in self._segments(t0, t1):
+            total += estimates[index] * d
+        return total
 
     def observe(self, t0: float, t1: float, energy: float) -> None:
         validate_interval(t0, t1)
@@ -344,22 +356,31 @@ class ProfilePredictor(HarvestPredictor):
         if duration <= EPSILON:
             return
         mean_power = max(0.0, energy / duration)
-        for index, d in self._segments(t0, t1):
+        # The walk's start (profile_segments): where the first edge
+        # reaches the span, the walk yields just (first, duration).
+        position = t0 % self._period
+        first = min(int(position / self._bin_width), self._n_bins - 1)
+        if (first + 1) * self._bin_width - position >= duration:
+            segments: Iterable[tuple[int, float]] = ((first, duration),)
+        else:
+            segments = self._segments(t0, t1)
+        estimates, seen = self._estimates, self._seen
+        for index, d in segments:
             # Duration-correct EWMA: a bin fully covered for one bin-width
             # moves by weight alpha; shorter coverage moves proportionally
             # less.
             keep = (1.0 - self._alpha) ** (d / self._bin_width)
-            if not self._seen[index]:
-                self._estimates[index] = mean_power
-                self._seen[index] = True
+            if not seen[index]:
+                estimates[index] = mean_power
+                seen[index] = True
             else:
-                self._estimates[index] = (
-                    keep * self._estimates[index] + (1.0 - keep) * mean_power
+                estimates[index] = (
+                    keep * estimates[index] + (1.0 - keep) * mean_power
                 )
 
     def reset(self) -> None:
-        self._estimates.fill(self._initial)
-        self._seen.fill(False)
+        self._estimates = [self._initial] * self._n_bins
+        self._seen = [False] * self._n_bins
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "ScaledSource",
     "CompositeSource",
     "SOLAR_ENVELOPE_PERIOD",
+    "piece_reader",
 ]
 
 #: Period of the deterministic envelope ``cos^2(t / 70pi)`` in eq. (13):
@@ -118,6 +120,26 @@ class EnergySource(abc.ABC):
             raise ValueError(f"step must be positive, got {step!r}")
         grid = np.arange(t0, t1, step)
         return np.asarray([self.power(float(t)) for t in grid], dtype=float)
+
+
+def piece_reader(source: EnergySource) -> Callable[[float], tuple[float, float]]:
+    """``t -> (source.power(t), source.next_boundary(t))`` in one call.
+
+    That is the source's own ``_piece``, which for a quantized source
+    computes one quantum index for both.  Where ``power`` or
+    ``next_boundary`` is overridden below the class that defines
+    ``_piece``, or on the instance itself, the override is what must be
+    read, so the reader makes the two reads in turn.
+    """
+    cls = type(source)
+    if cls._piece is not EnergySource._piece:
+        owner = next(c for c in cls.__mro__ if "_piece" in vars(c))
+        for name in ("power", "next_boundary"):
+            if name in vars(source) or getattr(cls, name) is not getattr(
+                owner, name
+            ):
+                return partial(EnergySource._piece, source)
+    return source._piece
 
 
 def _check_time(t: float) -> None:

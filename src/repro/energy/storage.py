@@ -208,9 +208,11 @@ class EnergyStorage(abc.ABC):
 
     @staticmethod
     def _check_powers(harvest_power: float, draw_power: float) -> None:
-        if harvest_power < 0 or math.isnan(harvest_power):
+        # ``not (p >= 0)`` is ``p < 0 or isnan(p)`` without the isnan call:
+        # the simulator checks twice per step (time_to_empty, advance).
+        if not (harvest_power >= 0):
             raise ValueError(f"harvest power must be >= 0, got {harvest_power!r}")
-        if draw_power < 0 or math.isnan(draw_power):
+        if not (draw_power >= 0):
             raise ValueError(f"draw power must be >= 0, got {draw_power!r}")
 
     def _saturate(self, proposed: float) -> tuple[float, float]:

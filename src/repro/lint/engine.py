@@ -47,6 +47,7 @@ __all__ = [
     "Rule",
     "SuppressionEntry",
     "all_rules",
+    "is_test_path",
     "lint_paths",
     "lint_source",
     "load_modules",
@@ -262,7 +263,7 @@ class ModuleContext:
     @property
     def is_test_code(self) -> bool:
         """Whether the file lives under a ``tests`` directory."""
-        return "tests" in Path(self.display_path).parts
+        return is_test_path(self.display_path)
 
     @property
     def arrays(self) -> "ModuleArrays":
@@ -462,6 +463,11 @@ def _iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
         # ``repro lint $(git diff --name-only)`` just works.
 
 
+def is_test_path(display_path: str) -> bool:
+    """Whether a display path lies under a ``tests`` directory."""
+    return "tests" in Path(display_path).parts
+
+
 def _display_path(path: Path, root: Path) -> str:
     try:
         return path.resolve().relative_to(root.resolve()).as_posix()
@@ -604,6 +610,7 @@ def _run_rules(
 def load_modules(
     paths: Sequence[str | Path],
     root: str | Path | None = None,
+    skip_tests: bool = False,
 ) -> tuple[list[ModuleContext], list[Diagnostic]]:
     """Read and parse every python file under ``paths``.
 
@@ -611,12 +618,16 @@ def load_modules(
     (:data:`SYNTAX_ERROR_CODE` for unparseable files,
     :data:`UNKNOWN_SUPPRESSION_CODE` for bad directives).  Shared by
     :func:`lint_paths` and the purity certifier CLI so both load a tree
-    identically.
+    identically.  ``skip_tests`` leaves out files under a ``tests``
+    directory (:func:`is_test_path`) before reading them, for callers
+    that would drop them anyway.
     """
     base = Path(root) if root is not None else Path.cwd()
     modules: list[ModuleContext] = []
     extras: list[Diagnostic] = []
     for path in _iter_python_files(Path(p) for p in paths):
+        if skip_tests and is_test_path(_display_path(path, base)):
+            continue
         try:
             source = path.read_text(encoding="utf-8")
         except OSError as exc:

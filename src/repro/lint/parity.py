@@ -628,6 +628,7 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'sub',
             'le',
             'mul',
+            'add',
         ),
         'batch': (
             'sub',
@@ -654,6 +655,14 @@ _PINNED: dict[str, dict[str, tuple[str, ...]]] = {
             'le',
             'div',
             'max',
+            'mod',
+            'div',
+            'sub',
+            'min',
+            'add',
+            'mul',
+            'sub',
+            'ge',
             'sub',
             'div',
             'pow',

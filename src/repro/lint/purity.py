@@ -825,7 +825,8 @@ def format_chain(
 def _load_lint_paths(paths: Sequence[str | Path]) -> list[ModuleContext]:
     from repro.lint.engine import SYNTAX_ERROR_CODE, load_modules
 
-    modules, extras = load_modules(paths)
+    # analyze() drops test modules, so they are not even parsed.
+    modules, extras = load_modules(paths, skip_tests=True)
     broken = [d for d in extras if d.code == SYNTAX_ERROR_CODE]
     if broken:
         rendered = "; ".join(d.format_text() for d in broken)

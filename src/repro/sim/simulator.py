@@ -33,8 +33,11 @@ examples (Figures 1 and 3) commit to the ``(f_n until s2, f_max after)``
 plan at dispatch, and re-planning mid-execution would drift ``s2``.
 
 Events and decisions do not move time, so the source is read once per
-step: the harvest read where one segment ends sizes and evolves the
-next segment, and sizing and evolving share one computed draw power.
+step: one read where a segment ends gives both the harvest power and the
+source's next boundary (:func:`~repro.energy.source.piece_reader`, one
+quantum index for a quantized source).  That harvest sizes and evolves
+the next segment, whose end and any stall's resume instant reuse that
+boundary, and sizing and evolving share one computed draw power.
 
 Stalls: when the storage hits zero while the processor draws more than
 the instantaneous harvest, the job is suspended and the system idles
@@ -54,7 +57,7 @@ import numpy as np
 from repro.cpu.dvfs import FrequencyLevel
 from repro.cpu.processor import Processor
 from repro.energy.predictor import HarvestPredictor, OraclePredictor
-from repro.energy.source import EnergySource
+from repro.energy.source import EnergySource, piece_reader
 from repro.energy.storage import EnergyStorage
 from repro.sched.base import Decision, EnergyOutlook, Scheduler
 from repro.sim.tracing import Trace, TraceKind
@@ -328,6 +331,10 @@ class HarvestingRtSimulator:
         self._ready = EdfReadyQueue()
         self._trace = Trace(kinds=self._config.trace_kinds)
         self._t = 0.0
+        # The source's ``t -> (power, next boundary)``, and the next
+        # boundary after the current t, read with the harvest there.
+        self._read_source = piece_reader(source)
+        self._boundary = INFINITY
 
         # Execution plan state.
         self._decision: Optional[Decision] = None
@@ -374,15 +381,16 @@ class HarvestingRtSimulator:
 
         horizon = self._config.horizon
         stagnant = 0
-        harvest = self._source.power(self._t)
+        harvest, self._boundary = self._read_source(self._t)
         for _ in range(self._config.max_iterations):
             self._process_due_events()
             if self._t >= horizon - EPSILON:
                 break
             self._maybe_decide()
-            # Events and decisions do not move time, so ``harvest`` (read
-            # at the current t) still holds, and nothing changes the
-            # storage between the segment's sizing and its evolution.
+            # Events and decisions do not move time, so ``harvest`` and
+            # the source boundary (read at the current t) still hold, and
+            # nothing changes the storage between the segment's sizing and
+            # its evolution.
             draw = self._current_draw(harvest)
             seg_end = self._segment_end(harvest, draw)
             advanced = self._advance_to(seg_end, harvest, draw)
@@ -598,7 +606,7 @@ class HarvestingRtSimulator:
         t = self._t
         horizon = self._config.horizon
         end = min(horizon, self._next_event, self._next_sample)
-        end = min(end, self._source.next_boundary(t))
+        end = min(end, self._boundary)
 
         if self._stalled_until is not None:
             end = min(end, self._stalled_until)
@@ -650,9 +658,9 @@ class HarvestingRtSimulator:
     def _post_segment(self) -> float:
         """Settle the state at the segment's end; returns the harvest there."""
         t = self._t
-        # Re-read the harvest at the *new* time: the segment may have ended
+        # Re-read the source at the *new* time: the segment may have ended
         # exactly at a source quantum boundary where the power changes.
-        harvest = self._source.power(t)
+        harvest, self._boundary = self._read_source(t)
         # 1. Energy trace sampling.
         if t >= self._next_sample - EPSILON:
             self._record_energy_sample(harvest)
@@ -716,8 +724,7 @@ class HarvestingRtSimulator:
         job = self._running
         assert job is not None
         resume = min(
-            self._source.next_boundary(self._t),
-            self._t + self._config.stall_retry_interval,
+            self._boundary, self._t + self._config.stall_retry_interval
         )
         self._trace.record(
             self._t,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,10 @@ from repro.energy.predictor import (
     MeanPowerPredictor,
     OraclePredictor,
     ProfilePredictor,
+    profile_segments,
 )
 from repro.energy.source import ConstantSource, SolarStochasticSource, TraceSource
+from repro.timeutils import EPSILON
 
 
 class TestOraclePredictor:
@@ -188,6 +191,23 @@ class TestProfilePredictor:
         predictor.reset()
         assert predictor.predict_energy(0.0, 10.0) == pytest.approx(10.0)
 
+    def test_reset_forgets_seen_bins(self):
+        predictor = ProfilePredictor(period=10.0, n_bins=4, initial_power=1.5)
+        predictor.observe(0.0, 10.0, 40.0)
+        predictor.reset()
+        assert predictor.bin_estimates().tolist() == [1.5] * 4
+        assert predictor.bin_seen().tolist() == [False] * 4
+        predictor.observe(0.0, 2.5, 5.0)  # unseen again: no EWMA blend
+        assert predictor.bin_estimates().tolist() == [2.0, 1.5, 1.5, 1.5]
+        assert predictor.bin_seen().tolist() == [True, False, False, False]
+
+    def test_prediction_adds_left_to_right(self):
+        # Plain float adds, as the batch kernel's cumsum; sum() of Python
+        # floats is compensated from Python 3.12 on and gives 1e16 + 2.
+        predictor = ProfilePredictor(period=3.0, n_bins=3)
+        predictor._estimates[:] = [1e16, 1.0, 1.0]
+        assert predictor.predict_energy(0.0, 3.0) == 1e16
+
     def test_bin_estimates_copy(self):
         predictor = ProfilePredictor(period=10.0, n_bins=4)
         estimates = predictor.bin_estimates()
@@ -288,3 +308,122 @@ class TestProfilePredictor:
             mid, t0 + span
         )
         assert whole == pytest.approx(parts, rel=1e-6, abs=1e-6)
+
+
+def walked_observe(predictor, estimates, seen, t0, t1, energy):
+    """The reference observe: the EWMA update at every walk segment."""
+    duration = t1 - t0
+    if duration <= EPSILON:
+        return
+    mean_power = max(0.0, energy / duration)
+    width = predictor.bin_width
+    for index, d in profile_segments(
+        t0, t1, predictor.period, width, predictor.n_bins
+    ):
+        keep = (1.0 - predictor.alpha) ** (d / width)
+        if not seen[index]:
+            estimates[index] = mean_power
+            seen[index] = True
+        else:
+            estimates[index] = (
+                keep * estimates[index] + (1.0 - keep) * mean_power
+            )
+
+
+#: (period, n_bins) pairs whose first bin clamps one ulp below the period
+#: (the batch kernel tests pin that they do).
+_CLAMPING = ((3.3, 10), (3.3, 6), (0.1, 3), (690.8861930260637, 10))
+
+#: Window shapes: wholly inside the first bin, ending exactly on its
+#: edge, crossing one edge, crossing several, starting in a clamped last
+#: bin, and spanning more than a period.
+_OBSERVE_SHAPES = ("inside", "edge", "cross", "several", "clamped", "periods")
+
+
+@st.composite
+def _observe_windows(draw):
+    """One profile predictor's parameters and a few windows to observe."""
+    shapes = draw(st.lists(st.sampled_from(_OBSERVE_SHAPES), min_size=1,
+                           max_size=4))
+    if "clamped" in shapes:
+        period, n_bins = draw(st.sampled_from(_CLAMPING))
+    else:
+        period, n_bins = draw(st.sampled_from(
+            ((10.0, 1), (10.0, 2), (0.125, 2), (1e3, 4), (37.0, 8),
+             (690.8861930260637, 64))
+        ))
+    width = period / n_bins
+    windows = []
+    for shape in shapes:
+        if shape == "clamped":
+            t0 = math.nextafter(period, 0.0)
+        else:
+            # Whole periods put the start on a bin edge, where exact edge
+            # windows are representable.
+            t0 = draw(st.one_of(
+                st.floats(min_value=0.0, max_value=2000.0),
+                st.integers(min_value=0, max_value=5).map(
+                    lambda k: k * period
+                ),
+            ))
+        position = t0 % period
+        first = min(int(position / width), n_bins - 1)
+        edge = (first + 1) * width - position  # may be <= 0 when clamped
+        fraction = draw(st.floats(min_value=0.01, max_value=0.99))
+        if shape == "inside":
+            span = edge * fraction
+        elif shape == "edge":
+            span = edge
+        elif shape == "cross":
+            span = edge + width * fraction
+        elif shape == "several":
+            span = edge + width * draw(st.floats(min_value=1.5, max_value=6.0))
+        elif shape == "clamped":
+            span = width * fraction
+        else:
+            span = period * draw(st.floats(min_value=1.0, max_value=3.0))
+        if span <= EPSILON:
+            span = width * fraction
+        t1 = t0 + span
+        while t1 - t0 > span:
+            t1 = math.nextafter(t1, -math.inf)
+        power = draw(st.floats(min_value=-1.0, max_value=20.0))
+        windows.append((t0, t1, power * (t1 - t0)))
+    estimates = draw(st.lists(st.floats(min_value=0.0, max_value=20.0),
+                              min_size=n_bins, max_size=n_bins))
+    seen = draw(st.lists(st.booleans(), min_size=n_bins, max_size=n_bins))
+    alpha = draw(st.sampled_from((0.3, 1.0, 0.05)))
+    return period, n_bins, alpha, estimates, seen, windows
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestProfileObserveParity:
+    @given(case=_observe_windows())
+    @settings(max_examples=300, deadline=None)
+    def test_observe_matches_the_walk_bit_for_bit(self, case):
+        period, n_bins, alpha, estimates, seen, windows = case
+        predictor = ProfilePredictor(period=period, n_bins=n_bins, alpha=alpha)
+        predictor._estimates[:] = estimates
+        predictor._seen[:] = seen
+        estimates, seen = list(estimates), list(seen)
+        for t0, t1, energy in windows:
+            predictor.observe(t0, t1, energy)
+            walked_observe(predictor, estimates, seen, t0, t1, energy)
+            assert _bits(predictor.bin_estimates()) == _bits(estimates)
+            assert predictor.bin_seen().tolist() == seen
+
+    def test_one_bin_window_skips_the_walk(self, monkeypatch):
+        predictor = ProfilePredictor(period=10.0, n_bins=2, alpha=1.0)
+
+        def no_walk(t0, t1):
+            raise AssertionError("walked a one-bin window")
+
+        monkeypatch.setattr(predictor, "_segments", no_walk)
+        predictor.observe(1.0, 2.0, 3.0)
+        predictor.observe(2.0, 5.0, 3.0)  # ends on the bin's edge
+        assert predictor.bin_estimates().tolist() == [1.0, 0.0]
+        with pytest.raises(AssertionError, match="walked"):
+            predictor.observe(4.0, 6.0, 3.0)

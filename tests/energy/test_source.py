@@ -18,7 +18,9 @@ from repro.energy.source import (
     ScaledSource,
     SolarStochasticSource,
     TraceSource,
+    piece_reader,
 )
+from repro.faults.sources import BlackoutSource
 
 
 class TestConstantSource:
@@ -255,3 +257,54 @@ class TestSample:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             ConstantSource(1.0).sample(0.0, 1.0, step=0.0)
+
+
+class _Doubled(TraceSource):
+    """A quantized source whose power() is overridden below _piece."""
+
+    def power(self, t):
+        return 2.0 * super().power(t)
+
+
+#: Times on, just below and between quantum boundaries.
+_PIECE_TIMES = (0.0, 0.5, 1.0, math.nextafter(3.0, 0.0), 7.25, 123.0)
+
+
+class TestPieceReader:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SolarStochasticSource(seed=3),
+            lambda: TraceSource([1.0, 2.0, 3.0], quantum=0.5, cyclic=True),
+            lambda: ConstantSource(2.0),
+            lambda: DayNightSource(day_power=3.0, day_length=2.0,
+                                   night_length=1.5),
+            lambda: ScaledSource(SolarStochasticSource(seed=1), gain=0.5),
+            lambda: CompositeSource(
+                [SolarStochasticSource(seed=2), ConstantSource(1.0)]
+            ),
+            lambda: BlackoutSource(SolarStochasticSource(seed=4), seed=5,
+                                   start_probability=0.3),
+            lambda: _Doubled([1.0, 4.0]),
+        ],
+    )
+    def test_reads_power_and_next_boundary(self, make):
+        source, reference = make(), make()
+        read = piece_reader(source)
+        for t in _PIECE_TIMES:
+            assert read(t) == (reference.power(t), reference.next_boundary(t))
+
+    def test_quantized_source_reads_its_own_piece(self):
+        source = SolarStochasticSource(seed=3)
+        assert piece_reader(source) == source._piece
+
+    def test_subclass_override_is_read(self):
+        assert piece_reader(_Doubled([1.0, 4.0]))(1.5) == (8.0, 2.0)
+
+    def test_instance_override_is_read(self):
+        source = TraceSource([1.0, 4.0])
+        source.next_boundary = lambda t: 0.25
+        assert piece_reader(source)(0.0) == (1.0, 0.25)
+        source = TraceSource([1.0, 4.0])
+        source.power = lambda t: 9.0
+        assert piece_reader(source)(0.0) == (9.0, 1.0)

@@ -119,6 +119,18 @@ class TestIdealStorageDynamics:
         with pytest.raises(ValueError):
             storage.time_to_empty(0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "harvest, draw", [(math.nan, 0.0), (0.0, math.nan), (-math.inf, 1.0)]
+    )
+    def test_nan_and_infinite_negative_powers_rejected(self, harvest, draw):
+        storage = IdealStorage(capacity=10.0)
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            storage.advance(1.0, harvest, draw)
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            storage.time_to_empty(harvest, draw)
+        # Zero (either sign) and infinite powers are valid.
+        assert storage.time_to_empty(-0.0, math.inf) == 0.0
+
 
 class TestDrawInstant:
     def test_full_withdrawal(self):

@@ -6,13 +6,14 @@ from pathlib import Path
 import pytest
 
 from repro.lint import all_rules, lint_paths
-from repro.lint.engine import LintError, _parse_module
+from repro.lint.engine import SYNTAX_ERROR_CODE, LintError, _parse_module, load_modules
 from repro.lint.purity import (
     PurityClass,
     PurityManifest,
     Taint,
     analyze,
     certify,
+    certify_cli,
     explain_chain,
     explain_cli,
     format_chain,
@@ -533,3 +534,33 @@ class TestExplainCli:
         tree = _build_tree(tmp_path, inject=False)
         with pytest.raises(LintError, match="no function named"):
             explain_cli("RPR501:does_not_exist", [tree])
+
+
+class TestCertifyLoading:
+    @staticmethod
+    def _tree_with_broken_test(tmp_path):
+        tree = _build_tree(tmp_path, inject=False)
+        tests = tmp_path / "tests"
+        tests.mkdir()
+        (tests / "test_broken.py").write_text("def broken(:\n", encoding="utf-8")
+        return tree, tests
+
+    def test_skip_tests_reads_no_test_module(self, tmp_path):
+        tree, tests = self._tree_with_broken_test(tmp_path)
+        modules, extras = load_modules([tree, tests], root=tmp_path)
+        assert [d.code for d in extras] == [SYNTAX_ERROR_CODE]
+        modules, extras = load_modules(
+            [tree, tests], root=tmp_path, skip_tests=True
+        )
+        assert extras == []
+        assert [ctx.display_path for ctx in modules] == [
+            "src/repro/serialization.py"
+        ]
+
+    def test_certify_does_not_parse_test_modules(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self._tree_with_broken_test(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert certify_cli(["src", "tests"]) == 0
+        assert "fully certified" in capsys.readouterr().out

@@ -104,7 +104,10 @@ class TestEventRows:
 
 
 class _QueryCounter:
-    def __init__(self, source):
+    """Counts a source's quantum indices and, unless told not to, its
+    ``power`` reads (an instance-level ``power`` override)."""
+
+    def __init__(self, source, count_power=True):
         self.power = 0
         self.index = 0
         power, index = source.power, source._index
@@ -117,44 +120,51 @@ class _QueryCounter:
             self.index += 1
             return index(t)
 
-        source.power = counted_power
+        if count_power:
+            source.power = counted_power
         source._index = counted_index
+
+
+def counted_run(setup, source, counter):
+    """Run one profile-predictor cell on ``source``; returns the result,
+    the step count and the counter's counts when the result walk starts."""
+    scale = setup.scale()
+    sim = HarvestingRtSimulator(
+        taskset=setup.taskset(0, 0.4),
+        source=source,
+        storage=IdealStorage(capacity=50.0),
+        scheduler=make_scheduler("ea-dvfs", scale),
+        predictor=ProfilePredictor(),
+        config=SimulationConfig(horizon=setup.horizon),
+    )
+    steps = 0
+    segment_end = sim._segment_end
+
+    def counted_segment_end(*args):
+        nonlocal steps
+        steps += 1
+        return segment_end(*args)
+
+    at_result = {}
+    build_result = sim._build_result
+
+    def counted_build_result():
+        at_result["power"], at_result["index"] = (
+            counter.power, counter.index
+        )
+        return build_result()
+
+    sim._segment_end = counted_segment_end
+    sim._build_result = counted_build_result
+    return sim.run(), steps, at_result
 
 
 class TestSourceQueries:
     def test_one_power_read_per_step(self):
         setup = PaperSetup(horizon=2000.0)
-        scale = setup.scale()
         source = setup.source(0)
         counter = _QueryCounter(source)
-        sim = HarvestingRtSimulator(
-            taskset=setup.taskset(0, 0.4),
-            source=source,
-            storage=IdealStorage(capacity=50.0),
-            scheduler=make_scheduler("ea-dvfs", scale),
-            predictor=ProfilePredictor(),
-            config=SimulationConfig(horizon=setup.horizon),
-        )
-        steps = 0
-        segment_end = sim._segment_end
-
-        def counted_segment_end(*args):
-            nonlocal steps
-            steps += 1
-            return segment_end(*args)
-
-        at_result = {}
-        build_result = sim._build_result
-
-        def counted_build_result():
-            at_result["power"], at_result["index"] = (
-                counter.power, counter.index
-            )
-            return build_result()
-
-        sim._segment_end = counted_segment_end
-        sim._build_result = counted_build_result
-        result = sim.run()
+        result, steps, at_result = counted_run(setup, source, counter)
 
         assert steps > setup.horizon  # at least one step per quantum
         assert result.stall_count > 0 and result.switch_count > 0
@@ -164,3 +174,24 @@ class TestSourceQueries:
         assert counter.power == at_result["power"]
         quanta = int(setup.horizon / source.quantum)
         assert counter.index - at_result["index"] == quanta
+
+    def test_one_quantum_index_per_step(self):
+        # With power() not overridden, one index serves each step's
+        # harvest power and its source boundary.
+        setup = PaperSetup(horizon=2000.0)
+        source = setup.source(0)
+        counter = _QueryCounter(source, count_power=False)
+        result, steps, at_result = counted_run(setup, source, counter)
+
+        assert steps > setup.horizon
+        assert result.stall_count > 0
+        assert at_result["index"] <= steps + 1
+        quanta = int(setup.horizon / source.quantum)
+        assert counter.index - at_result["index"] == quanta
+
+    def test_instance_power_override_is_read_every_step(self):
+        setup = PaperSetup(horizon=2000.0)
+        source = setup.source(0)
+        counter = _QueryCounter(source)
+        _, steps, at_result = counted_run(setup, source, counter)
+        assert at_result["power"] == steps + 1
