@@ -16,6 +16,7 @@ archive the results.  This example walks that pipeline:
 Run:  python examples/offline_analysis.py
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -27,7 +28,8 @@ from repro.analysis.schedulability import (
 from repro.energy.storage import IdealStorage
 from repro.experiments.common import PaperSetup
 from repro.sched.registry import make_scheduler
-from repro.serialization import save_result_json, trace_to_csv
+from repro.runtime.journal import result_to_payload
+from repro.serialization import atomic_write_text, trace_to_csv
 from repro.sim.schedule_view import render_gantt
 from repro.sim.simulator import HarvestingRtSimulator, SimulationConfig
 from repro.sim.tracing import TraceKind
@@ -87,7 +89,10 @@ def main() -> None:
     print()
     print(render_gantt(result.trace, t0=0.0, t1=200.0))
     out_dir = Path(tempfile.mkdtemp(prefix="repro_export_"))
-    save_result_json(result, out_dir / "result.json")
+    atomic_write_text(
+        out_dir / "result.json",
+        json.dumps(result_to_payload(result), indent=2) + "\n",
+    )
     rows = trace_to_csv(result.trace, out_dir / "trace.csv")
     print(f"\nexported result.json and trace.csv ({rows} records) "
           f"to {out_dir}")

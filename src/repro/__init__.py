@@ -41,7 +41,6 @@ from repro.cpu import (
 )
 from repro.energy import (
     CompositeSource,
-    TraceFormatError,
     ConstantSource,
     DayNightSource,
     EnergySource,
@@ -149,7 +148,6 @@ __all__ = [
     "Task",
     "TaskSet",
     "Trace",
-    "TraceFormatError",
     "TraceSource",
     "WatchdogError",
     "available_schedulers",

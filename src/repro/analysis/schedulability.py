@@ -31,7 +31,7 @@ import numpy as np
 from repro.cpu.dvfs import FrequencyScale
 from repro.energy.source import EnergySource
 from repro.tasks.task import PeriodicTask, TaskSet
-from repro.timeutils import EPSILON
+from repro.timeutils import EPSILON, ordered_sum
 
 __all__ = [
     "EnergyFeasibility",
@@ -91,7 +91,7 @@ def edf_schedulable(taskset: TaskSet) -> bool:
     # Analysis bound: L* = max(D_i, sum U_i (T_i - D_i) / (1 - U)),
     # falling back to the hyperperiod-style bound when U == 1.
     if utilization < 1.0 - EPSILON:
-        l_star = sum(
+        l_star = ordered_sum(
             task.utilization * (task.period - task.relative_deadline)
             for task in tasks
         ) / (1.0 - utilization)

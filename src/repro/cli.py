@@ -6,8 +6,8 @@
     Regenerate one paper figure/table and print it (set ``REPRO_SCALE``
     to raise the replication count).
 ``repro quick [options]``
-    One ad-hoc simulation with printed summary; optional JSON/CSV export
-    and an ASCII Gantt chart of the executed schedule.
+    One ad-hoc simulation with printed summary; optional JSON result
+    payload, CSV trace and an ASCII Gantt chart of the executed schedule.
 ``repro feasibility [options]``
     Offline analysis of a generated workload: EDF schedulability, the
     long-run energy balance, and a storage-capacity lower bound.
@@ -26,7 +26,7 @@
     a killed sweep reruns to the identical result set.
 ``repro journal inspect|export PATH``
     Examine a result journal (record counts, torn-tail recovery) or
-    export its result set as canonical JSON.
+    export its result set as exact JSON (the format of ``sweep --export``).
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     quick.add_argument(
         "--json", metavar="PATH", default=None,
-        help="write the full result as JSON",
+        help="write the result payload (the journal's result schema) "
+        "as JSON",
     )
     quick.add_argument(
         "--trace-csv", metavar="PATH", default=None,
@@ -183,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--export", metavar="PATH", default=None,
-        help="write the full result set as canonical JSON",
+        help="write the result set as exact JSON, the same bytes as "
+        "'repro journal export' of the sweep's journal",
     )
     sweep.add_argument(
         "--workers", type=int, default=None,
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also list every journaled key",
     )
     export = journal_sub.add_parser(
-        "export", help="dump the journal's result set as canonical JSON"
+        "export", help="dump the journal's result set as exact JSON"
     )
     export.add_argument("path")
     export.add_argument(
@@ -338,9 +340,14 @@ def _cmd_quick(args: argparse.Namespace) -> int:
         print()
         print(render_gantt(result.trace, t0=0.0, t1=until))
     if args.json:
-        from repro.serialization import save_result_json
+        import json
 
-        save_result_json(result, args.json)
+        from repro.runtime.journal import result_to_payload
+        from repro.serialization import atomic_write_text
+
+        atomic_write_text(
+            args.json, json.dumps(result_to_payload(result), indent=2) + "\n"
+        )
         print(f"result written to {args.json}")
     if args.trace_csv:
         from repro.serialization import trace_to_csv
@@ -540,29 +547,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.export:
         from repro.runtime.journal import (
+            export_json,
+            failure_to_payload,
             journal_keys,
             result_to_payload,
         )
-        from repro.serialization import atomic_write_text, canonical_json
+        from repro.serialization import atomic_write_text
 
-        payload = {}
+        document = {}
         for key, outcome in zip(journal_keys(specs), report.outcomes):
             if outcome is None:
                 continue
             if isinstance(outcome, RunFailure):
-                payload[key.text()] = {"kind": "failure",
-                                       "error_type": outcome.error_type}
+                document[key.text()] = {
+                    "kind": "failure", "payload": failure_to_payload(outcome),
+                }
             else:
-                payload[key.text()] = {"kind": "result",
-                                       "payload": result_to_payload(outcome)}
-        atomic_write_text(args.export, canonical_json(payload))
+                document[key.text()] = {
+                    "kind": "result", "payload": result_to_payload(outcome),
+                }
+        atomic_write_text(args.export, export_json(document))
         print(f"result set written to {args.export}")
     return 0 if report.ok else 1
 
 
 def _cmd_journal(args: argparse.Namespace) -> int:
     from repro.runtime import JournalError, ResultJournal
-    from repro.serialization import atomic_write_text, canonical_json
+    from repro.runtime.journal import export_json
+    from repro.serialization import atomic_write_text
 
     try:
         journal = ResultJournal(args.path, create=False)
@@ -580,7 +592,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
                         f"{key['scheduler_name']} e{key['engine_version']}"
                     )
             return 0
-        text = canonical_json(journal.to_canonical())
+        text = export_json(journal.to_canonical())
         if args.out:
             atomic_write_text(args.out, text)
             print(f"exported {len(journal)} record(s) to {args.out}")

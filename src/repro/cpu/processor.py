@@ -6,7 +6,7 @@ import math
 from typing import Optional
 
 from repro.cpu.dvfs import FrequencyLevel, FrequencyScale, SwitchingOverhead
-from repro.timeutils import EPSILON
+from repro.timeutils import EPSILON, ordered_sum
 
 __all__ = ["Processor"]
 
@@ -132,7 +132,7 @@ class Processor:
 
     @property
     def total_busy_time(self) -> float:
-        return sum(self._busy_time)
+        return ordered_sum(self._busy_time)
 
     def busy_time_at(self, index: int) -> float:
         """Accumulated busy time at level ``index`` of the scale."""

@@ -23,23 +23,9 @@ from repro.energy.source import (
     TraceSource,
 )
 from repro.energy.storage import EnergyStorage, IdealStorage, NonIdealStorage
-from repro.energy.trace_io import (
-    TraceFormatError,
-    TraceFormatWarning,
-    load_power_csv,
-    resample_to_quantum,
-    save_power_csv,
-    source_from_csv,
-)
 
 __all__ = [
-    "load_power_csv",
-    "resample_to_quantum",
-    "save_power_csv",
-    "source_from_csv",
     "CompositeSource",
-    "TraceFormatError",
-    "TraceFormatWarning",
     "ConstantSource",
     "DayNightSource",
     "EnergySource",

@@ -342,8 +342,8 @@ class ProfilePredictor(HarvestPredictor):
         validate_interval(t0, t1)
         if t1 - t0 <= EPSILON:
             return 0.0
-        # Plain left-to-right adds, as the batch kernel's cumsum: sum() of
-        # Python floats is compensated from Python 3.12 on.
+        # Plain left-to-right adds, as the batch kernel's cumsum (and as
+        # timeutils.ordered_sum, inlined here because it is the hot loop).
         estimates = self._estimates
         total = 0.0
         for index, d in self._segments(t0, t1):

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.timeutils import EPSILON, INFINITY, validate_interval
+from repro.timeutils import EPSILON, INFINITY, ordered_sum, validate_interval
 
 __all__ = [
     "EnergySource",
@@ -600,13 +600,13 @@ class CompositeSource(EnergySource):
         self._sources = tuple(sources)
 
     def power(self, t: float) -> float:
-        return sum(s.power(t) for s in self._sources)
+        return ordered_sum(s.power(t) for s in self._sources)
 
     def next_boundary(self, t: float) -> float:
         return min(s.next_boundary(t) for s in self._sources)
 
     def mean_power(self) -> float:
-        return sum(s.mean_power() for s in self._sources)
+        return ordered_sum(s.mean_power() for s in self._sources)
 
     def __repr__(self) -> str:
         return f"CompositeSource({list(self._sources)!r})"

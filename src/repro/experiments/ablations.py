@@ -39,6 +39,7 @@ from repro.energy.storage import EnergyStorage, NonIdealStorage
 from repro.experiments.common import PaperSetup, replications, workers
 from repro.sim.simulator import SimulationConfig, SimulationResult
 from repro.tasks.task import PeriodicTask, TaskSet
+from repro.timeutils import ordered_sum
 
 __all__ = [
     "AblationResult",
@@ -379,7 +380,7 @@ def run_overflow_aware_ablation(
     metrics = {
         name: (
             pooled_miss_rate(results),
-            sum(r.overflow_energy for r in results) / n_sets,
+            ordered_sum(r.overflow_energy for r in results) / n_sets,
         )
         for name, results in zip(names, runs)
     }

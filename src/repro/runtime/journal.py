@@ -53,6 +53,7 @@ __all__ = [
     "JournalInfo",
     "JournalKey",
     "ResultJournal",
+    "export_json",
     "failure_from_payload",
     "failure_to_payload",
     "journal_key",
@@ -175,7 +176,11 @@ _ENERGY_FIELDS = ("stored", "fraction", "harvest_power")
 
 
 def result_to_payload(result: "SimulationResult") -> dict[str, Any]:
-    """JSON-safe payload of a slim simulation result."""
+    """JSON-safe payload of a simulation result: the one result schema.
+
+    The job list is not part of it (journaled results are slim); the
+    per-job timeline travels as a trace CSV instead.
+    """
     from repro.sim.tracing import TraceKind
 
     payload = {
@@ -286,6 +291,22 @@ def failure_from_payload(
         timed_out=payload["timed_out"],
         traceback=payload.get("traceback"),
         diagnostics=payload.get("diagnostics"),
+    )
+
+
+def export_json(document: dict[str, Any]) -> str:
+    """Exact JSON text of an export document (newline-terminated).
+
+    ``document`` maps :meth:`JournalKey.text` to ``{"kind": "result" |
+    "failure", "payload": ...}``, as :meth:`ResultJournal.to_canonical`
+    and ``repro sweep --export`` build it.  Keys are sorted and floats
+    keep their full ``repr`` precision, so every exported float parses
+    back ``==`` to its journaled value and two exports are equal bytes
+    iff they hold the same outcomes bit for bit.
+    """
+    return (
+        json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False)
+        + "\n"
     )
 
 
@@ -467,21 +488,18 @@ class ResultJournal:
         )
 
     def to_canonical(self) -> dict[str, Any]:
-        """``key.text() -> record`` map for canonical-JSON export.
+        """The journal's export document, for :func:`export_json`.
 
-        Two journals hold the same result set iff their canonical
-        exports serialize to identical bytes — the equality primitive of
-        the chaos suite's resume-equals-uninterrupted proof.
+        ``key.text() -> {"kind", "payload"}``: two journals hold the same
+        result set iff their exports are identical bytes — the equality
+        primitive of the chaos suite's resume-equals-uninterrupted proof.
         """
-        out: dict[str, Any] = {}
-        for record in self.records():
-            key = record["key"]
-            text = (
-                f"{key['spec_hash']}/{key['scheduler_name']}"
-                f"/e{key['engine_version']}"
-            )
-            out[text] = {"kind": record["kind"], "payload": record["payload"]}
-        return out
+        return {
+            JournalKey(**record["key"]).text(): {
+                "kind": record["kind"], "payload": record["payload"],
+            }
+            for record in self.records()
+        }
 
     # -- writes -----------------------------------------------------------
 

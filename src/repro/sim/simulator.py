@@ -65,7 +65,7 @@ from repro.sim.watchdog import SimulationWatchdog
 from repro.tasks.job import Job, JobState
 from repro.tasks.queue import EdfReadyQueue
 from repro.tasks.task import TaskSet
-from repro.timeutils import EPSILON, INFINITY
+from repro.timeutils import EPSILON, INFINITY, ordered_sum
 
 __all__ = [
     "DeadlineMissPolicy",
@@ -258,7 +258,7 @@ class SimulationResult:
 
     @property
     def total_busy_time(self) -> float:
-        return sum(self.busy_time_profile.values())
+        return ordered_sum(self.busy_time_profile.values())
 
     def summary(self) -> str:
         """One-paragraph human-readable digest."""

@@ -18,7 +18,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.tasks.job import Job
-from repro.timeutils import EPSILON, validate_interval
+from repro.timeutils import EPSILON, ordered_sum, validate_interval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -261,7 +261,7 @@ class TaskSet:
     @property
     def utilization(self) -> float:
         """Total full-speed utilization ``U = sum(w_m / p_m)`` (eq. (14))."""
-        return sum(t.utilization for t in self._tasks)
+        return ordered_sum(t.utilization for t in self._tasks)
 
     def periodic_tasks(self) -> list[PeriodicTask]:
         return [t for t in self._tasks if isinstance(t, PeriodicTask)]

@@ -18,6 +18,7 @@ range where float64 absolute error approaches 1e-9.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 #: Absolute tolerance used for all simulated-time and energy comparisons.
 EPSILON: float = 1e-9
@@ -91,6 +92,20 @@ def snap_nonnegative(value: float, eps: float = EPSILON) -> float:
     if value >= -eps:
         return 0.0
     raise ValueError(f"value {value!r} is negative beyond tolerance {eps!r}")
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Sum floats with plain left-to-right adds, on every Python.
+
+    Builtin ``sum()`` of Python floats is compensated (Neumaier) from
+    Python 3.12 on, so its last bit depends on the interpreter.  Every
+    float sum whose value reaches a result, a payload or a printed figure
+    goes through here; its bits are those of ``sum()`` before 3.12.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def is_finite(value: float) -> bool:

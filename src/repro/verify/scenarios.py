@@ -66,6 +66,7 @@ from repro.sim.simulator import (
     SimulationResult,
 )
 from repro.tasks.task import PeriodicTask, TaskSet
+from repro.timeutils import ordered_sum
 
 __all__ = [
     "FaultPlan",
@@ -321,7 +322,7 @@ class ScenarioSpec:
 
     @property
     def total_utilization(self) -> float:
-        return sum(p.wcet / p.period for p in self.tasks)
+        return ordered_sum(p.wcet / p.period for p in self.tasks)
 
     @property
     def lossless_storage(self) -> bool:

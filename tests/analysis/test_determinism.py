@@ -3,7 +3,7 @@
 The paired-comparison methodology of the experiments (and the verify
 tier's golden fixtures) rests on one property: the same
 :class:`~repro.analysis.parallel.RunSpec` produces byte-identical
-serialized results no matter *how* it is executed — directly through
+result payloads no matter *how* it is executed — directly through
 ``PaperSetup.run``, serially in-process or on the worker pool of
 :func:`run_parallel_salvage`, or through the supervised sweep on either
 engine.
@@ -16,7 +16,7 @@ import pytest
 from repro.analysis.parallel import RunSpec, run_parallel_salvage
 from repro.runtime import run_supervised
 from repro.experiments.common import PaperSetup
-from repro.serialization import canonical_json, result_to_dict
+from repro.runtime.journal import result_to_payload
 
 _SETUP = PaperSetup(horizon=300.0)
 
@@ -34,7 +34,9 @@ _SPECS = tuple(
 
 
 def _fingerprints(results):
-    return [canonical_json(result_to_dict(result)) for result in results]
+    """Exact fingerprints: every field of every (slim) result, compared
+    with ``==`` at full float precision."""
+    return [result_to_payload(result) for result in results]
 
 
 def _direct(spec):
@@ -75,13 +77,14 @@ class TestSeedDeterminism:
     def test_distinct_seeds_differ(self):
         """Guards against a fingerprint that ignores the payload."""
         prints = _fingerprints(run_parallel_salvage(_SPECS, max_workers=1))
-        assert len(set(prints)) == len(prints)
+        assert all(
+            prints[i] != prints[j]
+            for i in range(len(prints)) for j in range(i)
+        )
 
     def test_direct_setup_run_matches_runspec_path(self):
         spec = _SPECS[0]
         direct = dataclasses.replace(_direct(spec), jobs=())
         for engine in ("scalar", "batch"):
             (via_sweep,) = run_supervised([spec], engine=engine).outcomes
-            assert canonical_json(result_to_dict(direct)) == canonical_json(
-                result_to_dict(via_sweep)
-            )
+            assert result_to_payload(via_sweep) == result_to_payload(direct)

@@ -10,7 +10,6 @@ from repro.analysis.parallel import RunSpec, run_parallel_salvage
 from repro.experiments.common import PaperSetup
 from repro.runtime.journal import result_to_payload
 from repro.runtime.sweep import run_journaled_sweep
-from repro.serialization import canonical_json, result_to_dict
 
 FAST_SETUP = PaperSetup(horizon=400.0)
 
@@ -55,8 +54,8 @@ class TestRunParallel:
         assert len(direct.jobs) == direct.released_count > 0
         assert slim.jobs == ()
         # Counters and energies survive slimming unchanged.
-        assert canonical_json(result_to_dict(slim)) == canonical_json(
-            result_to_dict(dataclasses.replace(direct, jobs=()))
+        assert result_to_payload(slim) == result_to_payload(
+            dataclasses.replace(direct, jobs=())
         )
 
 

@@ -3,8 +3,9 @@
 These tests drive the real CLI in real subprocesses: a sweep is
 SIGKILL'd at three seeded interruption points — before a journal append,
 mid-append (torn write) and right after one — then resumed against the
-surviving journal.  The acceptance bar is bit-identical canonical
-exports versus a sweep that was never interrupted.
+surviving journal.  The acceptance bar is bit-identical exports (exact
+JSON, every float at full precision) versus a sweep that was never
+interrupted.
 """
 
 import os
@@ -89,7 +90,7 @@ class TestKillAndResume:
         clean = tmp_path / "clean.journal"
         sweep(clean, self.workers, self.engine_args)
         reference = export(clean, tmp_path / "clean.json")
-        assert reference  # non-empty canonical export
+        assert reference  # non-empty export
 
         for record, mode in KILL_POINTS:
             journal = tmp_path / f"chaos-{record}-{mode}.journal"
@@ -163,6 +164,37 @@ class TestKillAndResumeBatch(TestKillAndResume):
     while the vectorized core still has lanes running."""
 
     engine_args = ("--engine", "batch")
+
+
+@pytest.mark.slow
+class TestMixedEngineResume:
+    """A sweep killed on the scalar engine and resumed on the batch core
+    exports the same bytes as an uninterrupted scalar run: the engines
+    agree bit for bit, and the exact export would show a last-bit
+    divergence."""
+
+    def test_scalar_kill_batch_resume_matches_scalar_run(self, tmp_path):
+        grid = [*SWEEP_ARGS, "--scheduler", "lsa", "--workers", "1"]
+        clean = tmp_path / "clean.journal"
+        run_cli([*grid, "--engine", "scalar", "--journal", str(clean)])
+        reference = export(clean, tmp_path / "clean.json")
+
+        journal = tmp_path / "mixed.journal"
+        proc = run_cli(
+            [
+                *grid, "--engine", "scalar", "--journal", str(journal),
+                "--chaos-kill-record", "3", "--chaos-kill-mode", "torn",
+            ],
+            check=False,
+        )
+        assert proc.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL)
+
+        resumed = run_cli(
+            [*grid, "--engine", "batch", "--journal", str(journal)]
+        ).stdout
+        assert "journal: 2 hit(s), 4 executed" in resumed
+        assert "engine: batch (0 scalar fallback(s))" in resumed
+        assert export(journal, tmp_path / "mixed.json") == reference
 
 
 @pytest.mark.slow

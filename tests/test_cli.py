@@ -70,7 +70,7 @@ class TestCommands:
         import json
 
         payload = json.loads(json_path.read_text())
-        assert payload["scheduler"] == "ea-dvfs"
+        assert payload["scheduler_name"] == "ea-dvfs"  # result_to_payload
 
     def test_feasibility(self, capsys):
         assert main(
@@ -250,6 +250,40 @@ class TestSweepAndJournalCommands:
         import json
 
         assert len(json.loads(out)) == 2
+
+    def test_sweep_export_matches_journal_export(self, capsys, tmp_path):
+        from repro.runtime.journal import ResultJournal
+
+        journal = tmp_path / "sweep.journal"
+        swept = tmp_path / "sweep.json"
+        exported = tmp_path / "journal.json"
+        assert main(
+            self.SWEEP + ["--journal", str(journal), "--export", str(swept)]
+        ) == 0
+        assert main(
+            ["journal", "export", str(journal), "--out", str(exported)]
+        ) == 0
+        # Fresh results and their journal records: one document, one
+        # encoder, the same bytes.
+        assert swept.read_bytes() == exported.read_bytes()
+        import json
+
+        with ResultJournal(journal, create=False) as opened:
+            assert json.loads(exported.read_text()) == opened.to_canonical()
+
+    def test_journal_export_keeps_every_float_digit(self, capsys, tmp_path):
+        import json
+
+        from repro.runtime.journal import JournalKey, ResultJournal
+
+        path = tmp_path / "floats.journal"
+        value = 0.1 + 0.2  # 0.30000000000000004: 17 significant digits
+        with ResultJournal(path) as journal:
+            journal.append(JournalKey("0" * 64, "edf"), "result", {"x": value})
+        out = tmp_path / "export.json"
+        assert main(["journal", "export", str(path), "--out", str(out)]) == 0
+        (record,) = json.loads(out.read_text()).values()
+        assert record["payload"]["x"] == value
 
     def test_journal_inspect_missing_exit_2(self, capsys, tmp_path):
         assert main(["journal", "inspect", str(tmp_path / "nope.journal")]) == 2

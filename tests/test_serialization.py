@@ -9,15 +9,13 @@ from repro.cpu.presets import xscale_pxa
 from repro.energy.predictor import OraclePredictor
 from repro.energy.source import SolarStochasticSource
 from repro.energy.storage import IdealStorage
+from repro.runtime.journal import result_to_payload
 from repro.sched.edf import GreedyEdfScheduler
 from repro.serialization import (
     atomic_write_text,
     canonical_json,
     canonical_value,
-    jobs_to_csv,
     load_trace_csv,
-    result_to_dict,
-    save_result_json,
     trace_to_csv,
 )
 from repro.sim.simulator import HarvestingRtSimulator, SimulationConfig
@@ -45,22 +43,23 @@ def result():
 
 
 class TestResultJson:
-    def test_dict_fields(self, result):
-        payload = result_to_dict(result)
-        assert payload["scheduler"] == "edf"
-        assert payload["metrics"]["released"] == 30
-        assert payload["metrics"]["miss_rate"] == pytest.approx(
-            result.miss_rate
-        )
-        assert len(payload["jobs"]) == 30
-        assert payload["per_task"]["t"]["released"] == 30
+    """``result_to_payload`` is the one result schema: the journal's,
+    the exports' and ``repro quick --json``'s."""
 
-    def test_round_trips_through_json(self, result, tmp_path):
-        path = tmp_path / "result.json"
-        save_result_json(result, path)
-        loaded = json.loads(path.read_text())
-        assert loaded["metrics"]["completed"] == result.completed_count
-        assert loaded["busy_time_profile"]["1"] > 0
+    def test_dict_fields(self, result):
+        payload = result_to_payload(result)
+        assert payload["scheduler_name"] == "edf"
+        assert payload["released_count"] == 30
+        assert payload["per_task_released"] == {"t": 30}
+        assert "jobs" not in payload  # the timeline travels as a trace CSV
+        assert len(payload["energy_samples"]["time"]) > 0
+
+    def test_round_trips_through_json(self, result):
+        payload = result_to_payload(result)
+        loaded = json.loads(json.dumps(payload))
+        assert loaded == payload  # every float at full precision
+        assert loaded["completed_count"] == result.completed_count
+        assert loaded["busy_time_profile"]["1.0"] > 0
 
     def test_infinite_capacity_serializes(self):
         source = SolarStochasticSource(seed=2)
@@ -71,8 +70,8 @@ class TestResultJson:
             scheduler=GreedyEdfScheduler(xscale_pxa()),
             config=SimulationConfig(horizon=50.0),
         )
-        payload = result_to_dict(sim.run())
-        assert payload["metrics"]["storage_capacity"] == "inf"
+        payload = result_to_payload(sim.run())
+        assert payload["storage_capacity"] == "inf"
         json.dumps(payload)  # must not raise
 
 
@@ -115,16 +114,6 @@ class TestTraceCsv:
         path.write_text("time,kind,fields\n1.0,energy\n")
         with pytest.raises(ValueError, match="malformed"):
             load_trace_csv(path)
-
-
-class TestJobsCsv:
-    def test_writes_all_jobs(self, result, tmp_path):
-        path = tmp_path / "jobs.csv"
-        assert jobs_to_csv(result, path) == 30
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 31  # header + jobs
-        assert lines[0].startswith("name,task,release")
-        assert "t#0" in lines[1]
 
 
 class TestAtomicWrite:
@@ -229,5 +218,5 @@ class TestCanonicalJson:
         assert canonical_json(payload) == canonical_json(payload)
 
     def test_result_payload_is_canonicalizable(self, result):
-        text = canonical_json(result_to_dict(result))
-        assert json.loads(text)["scheduler"] == result.scheduler_name
+        text = canonical_json(result_to_payload(result))
+        assert json.loads(text)["scheduler_name"] == result.scheduler_name
