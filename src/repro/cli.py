@@ -16,7 +16,7 @@
     seeded random scenarios; exits non-zero on any discrepancy.
 ``repro lint [paths]``
     Domain-aware static analysis (determinism, API-contract,
-    float-determinism/parity and purity rules); exits non-zero on any
+    float-doctrine and purity rules); exits non-zero on any
     finding or leftover suppression.  ``--certify`` prints the purity
     certification report.
 ``repro sweep [options]``

@@ -44,7 +44,7 @@ kernels index the caller's bin-state matrices through ``rows``, so the
 state is read and updated in place rather than copied out and back.
 """
 
-# repro: float-doctrine -- the RPR4xx bit-exactness rules apply here.
+# repro: float-doctrine -- RPR402 (no libm-divergent ufuncs) applies here.
 
 from __future__ import annotations
 

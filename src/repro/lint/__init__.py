@@ -13,12 +13,7 @@ RPR004     no hash-ordered set iteration
 RPR301     Scheduler subclasses override ``decide`` and declare ``name``
 RPR302     schedulers must be reachable via ``sched/registry.py``
 RPR303     frozen ``ScenarioSpec`` is never mutated
-RPR401     no nondeterministic-order float reductions in doctrine modules
 RPR402     no SIMD-divergent ufuncs (``np.power`` etc.) in doctrine modules
-RPR403     no silent int→float dtype promotion in doctrine modules
-RPR404     sorts on float arrays must request a stable kind
-RPR405     doctrine kernels must not mutate caller-owned input arrays
-RPR410     scalar↔batch parity: twin missing or float-ops drifted from pin
 RPR501     no wall-clock read reachable from a hash-closure root
 RPR502     no unseeded/global randomness reachable from a hash-closure root
 RPR503     no env/filesystem access reachable from a hash-closure root
@@ -35,14 +30,12 @@ RPR903     (engine) suppression matches no finding (stale)
 
 The determinism family (RPR00x) is relaxed under ``tests/``.
 
-The float-determinism family (RPR4xx, :mod:`repro.lint.rules_numpy`)
-enforces the bit-exact vectorization doctrine, but only in modules that
-opt in with a ``# repro: float-doctrine`` comment line; an array-kind
-facet (:mod:`repro.lint.dataflow`) tracks which expressions are float
-arrays so the rules stay quiet elsewhere.  The parity checker
-(:mod:`repro.lint.parity`) pins the float-operation fingerprint of each
-scalar decision function and its vectorized twin and raises RPR410 when
-either side drifts from its pin.
+The bit-exact vectorization doctrine is proved by tests (the kernel
+bit-equality properties, engine parity, the pinned digests and
+``repro verify --batch``).  RPR402 (:mod:`repro.lint.rules_numpy`)
+guards the one part those tests can only prove on the CPU they run on:
+in modules that opt in with a ``# repro: float-doctrine`` comment line,
+it flags numpy ufuncs whose SIMD kernels diverge from libm on some CPUs.
 
 The purity family (RPR5xx, :mod:`repro.lint.rules_purity`) is
 *interprocedural*: a cross-module call graph
@@ -60,7 +53,6 @@ Suppress a finding with an inline ``# repro-lint: disable=RPR001`` (or
 matches no finding; CI requires both to be zero over the default tree.
 """
 
-from repro.lint.dataflow import ArrayKind, ModuleArrays, analyze_arrays
 from repro.lint.callgraph import CallGraph, build_call_graph
 from repro.lint.engine import (
     Diagnostic,
@@ -84,21 +76,15 @@ from repro.lint.purity import (
 )
 
 __all__ = [
-    "PAIRS",
-    "ArrayKind",
     "CallGraph",
     "Diagnostic",
-    "FunctionRef",
     "LintError",
     "LintReport",
-    "ModuleArrays",
-    "ParityPair",
     "PurityAnalysis",
     "PurityClass",
     "Rule",
     "Taint",
     "all_rules",
-    "analyze_arrays",
     "analyze_purity",
     "build_call_graph",
     "certify",
@@ -109,17 +95,3 @@ __all__ = [
     "parse_manifest",
     "register_rule",
 ]
-
-#: Names served lazily from :mod:`repro.lint.parity`.  Importing that
-#: module here would put it in ``sys.modules`` before
-#: ``python -m repro.lint.parity`` runs it as ``__main__``, which makes
-#: runpy warn about a module executed twice.
-_PARITY_NAMES = frozenset({"PAIRS", "FunctionRef", "ParityPair"})
-
-
-def __getattr__(name: str) -> object:
-    if name in _PARITY_NAMES:
-        from repro.lint import parity
-
-        return getattr(parity, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -219,9 +219,8 @@ class CallGraph:
     def resolve_ref(self, ref: str) -> str | None:
         """Resolve a manifest-style ``path::qualname`` reference.
 
-        The path half matches module display paths by suffix (like the
-        parity registry's :class:`~repro.lint.parity.FunctionRef`), so
-        the lint root does not matter.
+        The path half matches module display paths by suffix, so the
+        lint root does not matter.
         """
         if "::" not in ref:
             return None

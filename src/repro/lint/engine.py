@@ -33,10 +33,7 @@ import dataclasses
 import json
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.dataflow import ModuleArrays
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Diagnostic",
@@ -241,9 +238,6 @@ class ModuleContext:
     #: parsing, the float-doctrine pragma).  ``None`` only for contexts
     #: built by hand in tests — consumers fall back to tokenizing.
     comments: tuple[tuple[int, str], ...] | None = None
-    _arrays: "ModuleArrays | None" = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
     _walked: "tuple[ast.AST, ...] | None" = dataclasses.field(
         default=None, repr=False, compare=False
     )
@@ -264,15 +258,6 @@ class ModuleContext:
     def is_test_code(self) -> bool:
         """Whether the file lives under a ``tests`` directory."""
         return is_test_path(self.display_path)
-
-    @property
-    def arrays(self) -> "ModuleArrays":
-        """Lazily computed float-semantics (array-kind) facet."""
-        if self._arrays is None:
-            from repro.lint.dataflow import analyze_arrays
-
-            self._arrays = analyze_arrays(self.tree)
-        return self._arrays
 
     def diagnostic(
         self, node: ast.AST, code: str, message: str
@@ -357,7 +342,6 @@ def _ensure_builtin_rules() -> None:
     _BUILTINS_LOADED = True
     # Importing the rule modules registers their rules as a side effect.
     from repro.lint import (  # noqa: F401
-        parity,
         rules_contracts,
         rules_determinism,
         rules_numpy,

@@ -19,7 +19,7 @@ Hypothesis property tests (``tests/sched/test_vectorized_kernels.py``)
 enforce.  See ``docs/batch-simulation.md``.
 """
 
-# repro: float-doctrine -- the RPR4xx bit-exactness rules apply here.
+# repro: float-doctrine -- RPR402 (no libm-divergent ufuncs) applies here.
 
 from __future__ import annotations
 

@@ -38,7 +38,7 @@ fallbacks to its scalar runner (``SweepReport.fallback_reasons``),
 ``repro verify --batch`` runs its own.
 """
 
-# repro: float-doctrine -- the RPR4xx bit-exactness rules apply here.
+# repro: float-doctrine -- RPR402 (no libm-divergent ufuncs) applies here.
 
 from __future__ import annotations
 

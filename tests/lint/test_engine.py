@@ -23,8 +23,7 @@ class TestRegistry:
         # One representative per family.
         assert "RPR001" in codes  # determinism
         assert "RPR301" in codes  # API contracts
-        assert "RPR401" in codes  # float determinism
-        assert "RPR410" in codes  # scalar/batch parity
+        assert "RPR402" in codes  # float doctrine
         assert "RPR501" in codes  # purity
 
     def test_rules_carry_names_and_descriptions(self):

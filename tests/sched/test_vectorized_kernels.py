@@ -15,6 +15,8 @@ masked ``+ 0.0`` never perturbs a float64 accumulator; ``np.mod``,
 ``np.nextafter`` and ``astype(int64)`` match their scalar twins; array
 ``np.power`` does *not* and is banned from the kernels), so a numpy
 behaviour change fails loudly instead of silently skewing energies.
+Every value-returning kernel also runs on read-only inputs, which proves
+none of them writes through a parameter.
 """
 
 from __future__ import annotations
@@ -22,9 +24,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.energy.vectorized as energy_kernels
+import repro.sched.vectorized as sched_kernels
 from repro.core.slowdown import compute_plan
 from repro.cpu.presets import xscale_pxa
 from repro.sched.vectorized import (
@@ -139,6 +144,10 @@ def test_batch_compute_plan_matches_scalar(lane_params):
 
 @settings(max_examples=100, deadline=None)
 @given(lanes)
+# Work one ulp past speed * (window + EPSILON): the scalar's
+# ``work / speed <= window + EPSILON`` and its rearrangement
+# ``work <= speed * (window + EPSILON)`` disagree there.
+@example([(0.0, 3.0, 0.45000000015, 0.0), (0.0, 3.0, 1.2000000004000002, 0.0)])
 def test_batch_min_feasible_level_matches_scale(lane_params):
     n = len(lane_params)
     work = np.asarray([p[2] for p in lane_params])
@@ -154,6 +163,8 @@ def test_batch_min_feasible_level_matches_scale(lane_params):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(finite_times, windows), min_size=1, max_size=32))
+# Differences of exactly -EPSILON and +EPSILON: both count as equal.
+@example([(0.0, 1e-9), (1e-9, -1e-9)])
 def test_batch_time_le_matches_scalar(pairs):
     a = np.asarray([p[0] for p in pairs])
     b = a + np.asarray([p[1] for p in pairs])
@@ -442,15 +453,16 @@ class TestNumpyAccumulationContract:
         which IS bit-compatible.  If the first assertion ever fails,
         np.power became bit-exact and ``_libm_pow`` can be retired.
 
-        The static side of this contract is RPR402: ``np.power`` sits in
+        The divergence depends on the CPU: with numpy's AVX-512 kernels
+        disabled (``NPY_DISABLE_CPU_FEATURES``) ``np.power`` matches libm
+        on all these inputs, so a kernel calling it would pass every
+        bit-equality test on such a host.  That is why the static side
+        of this contract, RPR402, stays: ``np.power`` sits in
         ``repro.lint.rules_numpy.DEFAULT_DIVERGENT_UFUNCS``, so a
         doctrine module cannot call it without a justified suppression.
         Retiring ``_libm_pow`` therefore takes one PR that (1) shows
-        this canary's divergence assertion failing, (2) drops ``power``/
-        ``float_power`` from the ufunc table, and (3) refreshes the
-        affected parity pins (``python -m repro.lint.parity --print``) —
-        the ``pow`` vs ``pow[simd]`` fingerprint tokens are deliberately
-        distinct so the swap cannot happen silently.
+        this canary's divergence assertion failing on every supported
+        CPU and (2) drops ``power``/``float_power`` from the ufunc table.
         """
         from repro.energy.vectorized import _libm_pow
 
@@ -464,3 +476,90 @@ class TestNumpyAccumulationContract:
             base[:2000].tolist(), expo[:2000].tolist(), libm[:2000].tolist()
         ):
             assert o == b**e
+
+
+# -- kernels never write through a parameter ------------------------------
+
+#: Kernels that update caller-owned state in place by contract.
+IN_PLACE_KERNELS = frozenset({"batch_profile_observe"})
+
+VALUE_KERNELS = {
+    name: getattr(module, name)
+    for module in (sched_kernels, energy_kernels)
+    for name in module.__all__
+    if name.startswith("batch_") and name not in IN_PLACE_KERNELS
+}
+
+
+def _read_only_cases() -> dict[str, list[tuple[object, ...]]]:
+    """Argument tuples for each value-returning kernel, arrays read-only.
+
+    The lanes cover every branch that builds a result: negative,
+    infinite and zero energies, unreachable deadlines, every scheduler
+    kind, empty windows, and profile windows on both the one-edge closed
+    form and the ladder walk (with and without ``rows``).
+    """
+    n = 6
+    now = np.array([0.0, 5.0, 10.0, 20.0, 30.0, 40.0])
+    deadline = now + np.array([50.0, 1e-9, 100.0, -5.0, 80.0, 200.0])
+    work = np.array([10.0, 0.0, 30.0, 5.0, 79.0, 60.0])
+    energy = np.array([-3.0, 0.0, 500.0, math.inf, 20.0, 1e4])
+    full = np.array([False, True, False, False, True, False])
+    kind = np.array(
+        [SCHED_EDF, SCHED_LSA, SCHED_EA_DVFS, SCHED_EA_DVFS_NOSLOWDOWN,
+         SCHED_EA_DVFS, SCHED_EA_DVFS_NOSLOWDOWN],
+        dtype=np.int64,
+    )
+    speeds, powers = _tile(SPEEDS, n), _tile(POWERS, n)
+    estimate = np.array([0.5, 1.0, 2.0, 0.0, 3.0, 1.5])
+    alpha = np.full(n, 0.3)
+    duration = np.array([1.0, 2.5, 0.5, 10.0, 3.0, 7.0])
+    t0 = np.array([0.0, 5.0, 15.0, 95.0, 3.0, 40.0])
+    one_edge = t0 + np.array([3.0, 8.0, 2.0, 4.0, 0.0, 9.0])
+    ladder = t0 + np.array([30.0, 55.0, 120.0, 7.0, 0.0, 15.0])
+    period = np.full(n, 100.0)
+    bin_width = np.full(n, 10.0)
+    n_bins = np.full(n, 10, dtype=np.int64)
+    estimates = np.arange(6.0 * 12).reshape(6, 12) / 7.0
+    rows = np.array([5, 4, 3, 2, 1, 0], dtype=np.int64)
+    cases: dict[str, list[tuple[object, ...]]] = {
+        "batch_time_le": [(now, deadline), (now, now)],
+        "batch_min_feasible_level": [(work, deadline - now, speeds)],
+        "batch_compute_plan": [
+            (now, deadline, work, energy, speeds, powers)
+        ],
+        "batch_decide": [
+            (kind, now, deadline, work, energy, full, speeds, powers)
+        ],
+        "batch_span_predict": [(estimate, t0, one_edge)],
+        "batch_mean_observe": [(estimate, alpha, duration, energy + 4.0)],
+        "batch_last_observe": [(duration, energy + 4.0)],
+        "batch_profile_predict": [
+            (t0, t1, period, bin_width, n_bins, estimates, lane_rows)
+            for t1 in (one_edge, ladder)
+            for lane_rows in (None, rows)
+        ],
+    }
+    for calls in cases.values():
+        for args in calls:
+            for arg in args:
+                if isinstance(arg, np.ndarray):
+                    arg.setflags(write=False)
+    return cases
+
+
+class TestKernelsLeaveInputsAlone:
+    """No value-returning kernel writes through a parameter.
+
+    Each runs on read-only inputs, so a store through a parameter or a
+    view of one (``x[...] = ``, ``out=x``, ``x.fill``) raises instead of
+    silently aliasing caller state.  ``batch_profile_observe`` updates
+    the caller's bin state in place by contract and is left out by name.
+    A new kernel fails here until it has a case.
+    """
+
+    @pytest.mark.parametrize("name", sorted(VALUE_KERNELS))
+    def test_kernel_runs_on_read_only_inputs(self, name):
+        kernel = VALUE_KERNELS[name]
+        for args in _read_only_cases()[name]:
+            kernel(*args)

@@ -32,6 +32,7 @@ from repro.experiments.common import PaperSetup
 from repro.runtime import ResultJournal, run_supervised
 from repro.runtime.journal import result_to_payload
 from repro.runtime.sweep import ENGINE_ENV, engine_from_env
+from repro.sched.vectorized import SCHEDULER_KINDS
 from repro.sim.batch import (
     _BatchCore,
     _periodic_job_arrays,
@@ -57,7 +58,12 @@ from repro.verify.scenarios import (
 ORACLE_SETUP = PaperSetup(horizon=400.0, predictor_kind="oracle")
 
 
-def _grid(setup=ORACLE_SETUP, seeds=2, capacities=(40.0, 150.0)):
+def _grid(
+    setup=ORACLE_SETUP,
+    seeds=2,
+    capacities=(40.0, 150.0),
+    schedulers=("lsa", "ea-dvfs"),
+):
     return [
         RunSpec(
             scheduler_name=name,
@@ -67,14 +73,17 @@ def _grid(setup=ORACLE_SETUP, seeds=2, capacities=(40.0, 150.0)):
             setup=setup,
         )
         for capacity in capacities
-        for name in ("lsa", "ea-dvfs")
+        for name in schedulers
         for seed in range(seeds)
     ]
 
 
 class TestTier1Smoke:
-    def test_batch_agrees_with_scalar_on_tiny_sweep(self):
-        specs = _grid()
+    # One case per scheduler with a batch kernel, so a new kernel cannot
+    # land without a scalar-vs-batch parity check.
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_KINDS))
+    def test_batch_agrees_with_scalar_on_tiny_sweep(self, scheduler):
+        specs = _grid(schedulers=(scheduler,))
         outcomes, reasons = execute_runspecs(specs)
         assert reasons == {}
         for spec, batch_result in zip(specs, outcomes):
