@@ -16,9 +16,8 @@
     seeded random scenarios; exits non-zero on any discrepancy.
 ``repro lint [paths]``
     Domain-aware static analysis (determinism, API-contract,
-    float-doctrine and purity rules); exits non-zero on any
-    finding or leftover suppression.  ``--certify`` prints the purity
-    certification report.
+    float-doctrine and commit-path rules); exits non-zero on any
+    finding or leftover suppression.
 ``repro sweep [options]``
     Resumable grid sweep through the crash-consistent runtime
     (:mod:`repro.runtime`): with ``--journal PATH`` every finished cell
@@ -143,17 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="list the registered rule codes and exit",
-    )
-    lint.add_argument(
-        "--certify", action="store_true",
-        help="print the purity certification report for the "
-        "purity-roots.toml hash-closure roots and exit",
-    )
-    lint.add_argument(
-        "--explain-path", metavar="CODE:FUNC",
-        help="print the call chain from a hash-closure root to the "
-        "taint a RPR50x code flags, e.g. "
-        "RPR501:repro/runtime/journal.py::spec_hash",
     )
 
     sweep = sub.add_parser(
@@ -436,16 +424,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"{rule.code}  {rule.name}")
             print(f"        {rule.description}")
         return 0
-    if args.certify or args.explain_path:
-        from repro.lint.purity import certify_cli, explain_cli
-
-        try:
-            if args.explain_path:
-                return explain_cli(args.explain_path, args.paths)
-            return certify_cli(args.paths)
-        except LintError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         report = lint_paths(args.paths)
     except LintError as exc:

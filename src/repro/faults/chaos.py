@@ -108,7 +108,7 @@ class FlakySetup(PaperSetup):
         marker = self._marker(scheduler_name, capacity, seed)
         marker.parent.mkdir(parents=True, exist_ok=True)
         attempt = self.attempts_so_far(scheduler_name, capacity, seed) + 1
-        with open(marker, "ab") as handle:
+        with open(marker, "ab") as handle:  # repro-lint: disable=RPR506 -- chaos-harness attempt marker: an intentionally crash-unsafe count of setup attempts; tearing it is part of the fault model
             handle.write(b".")
         if attempt <= self.fail_attempts:
             if self.mode == "kill":

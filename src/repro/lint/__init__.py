@@ -14,15 +14,8 @@ RPR301     Scheduler subclasses override ``decide`` and declare ``name``
 RPR302     schedulers must be reachable via ``sched/registry.py``
 RPR303     frozen ``ScenarioSpec`` is never mutated
 RPR402     no SIMD-divergent ufuncs (``np.power`` etc.) in doctrine modules
-RPR501     no wall-clock read reachable from a hash-closure root
-RPR502     no unseeded/global randomness reachable from a hash-closure root
-RPR503     no env/filesystem access reachable from a hash-closure root
-RPR504     no set-order-dependent iteration reachable from a hash-closure root
-RPR505     no id()/hash()/locale or global mutation in the hash closure
 RPR506     file writes use the atomic write-temp/fsync/rename protocol
 RPR507     no ``os.replace``/``os.rename`` without fsyncing the payload
-RPR508     worker-submitted functions must not mutate module-global state
-RPR509     worker-submitted functions must not use an import-time RNG
 RPR901     (engine) file failed to parse
 RPR902     (engine) suppression names an unknown rule code
 RPR903     (engine) suppression matches no finding (stale)
@@ -37,15 +30,13 @@ guards the one part those tests can only prove on the CPU they run on:
 in modules that opt in with a ``# repro: float-doctrine`` comment line,
 it flags numpy ufuncs whose SIMD kernels diverge from libm on some CPUs.
 
-The purity family (RPR5xx, :mod:`repro.lint.rules_purity`) is
-*interprocedural*: a cross-module call graph
-(:mod:`repro.lint.callgraph`) plus a fixed-point taint analysis
-(:mod:`repro.lint.purity`) certify the determinism boundaries declared
-in ``purity-roots.toml`` — the ``canonical_json``/``spec_hash`` hash
-closure, the atomic-commit write path, and the worker process boundary.
-``repro lint --certify`` prints the certification report and
-``repro lint --explain-path RPR501:<func>`` shows the call chain from a
-root to a flagged taint.
+The commit-path rules (RPR506/507, :mod:`repro.lint.rules_commit`)
+hold every result, journal and export writer to the write-temp/fsync/
+rename protocol, which no test can check for a writer added later.
+Cache-key purity is proved by tests instead: the pinned key bytes, the
+kill-resume exports and the tripwire test that runs the hash-closure
+roots with every clock, global RNG, environment read and ``open``
+patched to raise (``tests/runtime/test_journal_keys.py``).
 
 Suppress a finding with an inline ``# repro-lint: disable=RPR001`` (or
 ``disable-file=`` for the whole file), ideally followed by a short
@@ -53,7 +44,6 @@ Suppress a finding with an inline ``# repro-lint: disable=RPR001`` (or
 matches no finding; CI requires both to be zero over the default tree.
 """
 
-from repro.lint.callgraph import CallGraph, build_call_graph
 from repro.lint.engine import (
     Diagnostic,
     LintError,
@@ -65,33 +55,15 @@ from repro.lint.engine import (
     load_modules,
     register_rule,
 )
-from repro.lint.purity import (
-    PurityAnalysis,
-    PurityClass,
-    Taint,
-    analyze as analyze_purity,
-    certify,
-    load_manifest,
-    parse_manifest,
-)
 
 __all__ = [
-    "CallGraph",
     "Diagnostic",
     "LintError",
     "LintReport",
-    "PurityAnalysis",
-    "PurityClass",
     "Rule",
-    "Taint",
     "all_rules",
-    "analyze_purity",
-    "build_call_graph",
-    "certify",
     "lint_paths",
     "lint_source",
-    "load_manifest",
     "load_modules",
-    "parse_manifest",
     "register_rule",
 ]

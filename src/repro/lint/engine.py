@@ -342,10 +342,10 @@ def _ensure_builtin_rules() -> None:
     _BUILTINS_LOADED = True
     # Importing the rule modules registers their rules as a side effect.
     from repro.lint import (  # noqa: F401
+        rules_commit,
         rules_contracts,
         rules_determinism,
         rules_numpy,
-        rules_purity,
     )
 
 
@@ -594,24 +594,17 @@ def _run_rules(
 def load_modules(
     paths: Sequence[str | Path],
     root: str | Path | None = None,
-    skip_tests: bool = False,
 ) -> tuple[list[ModuleContext], list[Diagnostic]]:
     """Read and parse every python file under ``paths``.
 
     Returns the parsed module contexts plus the parse-stage diagnostics
     (:data:`SYNTAX_ERROR_CODE` for unparseable files,
-    :data:`UNKNOWN_SUPPRESSION_CODE` for bad directives).  Shared by
-    :func:`lint_paths` and the purity certifier CLI so both load a tree
-    identically.  ``skip_tests`` leaves out files under a ``tests``
-    directory (:func:`is_test_path`) before reading them, for callers
-    that would drop them anyway.
+    :data:`UNKNOWN_SUPPRESSION_CODE` for bad directives).
     """
     base = Path(root) if root is not None else Path.cwd()
     modules: list[ModuleContext] = []
     extras: list[Diagnostic] = []
     for path in _iter_python_files(Path(p) for p in paths):
-        if skip_tests and is_test_path(_display_path(path, base)):
-            continue
         try:
             source = path.read_text(encoding="utf-8")
         except OSError as exc:

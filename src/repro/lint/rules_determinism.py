@@ -166,6 +166,23 @@ def _is_set_expr(node: ast.expr) -> bool:
     return False
 
 
+#: Builtins that iterate their arguments in order: wrapping a set in one
+#: still hands its hash order on (``enumerate(set(names))``).
+_ORDER_PRESERVING = frozenset({"enumerate", "zip", "map", "filter", "iter"})
+
+
+def _iterates_set(node: ast.expr) -> bool:
+    """Whether iterating ``node`` walks a set expression in hash order."""
+    if _is_set_expr(node):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _ORDER_PRESERVING
+        and any(_iterates_set(arg) for arg in node.args)
+    )
+
+
 class SetIterationRule(Rule):
     code = "RPR004"
     name = "no-set-iteration-order"
@@ -190,7 +207,7 @@ class SetIterationRule(Rule):
                     and len(node.args) == 1
                 ):
                     target = node.args[0]
-            if target is not None and _is_set_expr(target):
+            if target is not None and _iterates_set(target):
                 yield ctx.diagnostic(
                     target,
                     self.code,

@@ -77,6 +77,20 @@ def small_storage():
     return IdealStorage(capacity=100.0)
 
 
+@pytest.fixture(scope="session")
+def numpy_avx512():
+    """Whether numpy runs its AVX-512 kernels on this CPU.
+
+    ``np.power`` diverges from libm ``pow`` only under those kernels;
+    ``NPY_DISABLE_CPU_FEATURES`` or an older CPU turns the divergence off.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512_SKX", False))
+
+
 @pytest.fixture
 def pool_spy(monkeypatch):
     """Every process pool the salvage runner creates, in creation order."""

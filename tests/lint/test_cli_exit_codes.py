@@ -2,8 +2,8 @@
 
 The CLI promises 0 = clean, 1 = findings (or a tripped gate), 2 =
 usage/internal error.  These tests drive :func:`repro.cli.main` over a
-throwaway tree so stale suppressions and ``--certify`` are exercised
-exactly the way CI invokes them.
+throwaway tree so stale suppressions are exercised exactly the way CI
+invokes them.
 """
 
 from pathlib import Path
@@ -80,52 +80,3 @@ class TestStaleSuppressions:
     def test_partial_run_of_oracles_is_clean(self, capsys):
         oracles = REPO_ROOT / "src" / "repro" / "verify" / "oracles.py"
         assert main(["lint", str(oracles)]) == 0, capsys.readouterr().out
-
-
-class TestCertifyCli:
-    MANIFEST = '[hash-closure]\nroots = ["repro/mod.py::canon"]\n'
-
-    def test_no_manifest_exits_two(self, tree, capsys):
-        tree("clean.py", "X = 1\n")
-        assert main(["lint", "src", "--certify"]) == 2
-        assert "nothing to certify" in capsys.readouterr().out
-
-    def test_certified_root_exits_zero(self, tree, tmp_path, capsys):
-        tree("mod.py", "def canon(x):\n    return x + 1\n")
-        (tmp_path / "purity-roots.toml").write_text(self.MANIFEST)
-        assert main(["lint", "src", "--certify"]) == 0
-        assert "fully certified" in capsys.readouterr().out
-
-    def test_tainted_root_exits_one(self, tree, tmp_path, capsys):
-        tree(
-            "mod.py",
-            "import time\n\n\ndef canon(x):\n    return time.time()\n",
-        )
-        (tmp_path / "purity-roots.toml").write_text(self.MANIFEST)
-        assert main(["lint", "src", "--certify"]) == 1
-        assert "NOT certified" in capsys.readouterr().out
-
-    def test_explain_path_tainted_exits_one(self, tree, tmp_path, capsys):
-        tree(
-            "mod.py",
-            "import time\n\n\ndef canon(x):\n    return time.time()\n",
-        )
-        (tmp_path / "purity-roots.toml").write_text(self.MANIFEST)
-        assert (
-            main(["lint", "src", "--explain-path", "RPR501:canon"]) == 1
-        )
-        assert "taint: wall-clock read" in capsys.readouterr().out
-
-    def test_explain_path_clean_exits_zero(self, tree, capsys):
-        tree("mod.py", "def canon(x):\n    return x + 1\n")
-        assert (
-            main(["lint", "src", "--explain-path", "RPR501:canon"]) == 0
-        )
-        assert "closure is clean" in capsys.readouterr().out
-
-    def test_explain_path_bad_spec_exits_two(self, tree, capsys):
-        tree("mod.py", "def canon(x):\n    return x + 1\n")
-        assert (
-            main(["lint", "src", "--explain-path", "bogus"]) == 2
-        )
-        assert "error" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Determinism rule family (RPR001-RPR004)."""
 
+import pytest
+
 
 class TestGlobalRandom:
     def test_import_random_flagged(self, codes_in):
@@ -74,8 +76,28 @@ class TestSetIteration:
     def test_list_of_set_flagged(self, codes_in):
         assert "RPR004" in codes_in("order = list(set(items))\n")
 
+    def test_enumerate_of_set_in_comprehension_flagged(self, codes_in):
+        snippet = (
+            "name_rank_of = "
+            "{name: r for r, name in enumerate(set(task_names))}\n"
+        )
+        assert "RPR004" in codes_in(snippet)
+
+    @pytest.mark.parametrize(
+        "wrapped",
+        ["zip(ids, set(names))", "map(str, set(names))",
+         "filter(None, {1, 2})", "iter(frozenset(names))"],
+    )
+    def test_order_preserving_wrappers_flagged(self, codes_in, wrapped):
+        assert "RPR004" in codes_in(f"for x in {wrapped}:\n    pass\n")
+        assert "RPR004" in codes_in(f"order = list({wrapped})\n")
+
     def test_sorted_set_is_clean(self, codes_in):
         assert codes_in("for x in sorted(set(items)):\n    pass\n") == []
+
+    def test_enumerate_of_sorted_set_is_clean(self, codes_in):
+        snippet = "for r, x in enumerate(sorted(set(items))):\n    pass\n"
+        assert codes_in(snippet) == []
 
     def test_plain_list_iteration_clean(self, codes_in):
         assert codes_in("for x in [1, 2, 3]:\n    pass\n") == []

@@ -24,7 +24,7 @@ class TestRegistry:
         assert "RPR001" in codes  # determinism
         assert "RPR301" in codes  # API contracts
         assert "RPR402" in codes  # float doctrine
-        assert "RPR501" in codes  # purity
+        assert "RPR506" in codes  # commit path
 
     def test_rules_carry_names_and_descriptions(self):
         for rule in all_rules():

@@ -1,4 +1,4 @@
-"""Commit-path (RPR506/507) and worker-boundary (RPR508/509) rules."""
+"""Commit-path rules (RPR506/507, ``repro.lint.rules_commit``)."""
 
 import textwrap
 
@@ -84,25 +84,28 @@ class TestAtomicWrite:
         )
         assert "RPR506" not in codes
 
-    def test_allow_list_exempts_function(self, tmp_path):
+    def test_suppression_exempts_function(self, tmp_path):
+        """A deliberately crash-unsafe writer is exempted inline, with
+        its reason, like any other finding."""
         pkg = tmp_path / "pkg"
         pkg.mkdir()
-        (pkg / "writer.py").write_text(
-            textwrap.dedent(
-                """
-                def legacy_save(path, text):
-                    with open(path, "w") as handle:
-                        handle.write(text)
-                """
-            ),
-            encoding="utf-8",
+        writer = pkg / "writer.py"
+        source = textwrap.dedent(
+            """
+            def legacy_save(path, text):
+                with open(path, "w") as handle:{suppression}
+                    handle.write(text)
+            """
         )
+        writer.write_text(source.format(suppression=""), encoding="utf-8")
         rules = rules_for("RPR506")
         report = lint_paths([pkg], rules=rules)
         assert {diag.code for diag in report.diagnostics} == {"RPR506"}
 
-        (tmp_path / "purity-roots.toml").write_text(
-            '[atomic-writers]\nallow = ["pkg/writer.py::legacy_save"]\n',
+        writer.write_text(
+            source.format(
+                suppression="  # repro-lint: disable=RPR506 -- torn is fine"
+            ),
             encoding="utf-8",
         )
         report = lint_paths([pkg], rules=rules)
@@ -155,133 +158,3 @@ class TestRenameWithoutFsync:
             """
         )
         assert "RPR507" not in codes
-
-
-class TestWorkerGlobalMutation:
-    def test_submitted_mutator_flagged(self, codes_in):
-        codes = codes_in(
-            """
-            _RESULTS = []
-
-            def work(item):
-                _RESULTS.append(item)
-                return item
-
-            def run(pool):
-                return pool.submit(work, 1)
-            """
-        )
-        assert "RPR508" in codes
-
-    def test_mutation_via_helper_flagged(self, codes_in):
-        codes = codes_in(
-            """
-            _RESULTS = []
-
-            def record(item):
-                _RESULTS.append(item)
-
-            def work(item):
-                record(item)
-                return item
-
-            def run(pool):
-                return pool.submit(work, 1)
-            """
-        )
-        assert "RPR508" in codes
-
-    def test_reading_module_constant_allowed(self, codes_in):
-        codes = codes_in(
-            """
-            _SCALE = 2.0
-
-            def work(x):
-                return x * _SCALE
-
-            def run(pool):
-                return pool.submit(work, 1)
-            """
-        )
-        assert "RPR508" not in codes
-
-    def test_unsubmitted_mutator_not_flagged(self, codes_in):
-        codes = codes_in(
-            """
-            _RESULTS = []
-
-            def work(item):
-                _RESULTS.append(item)
-                return item
-            """
-        )
-        assert "RPR508" not in codes
-
-    def test_manifest_declared_worker_flagged(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "worker.py").write_text(
-            textwrap.dedent(
-                """
-                _STATE = {}
-
-                def work(item):
-                    _STATE[item] = item
-                    return item
-                """
-            ),
-            encoding="utf-8",
-        )
-        (tmp_path / "purity-roots.toml").write_text(
-            '[workers]\nfunctions = ["pkg/worker.py::work"]\n',
-            encoding="utf-8",
-        )
-        report = lint_paths([pkg], rules=rules_for("RPR508"))
-        assert {diag.code for diag in report.diagnostics} == {"RPR508"}
-
-
-class TestWorkerCapturedRng:
-    def test_module_rng_in_worker_flagged(self, codes_in):
-        codes = codes_in(
-            """
-            import numpy as np
-
-            _RNG = np.random.default_rng(1234)
-
-            def work(x):
-                return float(_RNG.normal()) + x
-
-            def run(pool):
-                return pool.submit(work, 1)
-            """
-        )
-        assert "RPR509" in codes
-
-    def test_per_task_rng_allowed(self, codes_in):
-        codes = codes_in(
-            """
-            import numpy as np
-
-            def work(seed):
-                rng = np.random.default_rng(seed)
-                return float(rng.normal())
-
-            def run(pool):
-                return pool.submit(work, 7)
-            """
-        )
-        assert "RPR509" not in codes
-
-    def test_module_rng_outside_worker_allowed(self, codes_in):
-        codes = codes_in(
-            """
-            import numpy as np
-
-            _RNG = np.random.default_rng(1234)
-
-            def sample():
-                return float(_RNG.normal())
-            """
-        )
-        assert "RPR509" not in codes
-

@@ -15,9 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint import lint_paths
-from repro.lint import rules_purity
-from repro.lint.engine import load_modules
-from repro.lint.purity import analyze, certify, parse_manifest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -29,22 +26,13 @@ DEFAULT_TREE = [REPO_ROOT / name for name in (*SHIPPED_TREE, "tests")]
 #: Suppression slots (``disable=`` codes per line plus ``disable-file=``
 #: codes) allowed across the default tree.  Every one carries a
 #: ``-- why`` note.
-SUPPRESSION_CAP = 3
+SUPPRESSION_CAP = 4
 
 
 @pytest.fixture(scope="module")
-def default_tree_run():
-    """One full default-tree lint run, shared by the tests that read it,
-    with the number of whole-program purity analyses it built."""
-    before = rules_purity.ANALYSIS_BUILDS
-    report = lint_paths(DEFAULT_TREE, root=REPO_ROOT)
-    return report, rules_purity.ANALYSIS_BUILDS - before
-
-
-@pytest.fixture(scope="module")
-def default_tree_report(default_tree_run):
-    report, _ = default_tree_run
-    return report
+def default_tree_report():
+    """One full default-tree lint run, shared by the tests that read it."""
+    return lint_paths(DEFAULT_TREE, root=REPO_ROOT)
 
 
 class TestSelfHost:
@@ -74,12 +62,6 @@ class TestSelfHost:
         """Silencing a finding instead of fixing it must raise the cap."""
         assert default_tree_report.suppression_count <= SUPPRESSION_CAP
 
-    def test_one_purity_analysis_per_run(self, default_tree_run):
-        """All seven interprocedural RPR5xx rules share one whole-program
-        analysis build per engine run."""
-        _, analysis_builds = default_tree_run
-        assert analysis_builds == 1
-
     def test_lint_package_lints_itself(self):
         report = lint_paths(
             [REPO_ROOT / "src" / "repro" / "lint"], root=REPO_ROOT
@@ -103,22 +85,4 @@ class TestSelfHost:
         assert report.elapsed_seconds < 30.0, report.elapsed_seconds
         assert (
             f"in {report.elapsed_seconds:.2f}s" in report.format_text()
-        )
-
-    def test_hash_closure_fully_certified(self):
-        """The CI purity gate: every checked-in hash-closure root must
-        certify deterministic with zero exceptions."""
-        manifest_path = REPO_ROOT / "purity-roots.toml"
-        manifest = parse_manifest(
-            manifest_path.read_text(encoding="utf-8"), path=manifest_path
-        )
-        assert manifest.hash_closure_roots, "manifest lost its roots"
-        modules, extras = load_modules(
-            [REPO_ROOT / "src"], root=REPO_ROOT
-        )
-        assert not extras, extras
-        report = certify(analyze(modules), manifest)
-        assert report.ok, "\n" + report.format_text()
-        assert set(report.certified_refs) == set(
-            manifest.hash_closure_roots
         )

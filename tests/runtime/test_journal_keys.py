@@ -1,31 +1,45 @@
-"""Journal key bytes: pinned literals and the batch key builder.
+"""Journal key bytes: pinned literals, the batch key builder and the
+purity of the hash-closure roots.
 
 A journal record is addressed by ``spec_hash``; any change to the bytes
 behind it silently orphans every existing journal, so the hashes of a
-few representative cells are pinned as literal hex strings here.
+few representative cells are pinned as literal hex strings here.  The
+roots behind keys, payloads and exports must also read no clock, global
+RNG, environment or file: :class:`TestRootsReadNoAmbientState` runs
+them with every such entry point patched to raise.
 """
 
+import builtins
 import dataclasses
 import hashlib
+import io
+import math
+import os
+import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.runtime.journal as journal_module
-from repro.analysis.parallel import RunSpec
+from repro.analysis.parallel import RunFailure, RunSpec
 from repro.experiments.ablations import LadderSetup
 from repro.experiments.common import PaperSetup
 from repro.experiments.fig8_fig9 import DEFAULT_FRACTIONS, REFERENCE_CAPACITY
 from repro.experiments.resilience import ResilienceSetup
 from repro.runtime.journal import (
     ResultJournal,
+    export_json,
+    failure_to_payload,
     journal_key,
     journal_keys,
+    result_to_payload,
     spec_hash,
 )
 from repro.runtime.supervisor import run_supervised
-from repro.serialization import canonical_json
+from repro.serialization import canonical_json, canonical_value
 
 PINNED = [
     pytest.param(
@@ -185,3 +199,128 @@ class TestKeyedOncePerSweep:
             report = run_supervised(specs, journal=journal, engine="batch")
         assert report.journal_hits == 144 and report.executed == 0
         assert len(canonical_json_calls) == 72
+
+
+#: Clock reads of the ``time`` module, wall and monotonic alike.
+CLOCKS = (
+    "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
+    "monotonic_ns", "process_time", "process_time_ns", "thread_time",
+    "thread_time_ns", "localtime", "gmtime", "ctime", "asctime", "strftime",
+)
+
+
+def _functions(module, names):
+    return [
+        name for name in names
+        if callable(getattr(module, name)) and not isinstance(
+            getattr(module, name), type
+        )
+    ]
+
+
+def tripwire(name, trips):
+    """A stand-in for an ambient entry point: a call records ``name``
+    and raises."""
+
+    def trip(*args, **kwargs):
+        trips.append(name)
+        raise AssertionError(f"hash-closure root reached {name}")
+
+    return trip
+
+
+def _run(spec):
+    return spec.setup.run(
+        scheduler_name=spec.scheduler_name,
+        utilization=spec.utilization,
+        capacity=spec.capacity,
+        seed=spec.seed,
+        energy_sample_interval=spec.energy_sample_interval,
+    )
+
+
+#: A sampled result, an unsampled one and an infinite-capacity one.
+RESULT_SPECS = (
+    RunSpec("ea-dvfs", 0.4, 100.0, 2, SHARED, energy_sample_interval=25.0),
+    RunSpec("lsa", 0.4, 50.0, 0, SHARED),
+    RunSpec("lsa", 0.4, math.inf, 1, SHARED),
+)
+
+
+def root_outputs(specs, results, failure):
+    """Everything the hash-closure roots produce for these inputs."""
+    keys = journal_keys(specs)
+    document = {
+        journal_key(spec).text(): {
+            "kind": "result", "payload": result_to_payload(result),
+        }
+        for spec, result in zip(RESULT_SPECS, results)
+    }
+    document[journal_key(failure.spec).text()] = {
+        "kind": "failure", "payload": failure_to_payload(failure),
+    }
+    return (
+        [spec_hash(spec) for spec in specs],
+        keys,
+        [journal_key(spec) for spec in specs],
+        canonical_value(document),
+        canonical_json(document),
+        export_json(document),
+    )
+
+
+class TestRootsReadNoAmbientState:
+    """The roots read no clock, global RNG, environment or file.
+
+    A patched module attribute cannot see a name bound at import
+    (``from time import time``); the pinned key bytes and the
+    kill-resume exports catch those reads instead.
+    """
+
+    def test_roots_trip_nothing_and_match_an_unpatched_rerun(
+        self, monkeypatch
+    ):
+        specs = [
+            RunSpec("lsa", 0.4, capacity, 0, setup)
+            for setup in SETUP_POOL
+            for capacity in (100, 100.0)
+        ] + [param.values[0] for param in PINNED]
+        results = [_run(spec) for spec in RESULT_SPECS]
+        assert "energy_samples" in result_to_payload(results[0])
+        assert "energy_samples" not in result_to_payload(results[1])
+        failure = RunFailure(
+            spec=specs[0],
+            error_type="WatchdogError",
+            message="stalled",
+            attempts=3,
+            timed_out=False,
+            traceback="Traceback (most recent call last):\n  stall\n",
+            diagnostics={"violation": "stall", "time": 12.5,
+                         "ready": [1, 2], "stored": 0.0},
+        )
+        trips = []
+        with monkeypatch.context() as patch:
+            for name in CLOCKS:
+                patch.setattr(time, name, tripwire(f"time.{name}", trips))
+            for name in _functions(random, random.__all__):
+                patch.setattr(random, name, tripwire(f"random.{name}", trips))
+            for name in _functions(np.random, np.random.__all__):
+                patch.setattr(
+                    np.random, name, tripwire(f"np.random.{name}", trips)
+                )
+            # On the class, so an alias of os.environ trips as well.
+            for name in ("__getitem__", "__iter__", "__len__"):
+                patch.setattr(
+                    type(os.environ), name,
+                    tripwire(f"os.environ.{name}", trips),
+                )
+            for name in ("getenv", "open"):
+                patch.setattr(os, name, tripwire(f"os.{name}", trips))
+            patch.setattr(builtins, "open", tripwire("open", trips))
+            patch.setattr(io, "open", tripwire("io.open", trips))
+            try:
+                patched = root_outputs(specs, results, failure)
+            except AssertionError:
+                patched = None
+        assert trips == []
+        assert patched == root_outputs(specs, results, failure)
