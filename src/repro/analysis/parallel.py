@@ -279,6 +279,9 @@ class _CellPool:
 
     def _launch(self, i: int) -> None:
         if self._pool is None:
+            # Workers fork from this process: load numpy.random (every
+            # source draws from it) here once, not in each fresh worker.
+            import numpy.random  # noqa: F401
             self._pool = ProcessPoolExecutor(
                 max_workers=self._workers, initializer=_exit_with_parent
             )

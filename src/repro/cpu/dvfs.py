@@ -124,6 +124,7 @@ class FrequencyScale:
                 f"fastest level must have speed 1.0, got {ordered[-1].speed!r}"
             )
         self._levels: tuple[FrequencyLevel, ...] = tuple(ordered)
+        self._index_levels()
         dominated = self.dominated_levels()
         if dominated:
             warnings.warn(
@@ -131,6 +132,19 @@ class FrequencyScale:
                 f"energy-per-work than a faster level): indices {dominated}",
                 stacklevel=2,
             )
+
+    def _index_levels(self) -> None:
+        # Positions of the scale's own level objects, by identity: the
+        # simulator only ever hands back levels the scale gave out.
+        self._positions = {id(lv): i for i, lv in enumerate(self._levels)}
+
+    def __getstate__(self) -> dict[str, object]:
+        # Identities do not survive a copy or a pickle; the copy rebuilds.
+        return {"_levels": self._levels}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._index_levels()
 
     # -- construction helpers ----------------------------------------------
 
@@ -176,6 +190,9 @@ class FrequencyScale:
     def __getitem__(self, index: int) -> FrequencyLevel:
         return self._levels[index]
 
+    def __contains__(self, level: object) -> bool:
+        return id(level) in self._positions or level in self._levels
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrequencyScale):
             return NotImplemented
@@ -203,8 +220,15 @@ class FrequencyScale:
         return self._levels[-1].power
 
     def index_of(self, level: FrequencyLevel) -> int:
-        """Position of ``level`` within the scale."""
-        return self._levels.index(level)
+        """Position of ``level`` within the scale.
+
+        The scale's own level objects are found by identity; an equal
+        level that is not one of them is found by ``==``.
+        """
+        position = self._positions.get(id(level))
+        if position is None:
+            return self._levels.index(level)
+        return position
 
     # -- scheduling queries ---------------------------------------------------
 

@@ -10,6 +10,9 @@ from repro.timeutils import EPSILON, ordered_sum
 
 __all__ = ["Processor"]
 
+#: The overhead of every free switch; frozen, so one object serves all.
+_FREE_SWITCH = SwitchingOverhead()
+
 
 class Processor:
     """A DVFS processor's runtime state.
@@ -30,7 +33,7 @@ class Processor:
             raise ValueError(f"idle_power must be finite and >= 0, got {idle_power!r}")
         self._scale = scale
         self._idle_power = float(idle_power)
-        self._overhead = overhead or SwitchingOverhead()
+        self._overhead = overhead or _FREE_SWITCH
         self._current: Optional[FrequencyLevel] = None
         self._current_index = -1  # scale index of _current (-1 while idle)
         self._busy_time = [0.0] * len(scale)
@@ -87,7 +90,7 @@ class Processor:
         transitions to/from idle (clock gating is assumed free — only
         voltage/frequency transitions pay).
         """
-        if level is not None and level not in self._scale.levels:
+        if level is not None and level not in self._scale:
             raise ValueError(f"{level!r} is not a level of {self._scale!r}")
         previous = self._current
         self._current = level
@@ -97,7 +100,7 @@ class Processor:
             or level is None
             or abs(previous.speed - level.speed) <= EPSILON
         ):
-            return SwitchingOverhead()
+            return _FREE_SWITCH
         self._switches += 1
         self._switch_time_spent += self._overhead.time
         self._switch_energy_spent += self._overhead.energy

@@ -23,11 +23,18 @@ from __future__ import annotations
 import abc
 import math
 from functools import partial
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.timeutils import EPSILON, INFINITY, ordered_sum, validate_interval
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy.typing as npt
+
+    FloatArray = npt.NDArray[np.float64]
+    IntArray = npt.NDArray[np.int64]
+    BoolArray = npt.NDArray[np.bool_]
 
 __all__ = [
     "EnergySource",
@@ -40,6 +47,7 @@ __all__ = [
     "CompositeSource",
     "SOLAR_ENVELOPE_PERIOD",
     "piece_reader",
+    "quantum_walk",
 ]
 
 #: Period of the deterministic envelope ``cos^2(t / 70pi)`` in eq. (13):
@@ -48,6 +56,11 @@ SOLAR_ENVELOPE_PERIOD: float = 70.0 * math.pi * math.pi
 
 #: Quanta of normal draws a :class:`SolarStochasticSource` takes at once.
 _DRAW_CHUNK = 256
+
+#: Shortest window, in quanta, that :meth:`_QuantizedSource.energy` walks
+#: with :func:`quantum_walk`: its numpy calls cost about as much as 40
+#: steps of the loop, so shorter windows take the loop.
+_WALK_MIN_QUANTA = 48
 
 
 class EnergySource(abc.ABC):
@@ -142,6 +155,57 @@ def piece_reader(source: EnergySource) -> Callable[[float], tuple[float, float]]
     return source._piece
 
 
+def quantum_walk(
+    read: Callable[["IntArray"], "FloatArray"],
+    quantum: "FloatArray",
+    first: Optional["IntArray"],
+    t0: "FloatArray",
+    t1: "FloatArray",
+) -> tuple["FloatArray", "BoolArray"]:
+    """:meth:`EnergySource.energy` of quantized windows, one per row.
+
+    On a quantized source the energy loop's step ``j`` starts at ``t0``
+    (``j = 0``) or at the boundary ``(first + j) * quantum`` the step
+    before ended on, and reads quantum ``first + j``; ``first`` defaults
+    to the quantum :meth:`_QuantizedSource._index` gives ``t0``.  Every
+    row's steps are laid out as one 2-D block, ``read(kk)`` returns the
+    power of each quantum index in ``kk``, and the segment energies are
+    added by a row-wise ``np.cumsum``: strictly left to right, so each
+    row rounds once per segment in walk order, exactly like the loop's
+    ``total +=`` (``np.sum`` adds pairwise and would not).
+
+    Each live step's quantum index is recomputed as the loop computes it
+    and checked against ``first + j``, with the loop's "boundary must
+    advance time" test.  Returns ``(total, on_ladder)``; where
+    ``on_ladder`` is False a check failed and ``total`` is not the
+    loop's, so the caller must take the loop instead.
+    """
+    m = t0.shape[0]
+    if first is None:
+        first = np.maximum(0, np.floor((t0 + EPSILON) / quantum)).astype(np.int64)
+    spans = np.ceil((t1 - EPSILON) / quantum).astype(np.int64) - first
+    n_steps = int(spans.max()) + 1 if m else 0
+    if n_steps <= 0:
+        return np.zeros(m), np.ones(m, dtype=np.bool_)
+    kk = first[:, None] + np.arange(n_steps, dtype=np.int64)
+    kk_f = kk.astype(np.float64)
+    q = quantum[:, None]
+    tstart = kk_f * q
+    tstart[:, 0] = t0
+    boundary = (kk_f + 1.0) * q
+    # The loop's guards: a window of at most EPSILON is empty, and a step
+    # runs while t < t1 - EPSILON.
+    live = (tstart < (t1 - EPSILON)[:, None]) & (t1 - t0 > EPSILON)[:, None]
+    index = np.maximum(np.floor((tstart + EPSILON) / q), 0.0)
+    off = live & ((index != kk_f) | (boundary <= tstart))
+    on_ladder = ~(off.any(axis=1) | live[:, -1])
+    seg_end = np.minimum(boundary, t1[:, None])
+    # Dead steps add 0.0, which never perturbs a float64 accumulator.
+    contribution = np.where(live, read(kk) * (seg_end - tstart), 0.0)
+    total: FloatArray = np.cumsum(contribution, axis=1)[:, -1]
+    return total, on_ladder
+
+
 def _check_time(t: float) -> None:
     if t < -EPSILON or math.isnan(t):
         raise ValueError(f"source time must be >= 0, got {t!r}")
@@ -215,6 +279,75 @@ class _QuantizedSource(EnergySource):
         # One index serves the quantum's power and its end.
         index = self._index(t)
         return self._quantum_power(index), (index + 1) * self._quantum
+
+    def _quantum_powers(self, start: int, stop: int) -> Sequence[float]:
+        """Powers of quanta ``start .. stop - 1``, read in index order."""
+        return [self._quantum_power(k) for k in range(start, stop)]
+
+    def _reads_own_quanta(self) -> bool:
+        """Whether :func:`quantum_walk` reads what ``_piece`` would.
+
+        True unless ``_piece`` or ``_index`` is overridden below this
+        class, ``_quantum_powers`` is not the one matching
+        ``_quantum_power``, or the instance carries an override of
+        ``_piece`` or of the quanta it reads.
+        """
+        cls = type(self)
+        if (
+            cls._piece is not _QuantizedSource._piece
+            or cls._index is not _QuantizedSource._index
+            or not {"_piece", "_quantum_power", "_quantum_powers"}.isdisjoint(
+                vars(self)
+            )
+        ):
+            return False
+        owners = [
+            next(c for c in cls.__mro__ if name in vars(c))
+            for name in ("_quantum_powers", "_quantum_power")
+        ]
+        return owners[0] is _QuantizedSource or owners[0] is owners[1]
+
+    def energy(self, t0: float, t1: float) -> float:
+        """Exact harvested energy ``ES(t0, t1)`` (eq. (2)).
+
+        The boundary walk of :meth:`EnergySource.energy`, run as
+        :func:`quantum_walk` (:meth:`_walk_energy`).  Windows shorter than
+        ``_WALK_MIN_QUANTA`` quanta, sources that override ``_piece`` or
+        what it reads, and walks that leave the quantum ladder take the
+        loop itself; both give the same bits.
+        """
+        if not (
+            t1 - t0 >= _WALK_MIN_QUANTA * self._quantum
+            and self._reads_own_quanta()
+        ):
+            return super().energy(t0, t1)
+        validate_interval(t0, t1)
+        if not math.isfinite(t1):
+            raise ValueError("energy() requires a finite end time")
+        total = self._walk_energy(t0, t1)
+        return super().energy(t0, t1) if total is None else total
+
+    def _walk_energy(self, t0: float, t1: float) -> Optional[float]:
+        """:func:`quantum_walk` over ``[t0, t1)``, or ``None`` off the ladder.
+
+        The first quantum is looked up with ``_index``, as the loop does.
+        """
+        first = self._index(t0)
+
+        def read(kk: IntArray) -> FloatArray:
+            return np.asarray(
+                [self._quantum_powers(first, first + kk.shape[1])],
+                dtype=np.float64,
+            )
+
+        total, on_ladder = quantum_walk(
+            read,
+            np.asarray([self._quantum]),
+            np.asarray([first], dtype=np.int64),
+            np.asarray([t0], dtype=np.float64),
+            np.asarray([t1], dtype=np.float64),
+        )
+        return float(total[0]) if on_ladder[0] else None
 
 
 class SolarStochasticSource(_QuantizedSource):
@@ -311,6 +444,11 @@ class SolarStochasticSource(_QuantizedSource):
                 midpoint = (len(powers) + 0.5) * self.quantum
                 powers.append(self._amplitude * n * self._envelope(midpoint))
         return powers[index]
+
+    def _quantum_powers(self, start: int, stop: int) -> Sequence[float]:
+        if stop > start:
+            self._quantum_power(stop - 1)  # fills the table in index order
+        return self._powers[start:stop]
 
     def mean_power(self) -> float:
         """Closed-form long-run mean (envelope averages to 1/2)."""

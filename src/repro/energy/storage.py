@@ -24,16 +24,19 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.timeutils import EPSILON, INFINITY, snap_nonnegative
 
 __all__ = ["SegmentResult", "EnergyStorage", "IdealStorage", "NonIdealStorage"]
 
 
-@dataclass(frozen=True)
-class SegmentResult:
+class SegmentResult(NamedTuple):
     """Energy bookkeeping for one constant-power segment.
+
+    Immutable.  A named tuple rather than a frozen dataclass, because the
+    simulator builds one per step and a frozen dataclass's ``__init__``
+    costs about twice as much.
 
     Attributes
     ----------

@@ -99,13 +99,16 @@ class WallClockRule(Rule):
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
+        aliases = _import_aliases(ctx.tree)
         for node in ctx.walk():
             if not isinstance(node, ast.Call):
                 continue
             dotted = _dotted(node.func)
             if dotted is None:
                 continue
-            parts = dotted.split(".")
+            head, _, rest = dotted.partition(".")
+            resolved = aliases.get(head, head) + ("." + rest if rest else "")
+            parts = resolved.split(".")
             if len(parts) < 2:
                 continue
             base, attr = parts[-2], parts[-1]
@@ -116,6 +119,26 @@ class WallClockRule(Rule):
                     f"wall-clock read `{dotted}()`; simulated quantities "
                     "must derive from the event clock, not real time",
                 )
+
+
+def _import_aliases(tree: ast.Module) -> dict[str, str]:
+    """Module-level import bindings: local name -> dotted origin.
+
+    ``import time as _time`` binds ``_time`` to ``time``, and ``from time
+    import time as now`` binds ``now`` to ``time.time``.
+    """
+    aliases: dict[str, str] = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                if alias.asname is not None:
+                    aliases[alias.asname] = alias.name
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module and not stmt.level:
+            for alias in stmt.names:
+                aliases[alias.asname or alias.name] = (
+                    f"{stmt.module}.{alias.name}"
+                )
+    return aliases
 
 
 class UnseededRngRule(Rule):

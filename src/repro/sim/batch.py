@@ -62,6 +62,7 @@ from repro.energy.source import (
     DayNightSource,
     EnergySource,
     SolarStochasticSource,
+    quantum_walk,
 )
 from repro.energy.predictor import (
     HarvestPredictor,
@@ -847,49 +848,30 @@ class _BatchCore:
     def _quantized_energy(
         self, lanes: IntArray, t0: FloatArray, t1: FloatArray
     ) -> FloatArray:
-        """The boundary walk for quantized lanes, as 2-D blocks.
+        """The scalar boundary walk for quantized lanes (compact).
 
-        Every (lane, step) segment start, end and power is precomputed
-        with the exact per-step formulas of the scalar walk (step ``j``
-        starts at ``t0`` for ``j = 0`` and at the preceding boundary
-        ``(k0 + j) * quantum`` otherwise); the per-segment accumulation
-        runs as a row-wise ``np.cumsum``, which adds strictly
-        left-to-right and therefore rounds once per segment in walk
-        order, exactly like the scalar total (enforced by the kernel
-        property tests).
+        One call of :func:`~repro.energy.source.quantum_walk`, the walk
+        the scalar source runs, over the lanes' rows of the power table.
+        A lane whose walk leaves the quantum ladder fails, so its cell
+        runs on the scalar engine, whose source then takes the loop.
         """
-        m = lanes.shape[0]
-        q = self.src_quantum[lanes]
-        k0 = np.maximum(0, np.floor((t0 + EPSILON) / q)).astype(np.int64)
-        spans = np.ceil((t1 - EPSILON) / q).astype(np.int64) - k0
-        n_steps = int(spans.max()) + 1 if m else 0
-        if n_steps <= 0:
-            return np.zeros(m)
-        steps = np.arange(n_steps, dtype=np.int64)
-        kk = k0[:, None] + steps[None, :]
-        kk_f = kk.astype(np.float64)
-        tstart = kk_f * q[:, None]
-        tstart[:, 0] = t0
-        boundary = (kk_f + 1.0) * q[:, None]
-        seg_end = np.minimum(boundary, t1[:, None])
-        live = tstart < (t1 - EPSILON)[:, None]
-        # The scalar walk re-derives each segment's quantum index from its
-        # start time; on this ladder that index IS ``kk`` (step ``j > 0``
-        # starts exactly at boundary ``kk * q``, step 0 at ``t0`` whose
-        # index is ``k0`` by definition), so the power lookup uses ``kk``
-        # directly.  The differential suite enforces the agreement.
         width = self.src_qpowers.shape[1]
-        idx = np.minimum(kk, width - 1)
-        # Flat-index gather: same elements as the 2-D fancy index, ~2x
-        # faster on the row-block shapes this walk produces.
-        power = self.src_qpowers.take(lanes[:, None] * width + idx)
-        contribution = np.where(live, power * (seg_end - tstart), 0.0)
-        # np.cumsum accumulates strictly left-to-right (verified by the
-        # kernel property tests), i.e. it rounds once per segment in walk
-        # order exactly like the scalar total; masked segments add 0.0,
-        # which never perturbs a float64 accumulator.
-        final: FloatArray = np.cumsum(contribution, axis=1)[:, -1]
-        return final
+        rows = lanes[:, None] * width
+
+        def read(kk: IntArray) -> FloatArray:
+            # Flat-index gather: same elements as the 2-D fancy index,
+            # ~2x faster on the row-block shapes this walk produces.
+            power: FloatArray = self.src_qpowers.take(
+                rows + np.minimum(kk, width - 1)
+            )
+            return power
+
+        total, on_ladder = quantum_walk(
+            read, self.src_quantum[lanes], None, t0, t1
+        )
+        if not on_ladder.all():
+            self._fail(lanes[~on_ladder], "quantum walk left the ladder")
+        return total
 
     # -- plan bookkeeping --------------------------------------------------
 

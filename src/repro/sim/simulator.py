@@ -506,7 +506,7 @@ class HarvestingRtSimulator:
             raise RuntimeError(
                 f"scheduler dispatched {job.name} which is not ready"
             )
-        if decision.level not in self._scheduler.scale.levels:
+        if decision.level not in self._scheduler.scale:
             raise RuntimeError(
                 f"scheduler chose a level outside its scale: {decision.level!r}"
             )

@@ -15,12 +15,15 @@ from repro.energy.source import (
     CompositeSource,
     ConstantSource,
     DayNightSource,
+    MarkovWeatherSource,
     ScaledSource,
     SolarStochasticSource,
     TraceSource,
+    _QuantizedSource,
     piece_reader,
 )
 from repro.faults.sources import BlackoutSource
+from repro.timeutils import EPSILON
 
 
 class TestConstantSource:
@@ -308,3 +311,106 @@ class TestPieceReader:
         source = TraceSource([1.0, 4.0])
         source.power = lambda t: 9.0
         assert piece_reader(source)(0.0) == (9.0, 1.0)
+
+
+def _piece_loop(source, t0, t1):
+    """Reference copy of the energy loop over ``_QuantizedSource._piece``."""
+    if t1 - t0 <= EPSILON:
+        return 0.0
+    total = 0.0
+    t = t0
+    while t < t1 - EPSILON:
+        power, boundary = source._piece(t)
+        segment_end = min(boundary, t1)
+        total += power * (segment_end - t)
+        t = segment_end
+    return total
+
+
+def _bits(value):
+    assert type(value) is float
+    return value.hex()
+
+
+@st.composite
+def quantized_windows(draw):
+    """``(make, t0, t1)``: a fresh-source factory and one window.
+
+    ``t0`` lies on a quantum boundary or anywhere; the window stays
+    inside one quantum, is short, or spans hundreds of quanta.
+    """
+    quantum = draw(st.sampled_from((1.0, 0.5, 0.3)))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(("solar", "markov", "trace")))
+    cyclic = draw(st.booleans())
+
+    def make():
+        if kind == "solar":
+            return SolarStochasticSource(seed=seed, quantum=quantum)
+        if kind == "markov":
+            return MarkovWeatherSource(seed=seed, quantum=quantum)
+        powers = np.random.default_rng(seed).uniform(0.0, 10.0, 97)
+        return TraceSource(powers, quantum=quantum, cyclic=cyclic)
+
+    k = draw(st.integers(0, 600))
+    if draw(st.booleans()):
+        t0 = k * quantum
+    else:
+        t0 = draw(st.floats(0.0, 600.0, allow_nan=False))
+    boundary = (math.floor((t0 + EPSILON) / quantum) + 1) * quantum
+    span = draw(
+        st.one_of(
+            st.floats(0.0, 1.0).map(lambda u: u * (boundary - t0)),
+            st.floats(0.0, 40.0 * quantum),
+            st.floats(0.0, 700.0 * quantum),
+        )
+    )
+    return make, t0, t0 + span
+
+
+class _HalvedPiece(TraceSource):
+    """A quantized source whose _piece is overridden."""
+
+    def _piece(self, t):
+        power, boundary = super()._piece(t)
+        return 0.5 * power, boundary
+
+
+class TestQuantumWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(quantized_windows())
+    def test_walk_equals_the_piece_loop(self, window):
+        make, t0, t1 = window
+        expected = _bits(_piece_loop(make(), t0, t1))
+        assert _bits(make()._walk_energy(t0, t1)) == expected
+        assert _bits(make().energy(t0, t1)) == expected
+
+    def test_long_window_takes_the_walk(self):
+        source = SolarStochasticSource(seed=5)
+        calls = []
+        walk = source._walk_energy
+        source._walk_energy = lambda t0, t1: calls.append(t0) or walk(t0, t1)
+        assert source.energy(0.0, 2000.0) == _piece_loop(source, 0.0, 2000.0)
+        assert calls == [0.0]
+
+    def test_piece_override_takes_the_loop(self):
+        source = _HalvedPiece([1.0, 3.0, 5.0], quantum=0.5, cyclic=True)
+        plain = TraceSource([1.0, 3.0, 5.0], quantum=0.5, cyclic=True)
+        expected = _piece_loop(source, 0.25, 300.0)
+        assert source.energy(0.25, 300.0) == expected
+        assert plain.energy(0.25, 300.0) == 2.0 * expected
+
+    def test_instance_quantum_power_override_takes_the_loop(self):
+        source = TraceSource([1.0, 3.0])
+        source._quantum_power = lambda index: 2.0
+        assert source.energy(0.0, 100.0) == 200.0
+
+    def test_off_ladder_index_takes_the_loop(self):
+        # An _index one quantum ahead at t0 fails the walk's check; the
+        # loop then reads the shifted quanta.
+        source = TraceSource(np.arange(1.0, 201.0))
+        source._index = lambda t: _QuantizedSource._index(source, t) + 1
+        assert source.energy(0.5, 150.0) == _piece_loop(source, 0.5, 150.0)
+        assert source.energy(0.5, 150.0) != TraceSource(
+            np.arange(1.0, 201.0)
+        ).energy(0.5, 150.0)

@@ -36,6 +36,42 @@ class TestWallClock:
     def test_monotonic_allowed(self, codes_in):
         assert codes_in("import time\nstart = time.monotonic()\n") == []
 
+    # Module-level import aliases resolve to the clock they bind.
+    def test_aliased_module_in_a_key_payload_flagged(self, codes_in):
+        assert "RPR002" in codes_in(
+            "import time as _time\n"
+            "def journal_keys(specs):\n"
+            "    return [{'spec': s, 't': _time.time()} for s in specs]\n"
+        )
+
+    def test_from_import_alias_in_a_key_payload_flagged(self, codes_in):
+        assert "RPR002" in codes_in(
+            "from time import time as now\n"
+            "def journal_keys(specs):\n"
+            "    return [{'spec': s, 't': now()} for s in specs]\n"
+        )
+
+    def test_aliased_module_in_an_export_flagged(self, codes_in):
+        assert "RPR002" in codes_in(
+            "import json\n"
+            "import time as _time\n"
+            "def export_json(records):\n"
+            "    document = {'records': records, 'at': _time.time()}\n"
+            "    return json.dumps(document)\n"
+        )
+
+    def test_aliased_datetime_flagged(self, codes_in):
+        assert "RPR002" in codes_in(
+            "import datetime as dt\nstamp = dt.datetime.now()\n"
+        )
+
+    def test_aliased_perf_counter_allowed(self, codes_in):
+        assert codes_in(
+            "import time as _time\n"
+            "from time import perf_counter as clock\n"
+            "start = _time.perf_counter() + clock()\n"
+        ) == []
+
 
 class TestSeededRng:
     def test_unseeded_default_rng_flagged(self, codes_in):

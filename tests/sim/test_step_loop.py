@@ -170,10 +170,9 @@ class TestSourceQueries:
         assert result.stall_count > 0 and result.switch_count > 0
         # One read per step plus the initial read.
         assert at_result["power"] <= steps + 1
-        # The harvested-energy walk: one index per quantum, no power().
+        # The harvested-energy walk: at most one index, no power().
         assert counter.power == at_result["power"]
-        quanta = int(setup.horizon / source.quantum)
-        assert counter.index - at_result["index"] == quanta
+        assert counter.index - at_result["index"] <= 1
 
     def test_one_quantum_index_per_step(self):
         # With power() not overridden, one index serves each step's
@@ -186,8 +185,7 @@ class TestSourceQueries:
         assert steps > setup.horizon
         assert result.stall_count > 0
         assert at_result["index"] <= steps + 1
-        quanta = int(setup.horizon / source.quantum)
-        assert counter.index - at_result["index"] == quanta
+        assert counter.index - at_result["index"] <= 1
 
     def test_instance_power_override_is_read_every_step(self):
         setup = PaperSetup(horizon=2000.0)
