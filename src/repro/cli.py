@@ -31,13 +31,17 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments import EXPERIMENTS, run_experiment, scale_factor
 from repro.experiments.common import PaperSetup
 from repro.sched.registry import available_schedulers
+from repro.sim.simulator import SimulationConfig
+from repro.sim.tracing import TraceKind
 
 __all__ = ["main", "build_parser"]
 
@@ -254,6 +258,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@dataclass(frozen=True)
+class _ScheduleTracedSetup(PaperSetup):
+    """The paper setup with the job schedule traced, for ``repro quick
+    --gantt``/``--trace-csv``; tracing changes no simulated number."""
+
+    def config(
+        self, seed: int, energy_sample_interval: Optional[float] = None
+    ) -> SimulationConfig:
+        return dataclasses.replace(
+            super().config(seed, energy_sample_interval),
+            trace_kinds=(
+                TraceKind.JOB_START,
+                TraceKind.JOB_PREEMPT,
+                TraceKind.JOB_COMPLETE,
+                TraceKind.JOB_MISS,
+                TraceKind.FREQ_CHANGE,
+                TraceKind.STALL,
+            ),
+        )
+
+
 def _cmd_list() -> int:
     print("experiments:")
     for name in sorted(EXPERIMENTS):
@@ -276,49 +301,18 @@ def _cmd_run(experiment: str) -> int:
 
 
 def _cmd_quick(args: argparse.Namespace) -> int:
-    from repro.sim.tracing import TraceKind
-
-    setup = PaperSetup(horizon=args.horizon, predictor_kind=args.predictor)
-    needs_schedule_trace = args.gantt or args.trace_csv is not None
-
-    if needs_schedule_trace:
-        # Rebuild the run by hand so the schedule kinds get traced.
-        from repro.energy.storage import IdealStorage
-        from repro.sched.registry import make_scheduler
-        from repro.sim.simulator import (
-            HarvestingRtSimulator,
-            SimulationConfig,
-        )
-
-        scale = setup.scale()
-        source = setup.source(args.seed)
-        simulator = HarvestingRtSimulator(
-            taskset=setup.taskset(args.seed, args.utilization),
-            source=source,
-            storage=IdealStorage(capacity=args.capacity),
-            scheduler=make_scheduler(args.scheduler, scale),
-            predictor=setup.predictor(source),
-            config=SimulationConfig(
-                horizon=args.horizon,
-                trace_kinds=(
-                    TraceKind.JOB_START,
-                    TraceKind.JOB_PREEMPT,
-                    TraceKind.JOB_COMPLETE,
-                    TraceKind.JOB_MISS,
-                    TraceKind.FREQ_CHANGE,
-                    TraceKind.STALL,
-                ),
-            ),
-        )
-        result = simulator.run()
-    else:
-        result = setup.run(
-            scheduler_name=args.scheduler,
-            utilization=args.utilization,
-            capacity=args.capacity,
-            seed=args.seed,
-        )
-
+    setup_type = (
+        _ScheduleTracedSetup
+        if args.gantt or args.trace_csv is not None
+        else PaperSetup
+    )
+    setup = setup_type(horizon=args.horizon, predictor_kind=args.predictor)
+    result = setup.run(
+        scheduler_name=args.scheduler,
+        utilization=args.utilization,
+        capacity=args.capacity,
+        seed=args.seed,
+    )
     print(result.summary())
 
     if args.gantt:

@@ -35,6 +35,7 @@ from repro.energy.predictor import (
 )
 from repro.energy.source import EnergySource, SolarStochasticSource
 from repro.energy.storage import EnergyStorage, IdealStorage
+from repro.sched.base import Scheduler
 from repro.sched.registry import make_scheduler
 from repro.sim.simulator import (
     HarvestingRtSimulator,
@@ -159,6 +160,28 @@ class PaperSetup:
             energy_sample_interval=energy_sample_interval,
         )
 
+    def simulator(
+        self,
+        scheduler: Scheduler,
+        utilization: float,
+        capacity: float,
+        seed: int,
+        energy_sample_interval: Optional[float] = None,
+    ) -> HarvestingRtSimulator:
+        """A single-use simulator of this setup under ``scheduler``,
+        built from the hooks above; the batch core's lane builder reads
+        the same hooks, so a variant overrides a hook, not this."""
+        source = self.source(seed)
+        return HarvestingRtSimulator(
+            taskset=self.taskset(seed, utilization),
+            source=source,
+            storage=self.storage(capacity),
+            scheduler=scheduler,
+            predictor=self.predictor(source),
+            processor=self.processor(scheduler.scale),
+            config=self.config(seed, energy_sample_interval),
+        )
+
     def run(
         self,
         scheduler_name: str,
@@ -167,22 +190,14 @@ class PaperSetup:
         seed: int,
         energy_sample_interval: Optional[float] = None,
     ) -> SimulationResult:
-        """One complete simulation of this setup, built from the hooks
-        above (the batch core's lane builder reads the same hooks).
+        """One complete simulation of this setup under the registry
+        scheduler ``scheduler_name`` on :meth:`scale`.
 
         The seed controls both the task set and the source realization, so
         different schedulers at the same seed face the *same* world
         (paired comparison).
         """
-        scale = self.scale()
-        source = self.source(seed)
-        simulator = HarvestingRtSimulator(
-            taskset=self.taskset(seed, utilization),
-            source=source,
-            storage=self.storage(capacity),
-            scheduler=make_scheduler(scheduler_name, scale),
-            predictor=self.predictor(source),
-            processor=self.processor(scale),
-            config=self.config(seed, energy_sample_interval),
-        )
-        return simulator.run()
+        scheduler = make_scheduler(scheduler_name, self.scale())
+        return self.simulator(
+            scheduler, utilization, capacity, seed, energy_sample_interval
+        ).run()

@@ -30,16 +30,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-from repro.energy.storage import IdealStorage
+from repro.energy.source import EnergySource
 from repro.experiments.common import PaperSetup, replications, workers
 from repro.faults import BlackoutSource, OverrunWorkload
-from repro.sched.registry import make_scheduler
-from repro.sim.simulator import (
-    HarvestingRtSimulator,
-    SimulationConfig,
-    SimulationResult,
-)
-from repro.sim.tracing import TraceKind
+from repro.sim.simulator import SimulationConfig, SimulationResult
+from repro.tasks.task import TaskSet
 
 __all__ = [
     "ResilienceResult",
@@ -74,7 +69,8 @@ _SCHEDULERS = ("edf", "lsa", "ea-dvfs")
 
 @dataclass(frozen=True)
 class ResilienceSetup(PaperSetup):
-    """A :class:`PaperSetup` with opt-in fault injection.
+    """A :class:`PaperSetup` with opt-in fault injection through its
+    ``source``, ``taskset`` and ``config`` hooks.
 
     Defined at module level (and frozen/picklable) so it can travel
     inside a :class:`~repro.analysis.parallel.RunSpec` to worker
@@ -87,51 +83,40 @@ class ResilienceSetup(PaperSetup):
     overrun: bool = False
     watchdog: bool = True
 
-    def run(
-        self,
-        scheduler_name: str,
-        utilization: float,
-        capacity: float,
-        seed: int,
-        energy_sample_interval: Optional[float] = None,
-    ) -> SimulationResult:
-        """One watchdogged simulation with the configured faults injected."""
-        scale = self.scale()
-        source = self.source(seed)
-        if self.blackout:
-            source = BlackoutSource(
-                source,
-                seed=seed + _BLACKOUT_SEED_OFFSET,
-                start_probability=BLACKOUT_START_PROBABILITY,
-                min_duration=BLACKOUT_DURATION_RANGE[0],
-                max_duration=BLACKOUT_DURATION_RANGE[1],
-            )
-        taskset = self.taskset(seed, utilization)
-        if self.overrun:
-            taskset = OverrunWorkload(
-                taskset,
-                seed=seed + _OVERRUN_SEED_OFFSET,
-                probability=OVERRUN_PROBABILITY,
-                min_stretch=OVERRUN_STRETCH_RANGE[0],
-                max_stretch=OVERRUN_STRETCH_RANGE[1],
-            )
-        trace_kinds: tuple[str, ...] = ()
-        if energy_sample_interval is not None:
-            trace_kinds = (TraceKind.ENERGY,)
-        simulator = HarvestingRtSimulator(
-            taskset=taskset,
-            source=source,
-            storage=IdealStorage(capacity=capacity),
-            scheduler=make_scheduler(scheduler_name, scale),
-            predictor=self.predictor(source),
-            config=SimulationConfig(
-                horizon=self.horizon,
-                trace_kinds=trace_kinds,
-                energy_sample_interval=energy_sample_interval,
-                watchdog=self.watchdog,
-            ),
+    def mean_harvest_power(self) -> float:
+        return super().source(0).mean_power()  # the nominal source
+
+    def source(self, seed: int) -> EnergySource:
+        source = super().source(seed)
+        if not self.blackout:
+            return source
+        return BlackoutSource(
+            source,
+            seed=seed + _BLACKOUT_SEED_OFFSET,
+            start_probability=BLACKOUT_START_PROBABILITY,
+            min_duration=BLACKOUT_DURATION_RANGE[0],
+            max_duration=BLACKOUT_DURATION_RANGE[1],
         )
-        return simulator.run()
+
+    def taskset(self, seed: int, utilization: float) -> TaskSet:
+        taskset = super().taskset(seed, utilization)
+        if not self.overrun:
+            return taskset
+        return OverrunWorkload(
+            taskset,
+            seed=seed + _OVERRUN_SEED_OFFSET,
+            probability=OVERRUN_PROBABILITY,
+            min_stretch=OVERRUN_STRETCH_RANGE[0],
+            max_stretch=OVERRUN_STRETCH_RANGE[1],
+        )
+
+    def config(
+        self, seed: int, energy_sample_interval: Optional[float] = None
+    ) -> SimulationConfig:
+        return dataclasses.replace(
+            super().config(seed, energy_sample_interval),
+            watchdog=self.watchdog,
+        )
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ __all__ = [
     "Rule",
     "SuppressionEntry",
     "all_rules",
+    "dotted_name",
     "is_test_path",
     "lint_paths",
     "lint_source",
@@ -222,6 +223,18 @@ def parse_suppressions(
     )
 
 
+def dotted_name(node: ast.AST) -> str | None:
+    """Render ``a.b.c`` attribute chains; ``None`` for anything else."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
 @dataclasses.dataclass
 class ModuleContext:
     """Everything a rule may inspect about one linted file."""
@@ -253,6 +266,31 @@ class ModuleContext:
         if self._walked is None:
             self._walked = tuple(ast.walk(self.tree))
         return self._walked
+
+    def name_aliases(self, originals: Iterable[str]) -> dict[str, str]:
+        """Each of ``originals`` and every name bound to one of them.
+
+        A plain assignment anywhere in the module (``_open = open``,
+        ``_commit = os.replace``, a chain ``a = set; b = a``) makes the
+        name spell the dotted original it was assigned; the map sends
+        each such name, and each original itself, to that original.
+        """
+        resolved = {name: name for name in originals}
+        pairs: list[tuple[str, ast.expr]] = []
+        for node in self.walk():
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
+                    pairs.append((target.id, node.value))
+        grew = True
+        while grew:
+            grew = False
+            for name, value in pairs:
+                origin = resolved.get(dotted_name(value) or "")
+                if origin is not None and name not in resolved:
+                    resolved[name] = origin
+                    grew = True
+        return resolved
 
     @property
     def is_test_code(self) -> bool:

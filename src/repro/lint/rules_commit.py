@@ -11,7 +11,9 @@ missing fsync in a writer added later, so these stay static checks:
 * RPR507 flags ``os.replace``/``os.rename`` in a function that never
   fsyncs the data first.
 
-Both are per-module AST checks.  A deliberately crash-unsafe writer is
+Both are per-module AST checks, and both see through a name bound to
+``open`` or ``os.replace``/``os.rename`` by a plain assignment
+(``_commit = os.replace``).  A deliberately crash-unsafe writer is
 exempted with an inline suppression and its reason.
 """
 
@@ -20,17 +22,27 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Sequence
 
-from repro.lint.engine import Diagnostic, ModuleContext, Rule, register_rule
+from repro.lint.engine import (
+    Diagnostic,
+    ModuleContext,
+    Rule,
+    dotted_name,
+    register_rule,
+)
 
 __all__ = ["AtomicWriteRule", "RenameWithoutFsyncRule"]
 
 _WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 
 
-def _open_write_mode(node: ast.Call) -> str | None:
+#: What a name may spell through a plain alias (``_open = open``).
+_ALIASED = ("open", "os.replace", "os.rename")
+
+
+def _open_write_mode(node: ast.Call, aliases: dict[str, str]) -> str | None:
     """The write-ish mode string of an ``open(...)`` call, if any."""
     func = node.func
-    if not (isinstance(func, ast.Name) and func.id == "open"):
+    if not (isinstance(func, ast.Name) and aliases.get(func.id) == "open"):
         return None
     mode: ast.expr | None = None
     if len(node.args) >= 2:
@@ -52,15 +64,10 @@ def _write_method(node: ast.Call) -> str | None:
     return None
 
 
-def _rename_call(node: ast.Call) -> str | None:
-    func = node.func
-    if (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "os"
-        and func.attr in ("replace", "rename")
-    ):
-        return f"os.{func.attr}"
+def _rename_call(node: ast.Call, aliases: dict[str, str]) -> str | None:
+    origin = aliases.get(dotted_name(node.func) or "")
+    if origin in ("os.replace", "os.rename"):
+        return origin
     return None
 
 
@@ -133,12 +140,13 @@ class AtomicWriteRule(Rule):
     run_on_tests = False
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
+        aliases = ctx.name_aliases(_ALIASED)
         for qualname, body in _iter_scopes(ctx.tree):
             candidates: list[tuple[ast.Call, str]] = []
             for node in _scope_statements(body):
                 if not isinstance(node, ast.Call):
                     continue
-                mode = _open_write_mode(node)
+                mode = _open_write_mode(node, aliases)
                 method = _write_method(node)
                 if mode is None and method is None:
                     continue
@@ -176,12 +184,13 @@ class RenameWithoutFsyncRule(Rule):
     run_on_tests = False
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
+        aliases = ctx.name_aliases(_ALIASED)
         for qualname, body in _iter_scopes(ctx.tree):
             renames = [
                 (node, spelled)
                 for node in _scope_statements(body)
                 if isinstance(node, ast.Call)
-                and (spelled := _rename_call(node)) is not None
+                and (spelled := _rename_call(node, aliases)) is not None
             ]
             if not renames or _calls_fsync(body):
                 continue

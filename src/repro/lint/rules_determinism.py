@@ -24,9 +24,15 @@ own entropy.  The other families still apply there.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Container, Iterator
 
-from repro.lint.engine import Diagnostic, ModuleContext, Rule, register_rule
+from repro.lint.engine import (
+    Diagnostic,
+    ModuleContext,
+    Rule,
+    dotted_name,
+    register_rule,
+)
 
 __all__ = [
     "GlobalRandomRule",
@@ -41,18 +47,6 @@ _WALL_CLOCK = {
     "datetime": {"now", "today", "utcnow"},
     "date": {"today"},
 }
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """Render ``a.b.c`` attribute chains; ``None`` for anything else."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 class GlobalRandomRule(Rule):
@@ -79,7 +73,7 @@ class GlobalRandomRule(Rule):
                         "randomness through np.random.default_rng(seed)",
                     )
             elif isinstance(node, ast.Attribute):
-                dotted = _dotted(node)
+                dotted = dotted_name(node)
                 if dotted is not None and dotted.startswith("random."):
                     yield ctx.diagnostic(
                         node,
@@ -103,7 +97,7 @@ class WallClockRule(Rule):
         for node in ctx.walk():
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None:
                 continue
             head, _, rest = dotted.partition(".")
@@ -154,7 +148,7 @@ class UnseededRngRule(Rule):
         for node in ctx.walk():
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None or not dotted.endswith("default_rng"):
                 continue
             if not node.args and not node.keywords:
@@ -176,16 +170,24 @@ class UnseededRngRule(Rule):
                 )
 
 
-def _is_set_expr(node: ast.expr) -> bool:
+#: The set constructors.
+_SET_TYPES = ("set", "frozenset")
+
+
+def _is_set_expr(node: ast.expr, set_names: Container[str]) -> bool:
+    """Whether ``node`` builds a set; ``set_names`` holds the names that
+    call a set constructor (the builtins and their aliases)."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
+        return node.func.id in set_names
     if isinstance(node, ast.BinOp) and isinstance(
         node.op, (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
     ):
         # set algebra (a & b, a - b, ...) over set expressions
-        return _is_set_expr(node.left) or _is_set_expr(node.right)
+        return _is_set_expr(node.left, set_names) or _is_set_expr(
+            node.right, set_names
+        )
     return False
 
 
@@ -194,15 +196,15 @@ def _is_set_expr(node: ast.expr) -> bool:
 _ORDER_PRESERVING = frozenset({"enumerate", "zip", "map", "filter", "iter"})
 
 
-def _iterates_set(node: ast.expr) -> bool:
+def _iterates_set(node: ast.expr, set_names: Container[str]) -> bool:
     """Whether iterating ``node`` walks a set expression in hash order."""
-    if _is_set_expr(node):
+    if _is_set_expr(node, set_names):
         return True
     return (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id in _ORDER_PRESERVING
-        and any(_iterates_set(arg) for arg in node.args)
+        and any(_iterates_set(arg, set_names) for arg in node.args)
     )
 
 
@@ -216,6 +218,7 @@ class SetIterationRule(Rule):
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
+        set_names = ctx.name_aliases(_SET_TYPES)
         for node in ctx.walk():
             target: ast.expr | None = None
             if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -230,7 +233,7 @@ class SetIterationRule(Rule):
                     and len(node.args) == 1
                 ):
                     target = node.args[0]
-            if target is not None and _iterates_set(target):
+            if target is not None and _iterates_set(target, set_names):
                 yield ctx.diagnostic(
                     target,
                     self.code,

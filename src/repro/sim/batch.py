@@ -20,7 +20,8 @@ bit-exact (see ``docs/batch-simulation.md``).  This is enforced by
 
 **Coverage** — the core handles the shapes the paper experiments use:
 schedulers ``edf`` / ``lsa`` / ``ea-dvfs`` / ``ea-dvfs-noslowdown``,
-constant / solar-stochastic / day-night sources (unfaulted), finite
+constant / solar-stochastic / day-night sources (unfaulted), plain
+:class:`~repro.tasks.task.TaskSet` workloads, finite
 :class:`~repro.energy.storage.IdealStorage`, all four predictors
 (``oracle``, ``profile``, ``mean``, ``last-value`` — online predictor
 state lives in per-lane arrays, updated by the kernels in
@@ -28,9 +29,10 @@ state lives in per-lane arrays, updated by the kernels in
 execution times, zero switching overhead, no tracing/sampling.  The
 one front-end, :func:`execute_runspecs`, builds each lane from the
 same :class:`~repro.experiments.common.PaperSetup` hooks that
-``PaperSetup.run`` builds its simulator from.  Everything else (setups
-that override ``run``, such as fault plans; infinite or lossy storage;
-a processor model; custom schedulers; per-run energy sampling) is left
+``PaperSetup.run`` builds its simulator from.  Everything else (fault
+wrappers returned by a hook; setups that override ``run``, such as
+test doubles; infinite or lossy storage; a processor model; custom
+schedulers; per-run energy sampling; a watchdog or a trace) is left
 out of the core: the front-end returns ``None`` for such cells with a
 histogram of named reasons, and the caller runs them on the scalar
 simulator.  This module never does — the supervisor routes sweep
@@ -91,6 +93,9 @@ from repro.sched.vectorized import (
     batch_time_le,
 )
 from repro.sim.simulator import (
+    MAX_ITERATIONS,
+    STAGNATION_LIMIT,
+    STALL_RETRY_INTERVAL,
     DeadlineMissPolicy,
     SimulationConfig,
     SimulationResult,
@@ -462,9 +467,6 @@ class _BatchCore:
     ``raise``) are recorded in ``errors`` and excluded; the runner
     re-executes them on the scalar path.
     """
-
-    #: Matches SimulationConfig.max_iterations (the scalar bound).
-    MAX_ITERATIONS = 50_000_000
 
     #: Events one drain pass gathers per due lane (see
     #: :meth:`_process_due_events`).  Implicit deadlines make a job's
@@ -917,7 +919,7 @@ class _BatchCore:
         iterations = 0
         while True:
             iterations += 1
-            if iterations > self.MAX_ITERATIONS:  # pragma: no cover - guard
+            if iterations > MAX_ITERATIONS:  # pragma: no cover - guard
                 self._fail(self.active.nonzero()[0], "iteration cap")
                 break
             self._process_due_events()
@@ -944,8 +946,10 @@ class _BatchCore:
             self.stagnant = np.where(
                 duration > EPSILON, 0, self.stagnant + self.active
             )
-            if np.maximum.reduce(self.stagnant) > 1000:
-                stuck = (self.active & (self.stagnant > 1000)).nonzero()[0]
+            if np.maximum.reduce(self.stagnant) > STAGNATION_LIMIT:
+                stuck = (
+                    self.active & (self.stagnant > STAGNATION_LIMIT)
+                ).nonzero()[0]
                 if stuck.size:
                     self._fail(stuck, "stagnation guard")
 
@@ -1357,14 +1361,16 @@ class _BatchCore:
 
     def _enter_stall(self, lanes: IntArray, boundary: FloatArray) -> None:
         """_enter_stall: retry at the next source boundary or after the
-        (default 1.0) retry interval, whichever is sooner."""
+        stall retry interval, whichever is sooner."""
         if lanes.size == 0:
             return
         t = self.t[lanes]
         self.stall_count[lanes] += 1
         self.stall_started[lanes] = t
         self.stalled[lanes] = True
-        self.stalled_until[lanes] = np.minimum(boundary[lanes], t + 1.0)
+        self.stalled_until[lanes] = np.minimum(
+            boundary[lanes], t + STALL_RETRY_INTERVAL
+        )
         self._drop_plan(lanes)
 
     # -- result extraction -------------------------------------------------
@@ -1449,8 +1455,8 @@ def runspec_fallback_reason(spec: "RunSpec") -> Optional[str]:
     """Why this sweep cell needs the scalar engine, or None.
 
     All four predictor kinds are vectorized.  A setup that overrides
-    ``PaperSetup.run`` (fault injection, chaos, test doubles) simulates
-    a world the lane builder cannot see, so it always falls back.  The
+    ``PaperSetup.run`` (the chaos harness, test doubles) simulates a
+    world the lane builder cannot see, so it always falls back.  The
     lane builder names the remaining reasons (see :func:`_runspec_lane`).
     """
     if spec.scheduler_name not in SCHEDULER_KINDS:
@@ -1548,9 +1554,13 @@ _DEFAULT_CONFIG = SimulationConfig()
 def _runspec_lane(spec: "RunSpec", include_jobs: bool = False) -> _Lane:
     """A lane replaying ``PaperSetup.run`` exactly, from the same hooks.
 
-    Raises :class:`UncoveredScenarioError` for a processor model, a
-    storage other than a finite :class:`IdealStorage`, or an unmirrored
-    config field off its default.  Without an AET seed and without job
+    Raises :class:`UncoveredScenarioError` for a processor model, an
+    unmirrored config field off its default, a task set other than a
+    plain :class:`TaskSet` (an ``OverrunWorkload`` draws its own
+    demands), a storage other than a finite :class:`IdealStorage`, or
+    an unvectorized source or predictor.  The checks match exact types:
+    a subclass, such as every fault wrapper, may change what the core
+    replays.  Without an AET seed and without job
     timelines, all-periodic sets take the array-only job path: no
     ``Job`` objects are created, which is the setup hot spot on big
     sweeps, and such lanes cannot serve ``result(include_jobs=True)``.
@@ -1566,6 +1576,10 @@ def _runspec_lane(spec: "RunSpec", include_jobs: bool = False) -> _Lane:
                 f"config field {name} is not vectorized"
             )
     taskset = setup.taskset(spec.seed, spec.utilization)
+    if type(taskset) is not TaskSet:
+        raise UncoveredScenarioError(
+            f"task set type {type(taskset).__name__} is not vectorized"
+        )
     source = setup.source(spec.seed)
     storage = setup.storage(spec.capacity)
     predictor = setup.predictor(source)
@@ -1611,7 +1625,8 @@ def _runspec_lane(spec: "RunSpec", include_jobs: bool = False) -> _Lane:
 def _periodic_job_arrays(
     taskset: "TaskSet", horizon: float
 ) -> Optional[tuple[FloatArray, FloatArray, FloatArray, IntArray, list[str]]]:
-    """Vectorized ``TaskSet.jobs(horizon, None)`` for all-periodic sets.
+    """Vectorized ``TaskSet.jobs(horizon, None)`` for all-periodic sets
+    (of the exact ``TaskSet`` type, which :func:`_runspec_lane` checks).
 
     Mirrors the scalar generator arithmetic exactly: releases are
     ``first_release + k * period`` (one multiply, one add, like the
@@ -1624,11 +1639,6 @@ def _periodic_job_arrays(
     building real ``Job`` objects).  Only valid for ``rng=None`` job
     generation — actual demand equals the WCET.
     """
-    # Subclasses (e.g. repro.faults.OverrunWorkload) may override jobs()
-    # even though they iterate plain periodic tasks — only the exact
-    # base class is safe to replay arithmetically.
-    if type(taskset) is not TaskSet:
-        return None
     tasks = list(taskset)
     if any(type(task) is not PeriodicTask for task in tasks):
         return None

@@ -82,6 +82,16 @@ _DEADLINE = "deadline"
 _PRIO_DEADLINE = 0
 _PRIO_RELEASE = 1
 
+# Run constants shared by both engines (``repro.sim.batch`` reads them).
+#: After a stall, retry no later than this long after the stall began
+#: (sources whose power never changes have no quantum boundary to wait for).
+STALL_RETRY_INTERVAL = 1.0
+#: Safety valve against runaway event loops: loop iterations per run.
+MAX_ITERATIONS = 50_000_000
+#: A run that takes more than this many steps in a row without moving
+#: time fails instead of spinning.
+STAGNATION_LIMIT = 1000
+
 
 def event_time(time: float, now: float) -> float:
     """The instant an event requested at ``time`` is scheduled for.
@@ -152,24 +162,13 @@ class SimulationConfig:
     trace_kinds: tuple[str, ...] = ()
     #: Record an ENERGY trace sample every this many time units.
     energy_sample_interval: Optional[float] = None
-    #: After a stall, retry no later than this long after the stall began
-    #: (sources whose power never changes have no quantum boundary to
-    #: wait for).
-    stall_retry_interval: float = 1.0
     #: Seed for per-job actual-execution-time sampling (tasks with
     #: ``bcet_ratio < 1``); ``None`` runs every job at its WCET.
     aet_seed: Optional[int] = None
-    #: Safety valve against runaway event loops.
-    max_iterations: int = 50_000_000
     #: Audit every segment with a :class:`~repro.sim.watchdog.SimulationWatchdog`
-    #: (energy conservation, causality, stall progress) and abort with a
-    #: structured :class:`~repro.sim.watchdog.WatchdogError` on violation.
+    #: (energy conservation, causality) and abort with a structured
+    #: :class:`~repro.sim.watchdog.WatchdogError` on violation.
     watchdog: bool = False
-    #: Abort after this many stalls without a job completion (requires
-    #: ``watchdog=True``; ``None`` disables the stall-progress check).
-    watchdog_max_stalls: Optional[int] = None
-    #: Relative tolerance of the watchdog's energy checks.
-    watchdog_energy_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.horizon) or self.horizon <= 0:
@@ -183,28 +182,6 @@ class SimulationConfig:
             raise ValueError(
                 "energy_sample_interval must be > 0, got "
                 f"{self.energy_sample_interval!r}"
-            )
-        if self.stall_retry_interval <= 0:
-            raise ValueError(
-                f"stall_retry_interval must be > 0, got "
-                f"{self.stall_retry_interval!r}"
-            )
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.watchdog_max_stalls is not None:
-            if not self.watchdog:
-                raise ValueError("watchdog_max_stalls requires watchdog=True")
-            if self.watchdog_max_stalls < 1:
-                raise ValueError(
-                    "watchdog_max_stalls must be >= 1 or None, got "
-                    f"{self.watchdog_max_stalls!r}"
-                )
-        if self.watchdog_energy_tolerance <= 0 or not math.isfinite(
-            self.watchdog_energy_tolerance
-        ):
-            raise ValueError(
-                "watchdog_energy_tolerance must be finite and > 0, got "
-                f"{self.watchdog_energy_tolerance!r}"
             )
 
 
@@ -315,12 +292,9 @@ class HarvestingRtSimulator:
                 )
         self._config = config or SimulationConfig()
         self._outlook = EnergyOutlook(self._storage, self._predictor)
-        self._watchdog: Optional[SimulationWatchdog] = None
-        if self._config.watchdog:
-            self._watchdog = SimulationWatchdog(
-                max_consecutive_stalls=self._config.watchdog_max_stalls,
-                energy_tolerance=self._config.watchdog_energy_tolerance,
-            )
+        self._watchdog: Optional[SimulationWatchdog] = (
+            SimulationWatchdog() if self._config.watchdog else None
+        )
 
         # Presorted events: (kind, job) rows, their times (plus a never
         # due INFINITY after the last), the next row and its time.
@@ -382,7 +356,7 @@ class HarvestingRtSimulator:
         horizon = self._config.horizon
         stagnant = 0
         harvest, self._boundary = self._read_source(self._t)
-        for _ in range(self._config.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             self._process_due_events()
             if self._t >= horizon - EPSILON:
                 break
@@ -396,7 +370,7 @@ class HarvestingRtSimulator:
             advanced = self._advance_to(seg_end, harvest, draw)
             harvest = self._post_segment()
             stagnant = 0 if advanced else stagnant + 1
-            if stagnant > 1000:
+            if stagnant > STAGNATION_LIMIT:
                 if self._watchdog is not None:
                     raise self._watchdog.abort(
                         self._t, "simulator made no progress (stagnant loop)"
@@ -409,12 +383,11 @@ class HarvestingRtSimulator:
             if self._watchdog is not None:
                 raise self._watchdog.abort(
                     self._t,
-                    "simulation exceeded max_iterations="
-                    f"{self._config.max_iterations}",
+                    f"simulation exceeded {MAX_ITERATIONS} iterations",
                 )
             raise RuntimeError(
-                f"simulation exceeded max_iterations="
-                f"{self._config.max_iterations} (t={self._t!r})"
+                f"simulation exceeded {MAX_ITERATIONS} iterations "
+                f"(t={self._t!r})"
             )
         return self._build_result()
 
@@ -723,9 +696,7 @@ class HarvestingRtSimulator:
     def _enter_stall(self) -> None:
         job = self._running
         assert job is not None
-        resume = min(
-            self._boundary, self._t + self._config.stall_retry_interval
-        )
+        resume = min(self._boundary, self._t + STALL_RETRY_INTERVAL)
         self._trace.record(
             self._t,
             TraceKind.STALL,

@@ -16,8 +16,9 @@ Two front ends share this module:
 * :mod:`repro.verify.strategies` exposes a Hypothesis strategy producing
   the same specs with full shrinking support for property-based tests.
 
-:meth:`ScenarioSpec.cell` turns a world into a sweep cell whose
-:class:`ScenarioSetup` builds it through the ``PaperSetup`` hooks, so
+A world is built through the ``PaperSetup`` hooks of its
+:class:`ScenarioSetup`: :meth:`ScenarioSpec.run` simulates it, and
+:meth:`ScenarioSpec.cell` turns it into a sweep cell, so
 ``repro verify --batch`` drives the batch core through the same
 front-end and lane builder as every sweep.
 """
@@ -61,7 +62,6 @@ from repro.sched.base import Scheduler
 from repro.sched.registry import make_scheduler
 from repro.sim.simulator import (
     DeadlineMissPolicy,
-    HarvestingRtSimulator,
     SimulationConfig,
     SimulationResult,
 )
@@ -70,7 +70,6 @@ from repro.timeutils import ordered_sum
 
 __all__ = [
     "FaultPlan",
-    "FaultedScenarioSetup",
     "PERIOD_CHOICES",
     "PREDICTOR_KINDS",
     "ScenarioSetup",
@@ -247,59 +246,31 @@ class ScenarioSpec:
             )
         return predictor
 
-    def build_config(self, watchdog: bool = False) -> SimulationConfig:
+    def build_config(self) -> SimulationConfig:
         return SimulationConfig(
             horizon=self.horizon,
             miss_policy=DeadlineMissPolicy(self.miss_policy),
             aet_seed=self.aet_seed,
-            watchdog=watchdog,
         )
 
-    def build_simulator(
-        self,
-        scheduler: Union[str, Scheduler],
-        watchdog: bool = False,
-    ) -> HarvestingRtSimulator:
-        """A single-use simulator of this world under ``scheduler``.
-
-        ``scheduler`` is either a registry name or a ready instance (the
-        oracle harness passes wrapped instances).
-        """
+    def run(self, scheduler: Union[str, Scheduler]) -> SimulationResult:
+        """One simulation of this world under ``scheduler``, either a
+        registry name or a ready instance (the oracle harness passes
+        wrapped instances), built by its :class:`ScenarioSetup`."""
         if isinstance(scheduler, str):
             scheduler = make_scheduler(scheduler, self.scale())
-        source = self.build_source()
-        return HarvestingRtSimulator(
-            taskset=self.build_taskset(),
-            source=source,
-            storage=self.build_storage(),
-            scheduler=scheduler,
-            predictor=self.build_predictor(source),
-            config=self.build_config(watchdog=watchdog),
-        )
-
-    def run(
-        self,
-        scheduler: Union[str, Scheduler],
-        watchdog: bool = False,
-    ) -> SimulationResult:
-        """Build and run one simulation of this world."""
-        return self.build_simulator(scheduler, watchdog=watchdog).run()
+        return ScenarioSetup(spec=self).simulator(
+            scheduler, self.total_utilization, self.capacity, self.seed
+        ).run()
 
     def cell(self, scheduler_name: str) -> RunSpec:
-        """This world under ``scheduler_name`` as a sweep cell.
-
-        A faulted world gets a :class:`FaultedScenarioSetup`, whose
-        overridden ``run`` keeps it off the batch core.
-        """
-        setup_type = (
-            FaultedScenarioSetup if self.faults.any_active else ScenarioSetup
-        )
+        """This world under ``scheduler_name`` as a sweep cell."""
         return RunSpec(
             scheduler_name=scheduler_name,
             utilization=self.total_utilization,
             capacity=self.capacity,
             seed=self.seed,
-            setup=setup_type(spec=self),
+            setup=ScenarioSetup(spec=self),
         )
 
     # -- derived scenarios ------------------------------------------------
@@ -368,14 +339,15 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ScenarioSetup(PaperSetup):
-    """An unfaulted :class:`ScenarioSpec` world as a sweep cell's setup.
+    """A :class:`ScenarioSpec` world as a sweep cell's setup.
 
-    The hooks build the spec's ladder, task set, source, predictor and
-    config, so :meth:`PaperSetup.run` simulates exactly what
-    ``spec.run`` does, and the batch core's lane builder replays the
-    same world.  The spec fixes the whole world; of the cell's
-    arguments only ``capacity`` is read, and :meth:`ScenarioSpec.cell`
-    sets it to the spec's.
+    The hooks build the spec's ladder, task set, source, storage,
+    predictor and config, fault wrappers included, so
+    :meth:`PaperSetup.run` simulates exactly what ``spec.run`` does.
+    The batch core's lane builder reads the same hooks and sends a
+    faulted world to the scalar simulator, naming the wrapper it
+    rejected.  The spec fixes the whole world, so the cell's arguments
+    are not read.
     """
 
     spec: ScenarioSpec = field(kw_only=True)
@@ -392,27 +364,13 @@ class ScenarioSetup(PaperSetup):
     def taskset(self, seed: int, utilization: float) -> TaskSet:
         return self.spec.build_taskset()
 
+    def storage(self, capacity: float) -> EnergyStorage:
+        return self.spec.build_storage()
+
     def config(
         self, seed: int, energy_sample_interval: Optional[float] = None
     ) -> SimulationConfig:
         return self.spec.build_config()
-
-
-@dataclass(frozen=True)
-class FaultedScenarioSetup(ScenarioSetup):
-    """A faulted :class:`ScenarioSpec` world: its fault decorators are
-    beyond the batch core, so ``run`` is overridden and the cell always
-    takes the scalar fallback."""
-
-    def run(
-        self,
-        scheduler_name: str,
-        utilization: float,
-        capacity: float,
-        seed: int,
-        energy_sample_interval: Optional[float] = None,
-    ) -> SimulationResult:
-        return self.spec.run(scheduler_name)
 
 
 def _random_tasks(rng: np.random.Generator) -> tuple[TaskParams, ...]:

@@ -128,6 +128,14 @@ class TestSetIteration:
         assert "RPR004" in codes_in(f"for x in {wrapped}:\n    pass\n")
         assert "RPR004" in codes_in(f"order = list({wrapped})\n")
 
+    def test_aliased_set_constructor_flagged(self, codes_in):
+        # A set constructor bound to another name still builds a set.
+        assert "RPR004" in codes_in(
+            "_distinct = set\n"
+            "def result_to_payload(result):\n"
+            "    return {'tasks': list(_distinct(result.per_task_released))}\n"
+        )
+
     def test_sorted_set_is_clean(self, codes_in):
         assert codes_in("for x in sorted(set(items)):\n    pass\n") == []
 

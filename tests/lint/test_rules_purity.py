@@ -65,6 +65,16 @@ class TestAtomicWrite:
         )
         assert "RPR506" not in codes
 
+    def test_aliased_open_flagged(self, codes_in):
+        assert "RPR506" in codes_in(
+            """
+            def _cmd_sweep(args, text):
+                _open = open
+                with _open(args.export, "w") as handle:
+                    handle.write(text)
+            """
+        )
+
     def test_module_scope_write_flagged(self, codes_in):
         assert "RPR506" in codes_in(
             """
@@ -132,6 +142,24 @@ class TestRenameWithoutFsync:
                 os.rename(tmp, dst)
             """
         )
+
+    def test_aliased_writer_without_fsync_flagged(self, codes_in):
+        codes = codes_in(
+            """
+            import os
+
+            _open = open
+            _commit = os.replace
+
+            def atomic_write_text(path, text):
+                tmp = str(path) + ".tmp"
+                with _open(tmp, "w") as handle:
+                    handle.write(text)
+                _commit(tmp, path)
+            """
+        )
+        assert "RPR506" in codes
+        assert "RPR507" in codes
 
     def test_fsync_before_rename_exempt(self, codes_in):
         codes = codes_in(

@@ -177,19 +177,25 @@ class TestBatchFallbackRouting:
     with the sweep's timeout, retries, quarantine and journaling."""
 
     @pytest.mark.parametrize(
-        "faults", [{"blackout": True}, {"overrun": True}],
-        ids=["blackout", "overrun"],
+        "faults, reason",
+        [
+            ({"blackout": True, "watchdog": False},
+             "source type BlackoutSource is not vectorized"),
+            ({"overrun": True, "watchdog": False},
+             "task set type OverrunWorkload is not vectorized"),
+            ({"blackout": True}, "config field watchdog is not vectorized"),
+        ],
+        ids=["blackout", "overrun", "watchdog"],
     )
-    def test_run_overriding_setups_fall_back(self, faults):
-        # Regression: the batch lane builder rebuilt these cells from
-        # the nominal task set and source, so their faults never fired.
+    def test_faulted_setups_fall_back(self, faults, reason):
+        # Regression: the batch lane builder once rebuilt these cells
+        # from the nominal task set and source, so their faults never
+        # fired.  Each fault hook now returns what the core rejects.
         setup = ResilienceSetup(horizon=400.0, **faults)
         specs = [RunSpec("lsa", 0.6, 30.0, seed, setup) for seed in range(3)]
         scalar = run_supervised(specs, engine="scalar")
         batch = run_supervised(specs, engine="batch")
-        assert batch.fallback_reasons == {
-            "setup ResilienceSetup overrides run": 3
-        }
+        assert batch.fallback_reasons == {reason: 3}
         assert [result_to_payload(r) for r in batch.results()] == [
             result_to_payload(r) for r in scalar.results()
         ]

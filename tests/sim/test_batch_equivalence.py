@@ -235,18 +235,39 @@ class TestFallbackRouting:
             predictor_kind="oracle",
         )
         assert runspec_fallback_reason(spec.cell("ea-dvfs")) is None
-        faulted = dataclasses.replace(
-            spec, faults=FaultPlan(overrun=True)
-        )
-        assert runspec_fallback_reason(faulted.cell("ea-dvfs")) == (
-            "setup FaultedScenarioSetup overrides run"
-        )
         # Every online predictor kind is vectorized now — no predictor
         # triggers a fallback under any covered scheduler.
         for kind in ("profile", "mean", "last-value"):
             online = dataclasses.replace(spec, predictor_kind=kind)
             for scheduler in ("lsa", "ea-dvfs", "edf"):
                 assert runspec_fallback_reason(online.cell(scheduler)) is None
+
+    @pytest.mark.parametrize(
+        "faults, reason",
+        [
+            (FaultPlan(source_fault="blackout"),
+             "source type BlackoutSource is not vectorized"),
+            (FaultPlan(storage_spikes=True),
+             "storage type DegradedStorage is not vectorized"),
+            (FaultPlan(predictor_gain=2.0),
+             "predictor type BiasedPredictor is not vectorized"),
+            (FaultPlan(overrun=True),
+             "task set type OverrunWorkload is not vectorized"),
+        ],
+        ids=["source-fault", "storage-spikes", "predictor-bias", "overrun"],
+    )
+    def test_faulted_world_names_the_rejected_wrapper(self, faults, reason):
+        # A faulted world passes the probe (its setup overrides no run),
+        # and the lane builder names the fault wrapper it rejects.
+        spec = ScenarioSpec(
+            seed=0, tasks=(TaskParams(period=20.0, wcet=2.0),),
+            predictor_kind="oracle", faults=faults,
+        )
+        cell = spec.cell("ea-dvfs")
+        assert runspec_fallback_reason(cell) is None
+        results, reasons = execute_runspecs([cell])
+        assert results == [None]
+        assert reasons == {reason: 1}
 
     def test_mixed_batch_counts_fallbacks(self):
         covered = _grid(seeds=1)[0]
@@ -295,13 +316,12 @@ def _run_cell(cell):
 
 
 @dataclasses.dataclass(frozen=True)
-class _SlowRetrySetup(PaperSetup):
+class _WatchdogSetup(PaperSetup):
     """A setup moving a config field the core does not mirror."""
 
     def config(self, seed, energy_sample_interval=None) -> SimulationConfig:
         return dataclasses.replace(
-            super().config(seed, energy_sample_interval),
-            stall_retry_interval=2.0,
+            super().config(seed, energy_sample_interval), watchdog=True
         )
 
 
@@ -356,7 +376,7 @@ class TestSetupHooks:
             for setup in (
                 SwitchOverheadSetup(horizon=400.0),
                 LossyStorageSetup(horizon=400.0),
-                _SlowRetrySetup(horizon=400.0),
+                _WatchdogSetup(horizon=400.0),
             )
         ]
         # The probe passes them; the lane builder names the reason.
@@ -366,7 +386,7 @@ class TestSetupHooks:
         assert reasons == {
             "processor model is not vectorized": 1,
             "storage type NonIdealStorage is not vectorized": 1,
-            "config field stall_retry_interval is not vectorized": 1,
+            "config field watchdog is not vectorized": 1,
         }
 
 
@@ -389,10 +409,11 @@ class TestArrayJobGeneration:
                 assert task_names[int(jtask[i])] == job.task.name
 
     def test_non_periodic_taskset_returns_none(self):
-        from repro.faults import OverrunWorkload
+        from repro.tasks.task import AperiodicTask, TaskSet
 
-        taskset = OverrunWorkload(
-            ORACLE_SETUP.taskset(0, 0.4), seed=0
+        taskset = TaskSet(
+            list(ORACLE_SETUP.taskset(0, 0.4))
+            + [AperiodicTask(5.0, relative_deadline=10.0, wcet=1.0, name="a")]
         )
         assert _periodic_job_arrays(taskset, 400.0) is None
 

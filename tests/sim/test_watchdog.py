@@ -1,5 +1,7 @@
 """Tests for the opt-in simulation watchdog."""
 
+import math
+
 import pytest
 
 from repro.cpu.presets import xscale_pxa
@@ -37,21 +39,14 @@ def paper_sim(scheduler="ea-dvfs", storage=None, config=None, seed=0):
 
 
 class TestConfigValidation:
-    def test_max_stalls_requires_watchdog(self):
-        with pytest.raises(ValueError, match="requires watchdog=True"):
-            SimulationConfig(horizon=10.0, watchdog_max_stalls=5)
-
     def test_max_stalls_must_be_positive(self):
-        with pytest.raises(ValueError, match="watchdog_max_stalls"):
-            SimulationConfig(horizon=10.0, watchdog=True, watchdog_max_stalls=0)
-
-    def test_tolerance_must_be_positive_finite(self):
-        with pytest.raises(ValueError, match="watchdog_energy_tolerance"):
-            SimulationConfig(
-                horizon=10.0, watchdog=True, watchdog_energy_tolerance=0.0
-            )
         with pytest.raises(ValueError, match="max_consecutive_stalls"):
             SimulationWatchdog(max_consecutive_stalls=0)
+
+    def test_tolerance_must_be_positive_finite(self):
+        for tolerance in (0.0, math.inf):
+            with pytest.raises(ValueError, match="energy_tolerance"):
+                SimulationWatchdog(energy_tolerance=tolerance)
 
 
 class TestSegmentAudit:

@@ -72,6 +72,19 @@ class TestCommands:
         payload = json.loads(json_path.read_text())
         assert payload["scheduler_name"] == "ea-dvfs"  # result_to_payload
 
+    def test_traced_quick_prints_the_plain_summary(self, capsys):
+        # Tracing the schedule for the Gantt chart changes no result.
+        args = [
+            "quick", "--scheduler", "ea-dvfs", "--capacity", "40",
+            "--horizon", "600", "--seed", "3",
+        ]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--gantt"]) == 0
+        traced = capsys.readouterr().out
+        assert "full speed" in traced  # the chart was drawn
+        assert traced.startswith(plain.rstrip("\n") + "\n\n")
+
     def test_feasibility(self, capsys):
         assert main(
             ["feasibility", "--utilization", "0.4", "--deficit-horizon",
